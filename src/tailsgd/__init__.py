@@ -12,7 +12,6 @@ from .bounds import (
     rho_misspec,
     risk_bound,
     sigma2_mle,
-    variance_of_average_bound,
     variance_term,
 )
 from .distributions import (
@@ -65,13 +64,8 @@ from .sgd import (
     BatchResult,
     SgdConfig,
     Trajectory,
-    empirical_covariance,
-    gradient_noise,
-    run_bias_process,
     run_replicates,
     run_tail_averaged,
-    run_variance_process,
-    sgd_step,
 )
 from .stationary import (
     FourthMomentOperator,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Moments
-from .errors import EmptyWindowError, SingularMomentsError, StepSizeError, ZeroNoiseError
+from .errors import EmptyWindowError, SingularMomentsError, ZeroNoiseError
 from .matcore import matrix_norm_under, weighted_norm_sq
 from .sgd import check_stepsize
 
@@ -122,18 +122,6 @@ def risk_bound(rc: RateConstants, t: int, T: int, dist0_sq: float) -> RiskBound:
     b = bias_term(rc.gamma, rc.mu, t, rc.r2, dist0_sq)
     v = variance_term(rc.gamma, rc.r2, rc.rho, rc.sigma2, T - t)
     return RiskBound(bias=b, variance=v, total=(math.sqrt(b) + math.sqrt(v)) ** 2, t=t, T=T)
-
-
-def variance_of_average_bound(c_infty_trace: float, gamma: float, T: int) -> float:
-    """Bound Tr(C) / (gamma T) on half the squared H-norm error of an
-    average of T stationary iterates."""
-    if T < 1:
-        raise EmptyWindowError(f"need at least one iterate, got T={T}")
-    if gamma <= 0.0:
-        raise StepSizeError(f"stepsize must be positive, got {gamma}")
-    if c_infty_trace < 0.0:
-        raise ValueError(f"trace must be nonnegative, got {c_infty_trace}")
-    return c_infty_trace / (gamma * T)
 
 
 def excess_risk(w, m: Moments) -> float:

@@ -41,7 +41,7 @@ from .errors import (
     ZeroNoiseError,
 )
 from .harness import (
-    SWEEP_COLUMNS,
+    _sweep_row,
     config_from_dict,
     parse_sweep_config,
     run_experiment,
@@ -199,18 +199,6 @@ def _cmd_bound(args) -> int:
     return 0
 
 
-def _report_row(cfg, report) -> dict:
-    row = dict.fromkeys(SWEEP_COLUMNS, "")
-    row.update(
-        cell_id=0, d=cfg.distribution.d, gamma=cfg.gamma, rho=report.constants.rho,
-        T=cfg.T, t=cfg.t, replicates=report.replicates, seed=report.seed,
-        emp_risk=report.emp_risk, stderr=report.stderr, bound=report.bound.total,
-        bias_bound=report.bound.bias, var_bound=report.bound.variance,
-        eff_ratio=report.eff_ratio, error="",
-    )
-    return row
-
-
 def _cmd_simulate(args) -> int:
     cfg = config_from_dict(json.loads(_load_config(args.config)))
     updates = {}
@@ -222,7 +210,7 @@ def _cmd_simulate(args) -> int:
         cfg = dataclasses.replace(cfg, **updates)
     report = run_experiment(cfg, workers=args.workers)
     if args.format == "csv":
-        _emit(sweep_csv([_report_row(cfg, report)]), args.out)
+        _emit(sweep_csv([_sweep_row(0, cfg, report)]), args.out)
     else:
         _emit_json(report, args.out)
     return 0

@@ -322,12 +322,10 @@ def exact_moments(spec: DistributionSpec) -> Moments:
     return Moments(H=h, Sigma=sigma, w_star=spec.w_star, R2=r2, exact=True)
 
 
-def estimate_moments(spec: DistributionSpec, n: int, seed, *,
-                     fit_w_star: bool = False) -> Moments:
+def estimate_moments(spec: DistributionSpec, n: int, seed) -> Moments:
     """Monte-Carlo moments from n fresh draws of the model.
 
-    Residuals are taken against the model's own minimizer, or against a
-    least-squares fit on the same draws when ``fit_w_star`` is set.  Raises
+    Residuals are taken against the model's own minimizer.  Raises
     SingularMomentsError when the empirical second moment does not span R^d
     (always for n < d, and possible for degenerate draws at any n).
     """
@@ -340,9 +338,8 @@ def estimate_moments(spec: DistributionSpec, n: int, seed, *,
         raise SingularMomentsError(
             f"empirical second moment from {n} draws does not span R^{spec.d}"
         )
-    w = np.linalg.solve(h, x.T @ y / n) if fit_w_star else spec.w_star
-    resid_sq = (y - x @ w) ** 2
+    resid_sq = (y - x @ spec.w_star) ** 2
     sigma = sym(np.einsum("n,ni,nj->ij", resid_sq, x, x) / n)
     f = sym(np.einsum("n,ni,nj->ij", np.einsum("ni,ni->n", x, x), x, x) / n)
     r2 = matrix_norm_under(f, h)
-    return Moments(H=h, Sigma=sigma, w_star=w, R2=r2, exact=False, n_samples=n)
+    return Moments(H=h, Sigma=sigma, w_star=spec.w_star, R2=r2, exact=False, n_samples=n)

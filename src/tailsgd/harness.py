@@ -41,6 +41,7 @@ import io
 import itertools
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -67,7 +68,7 @@ from .distributions import (
 )
 from .errors import ConfigError, TailSgdError
 from .matcore import psd_order_leq, sym_to_vec, vec_to_sym
-from .sgd import SgdConfig, resolve_moments, run_replicates
+from .sgd import PROCESSES, SgdConfig, resolve_moments, run_replicates
 from .stationary import (
     FourthMomentOperator,
     covariance_step,
@@ -265,7 +266,10 @@ def replicate_seed(master: int, cell: int, index: int) -> tuple[int, int, int]:
 
 
 def _chunk_ranges(n: int, workers: int):
-    k = max(1, min(int(workers), n))
+    # one chunk per worker, never more workers than replicates or usable CPUs
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    k = max(1, min(int(workers), n, cpus))
     base, extra = divmod(n, k)
     out, lo = [], 0
     for i in range(k):
@@ -276,14 +280,15 @@ def _chunk_ranges(n: int, workers: int):
 
 
 def _tail_chunk(args):
-    spec, cfg, process, master, cell, lo, hi, moments = args
+    spec, cfg, master, cell, lo, hi, moments = args
     seeds = [replicate_seed(master, cell, i) for i in range(lo, hi)]
-    res = run_replicates(spec, cfg, seeds, process=process, moments=moments)
+    res = run_replicates(spec, cfg, seeds, process=PROCESSES, moments=moments)
     return res.tail_averages
 
 
-def _tail_averages(spec, cfg, moments, master, cell, n_rep, process, workers):
-    jobs = [(spec, cfg, process, master, cell, lo, hi, moments)
+def _tail_averages(spec, cfg, moments, master, cell, n_rep, workers):
+    """(replicates, len(PROCESSES), d) tail averages of every process."""
+    jobs = [(spec, cfg, master, cell, lo, hi, moments)
             for lo, hi in _chunk_ranges(n_rep, workers)]
     if len(jobs) == 1:
         parts = [_tail_chunk(jobs[0])]
@@ -305,8 +310,9 @@ def _risk_stats(tail_averages, m: Moments):
 class RiskReport:
     """Monte-Carlo estimate of the tail-average excess risk next to its bound.
 
-    ``bias_risk`` and ``var_risk`` measure the two halves of the run (noise
-    free labels, and start at w*) on matched sample streams.  ``eff_ratio``
+    ``bias_risk`` and ``var_risk`` measure the two halves of the same run:
+    the noise-free process and the noise-driven process started at w*,
+    advanced alongside the standard process on the very same draws.  ``eff_ratio``
     is emp_risk * (T - t) / sigma2_mle, the distance from the large-sample
     optimum 1; it is reported as 0 for noiseless models.
     """
@@ -331,11 +337,9 @@ def run_experiment(cfg: ExperimentConfig, *, workers: int = 1, cell: int = 0) ->
     evaluate the closed-form bound for the same run geometry."""
     m = resolve_moments(cfg.distribution)
     sgd_cfg = SgdConfig(gamma=cfg.gamma, w0=cfg.w0, t_avg_start=cfg.t, T=cfg.T)
-    stats = {}
-    for process in ("standard", "bias", "variance"):
-        tails = _tail_averages(cfg.distribution, sgd_cfg, m, cfg.seed, cell,
-                               cfg.replicates, process, workers)
-        stats[process] = _risk_stats(tails, m)
+    tails = _tail_averages(cfg.distribution, sgd_cfg, m, cfg.seed, cell,
+                           cfg.replicates, workers)
+    stats = {p: _risk_stats(tails[:, k], m) for k, p in enumerate(PROCESSES)}
     emp, se = stats["standard"]
     rc = rate_constants(m, cfg.gamma)
     dist0_sq = float(np.sum((cfg.w0 - m.w_star) ** 2))
@@ -718,9 +722,6 @@ def sweep(sweep_cfg: SweepConfig, *, workers: int = 1) -> list[dict]:
     cells = itertools.product(sweep_cfg.d_values, sweep_cfg.families,
                               sweep_cfg.gamma_rules, sweep_cfg.T_values)
     for cell_id, (d, family, rule, big_t) in enumerate(cells):
-        row = dict.fromkeys(SWEEP_COLUMNS, "")
-        row.update(cell_id=cell_id, d=d, T=big_t, replicates=sweep_cfg.replicates,
-                   seed=sweep_cfg.seed, error="")
         try:
             doc = {
                 "distribution": family_distribution(family, d, sweep_cfg.noise_sigma),
@@ -734,21 +735,26 @@ def sweep(sweep_cfg: SweepConfig, *, workers: int = 1) -> list[dict]:
                 doc["gamma"] = sweep_cfg.gamma
             cfg = config_from_dict(doc)
             report = run_experiment(cfg, workers=workers, cell=cell_id)
-            row.update(
-                gamma=cfg.gamma,
-                rho=report.constants.rho,
-                t=cfg.t,
-                emp_risk=report.emp_risk,
-                stderr=report.stderr,
-                bound=report.bound.total,
-                bias_bound=report.bound.bias,
-                var_bound=report.bound.variance,
-                eff_ratio=report.eff_ratio,
-            )
+            row = _sweep_row(cell_id, cfg, report)
         except TailSgdError as exc:
-            row["error"] = str(exc)
+            row = dict.fromkeys(SWEEP_COLUMNS, "")
+            row.update(cell_id=cell_id, d=d, T=big_t, replicates=sweep_cfg.replicates,
+                       seed=sweep_cfg.seed, error=str(exc))
         rows.append(row)
     return rows
+
+
+def _sweep_row(cell_id: int, cfg: ExperimentConfig, report: RiskReport) -> dict:
+    """The sweep CSV row of one finished experiment."""
+    row = dict.fromkeys(SWEEP_COLUMNS, "")
+    row.update(
+        cell_id=cell_id, d=cfg.distribution.d, gamma=cfg.gamma, rho=report.constants.rho,
+        T=cfg.T, t=cfg.t, replicates=report.replicates, seed=report.seed,
+        emp_risk=report.emp_risk, stderr=report.stderr, bound=report.bound.total,
+        bias_bound=report.bound.bias, var_bound=report.bound.variance,
+        eff_ratio=report.eff_ratio,
+    )
+    return row
 
 
 def sweep_csv(rows: list[dict]) -> str:

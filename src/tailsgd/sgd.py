@@ -5,21 +5,23 @@ steps visits states w_0, ..., w_T; the tail average over the window [t, T)
 is ``(1/(T-t)) * sum_{s=t}^{T-1} w_s``, so w_0 contributes when t = 0 and
 the final state w_T never does.
 
-``run_replicates`` advances one process per seed with the update vectorized
+``run_replicates`` runs one replicate per seed with the update vectorized
 across replicates.  Each replicate owns an independent sample stream, drawn
 in fixed-size blocks, so a replicate's trajectory depends only on its own
 seed: splitting a seed list across calls (or worker processes) reproduces
 bit-identical trajectories.  Iterate sums use compensated (Kahan) summation
 so long tail averages do not lose precision.
 
-Besides the plain process, two decompositions of the same run are available:
-the bias process feeds noiseless labels w*.x through the same covariate
-stream, and the variance process starts at w* with labels as drawn.
+A run advances any of three processes as rows of one pass over each
+replicate's draws: the standard process; the bias process, the noise-free
+half, which sees the same covariates with noiseless labels w*.x; and the
+variance process, the noise-driven half, which starts at w* with labels as
+drawn.  Every row of a replicate sees the same draws.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +32,6 @@ from .errors import (
     IntractableMomentsError,
     StepSizeError,
 )
-from .matcore import sym
 
 # Samples buffered per replicate between vectorized sweeps.  The buffer costs
 # BLOCK * replicates * d * 8 bytes; the draw pattern is a function of T alone,
@@ -82,26 +83,25 @@ class SgdConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One replicate's run: recorded states, tail average, final state, and
-    any running averages maintained from earlier window starts."""
+    """One replicate's run: recorded states, tail average and final state."""
 
     steps: np.ndarray
     iterates: np.ndarray
     tail_average: np.ndarray
     final: np.ndarray
-    running_averages: tuple[tuple[int, np.ndarray], ...] = field(default=())
     samples_used: int = 0
 
 
 @dataclass(frozen=True)
 class BatchResult:
-    """Vectorized outputs of run_replicates; leading axis indexes replicates."""
+    """Vectorized outputs of run_replicates.  Per-replicate arrays lead with
+    the replicate axis, then the process axis when several were run;
+    ``snapshots`` leads with the snapshot axis."""
 
     tail_averages: np.ndarray
     finals: np.ndarray
     snapshot_steps: tuple[int, ...]
     snapshots: np.ndarray
-    running_averages: tuple[tuple[int, np.ndarray], ...]
     samples_per_replicate: int
 
 
@@ -141,36 +141,20 @@ def resolve_moments(spec: DistributionSpec) -> Moments:
         return estimate_moments(spec, _EST_SAMPLES, _EST_SEED)
 
 
-def sgd_step(w, x, y: float, gamma: float) -> np.ndarray:
-    """Single update w + gamma * (y - w.x) x."""
-    wv = np.asarray(w, dtype=float)
-    xv = np.asarray(x, dtype=float)
-    if wv.shape != xv.shape or wv.ndim != 1:
-        raise DimensionError(f"shape mismatch: w {wv.shape} vs x {xv.shape}")
-    return wv + gamma * (float(y) - wv @ xv) * xv
-
-
-def gradient_noise(x, y: float, w_star) -> np.ndarray:
-    """Gradient of the half-squared loss at the population minimizer,
-    -(y - w*.x) x; zero mean under the model."""
-    xv = np.asarray(x, dtype=float)
-    wv = np.asarray(w_star, dtype=float)
-    if wv.shape != xv.shape or wv.ndim != 1:
-        raise DimensionError(f"shape mismatch: w_star {wv.shape} vs x {xv.shape}")
-    return -(float(y) - wv @ xv) * xv
-
-
 def run_replicates(spec: DistributionSpec, config: SgdConfig, seeds, *,
-                   process: str = "standard", moments: Moments | None = None,
-                   snapshot_steps=(), running_average_starts=()) -> BatchResult:
-    """Run one SGD process per seed, vectorized across replicates.
+                   process: str | tuple[str, ...] = "standard",
+                   moments: Moments | None = None, snapshot_steps=()) -> BatchResult:
+    """Run SGD for each seed, vectorized across replicates.
 
+    ``process`` names one of PROCESSES, giving (replicates, d) outputs, or a
+    tuple of them, giving (replicates, len(process), d) outputs whose rows
+    advance together on each replicate's one sample stream.
     ``snapshot_steps`` are state indices in [0, T] to capture across all
-    replicates; ``running_average_starts`` are extra window starts a < T whose
-    averages over [a, T) are maintained alongside the main tail average.
+    replicates.
     """
-    if process not in PROCESSES:
-        raise ValueError(f"unknown process {process!r}; expected one of {PROCESSES}")
+    names = (process,) if isinstance(process, str) else tuple(process)
+    if not names or any(p not in PROCESSES for p in names):
+        raise ValueError(f"unknown process {process!r}; expected names from {PROCESSES}")
     m = resolve_moments(spec) if moments is None else moments
     check_stepsize(config.gamma, m.R2)
     d = spec.d
@@ -188,30 +172,21 @@ def run_replicates(spec: DistributionSpec, config: SgdConfig, seeds, *,
     if snap_steps and not (0 <= snap_steps[0] and snap_steps[-1] <= big_t):
         raise ValueError(f"snapshot steps must lie in [0, {big_t}]")
     snap_idx = {s: i for i, s in enumerate(snap_steps)}
-    snaps = np.empty((len(snap_steps), n_rep, d))
-
-    ra_starts = sorted({int(a) for a in running_average_starts})
-    if ra_starts and not (0 <= ra_starts[0] and ra_starts[-1] < big_t):
-        raise EmptyWindowError(f"running-average starts must lie in [0, {big_t})")
-    ra_set = set(ra_starts)
-    prefixes: dict[int, np.ndarray] = {}
+    snaps = np.empty((len(snap_steps), n_rep, len(names), d))
 
     streams = [SampleStream(spec, s) for s in seeds]
-    w = np.empty((n_rep, d))
-    # The noise-free process is integrated in deviation coordinates: forming
-    # y - w.x near the minimizer cancels catastrophically and floors the decay
-    # at ulp(w*)^2, while the equivalent update dev -= gamma*(dev.x)x decays
-    # geometrically to underflow.  Outputs are shifted back by w*.
-    if process == "bias":
-        w[:] = config.w0 - w_star
-        shift = w_star
-    else:
-        w[:] = w_star if process == "variance" else config.w0
-        shift = np.zeros(d)
+    # Rows differ only in start point and label mask.  The noise-free (bias)
+    # row is integrated in deviation coordinates with labels masked to zero:
+    # forming y - w.x near the minimizer cancels catastrophically and floors
+    # the decay at ulp(w*)^2, while the equivalent update dev -= gamma*(dev.x)x
+    # decays geometrically to underflow.  Its outputs are shifted back by w*.
+    start = {"standard": config.w0, "bias": config.w0 - w_star, "variance": w_star}
+    w = np.empty((n_rep, len(names), d))
+    w[:] = np.stack([start[p] for p in names])
+    shift = np.stack([w_star if p == "bias" else np.zeros(d) for p in names])
+    mask = np.array([0.0 if p == "bias" else 1.0 for p in names])
 
-    tail = _KahanSum((n_rep, d))
-    total = _KahanSum((n_rep, d)) if ra_starts else None
-
+    tail = _KahanSum(w.shape)
     xb = np.empty((BLOCK, n_rep, d))
     yb = np.empty((BLOCK, n_rep))
     done = 0
@@ -221,99 +196,42 @@ def run_replicates(spec: DistributionSpec, config: SgdConfig, seeds, *,
             xi, yi = stream.draw(b)
             xb[:b, i, :] = xi
             yb[:b, i] = yi
-        if process == "bias":
-            yb[:b] = 0.0
         for j in range(b):
             state = done + j
-            if total is not None:
-                if state in ra_set:
-                    # prefix sum of states [0, state), taken before this state joins
-                    prefixes[state] = total.total()
-                total.add(w)
             if state >= t0:
                 tail.add(w)
             k = snap_idx.get(state)
             if k is not None:
                 snaps[k] = w
             x = xb[j]
-            r = gamma * (yb[j] - np.einsum("rd,rd->r", w, x))
-            w += r[:, None] * x
+            r = gamma * (yb[j][:, None] * mask - np.einsum("rpd,rd->rp", w, x))
+            w += r[:, :, None] * x[:, None, :]
         done += b
     k = snap_idx.get(big_t)
     if k is not None:
         snaps[k] = w
 
-    running = ()
-    if total is not None:
-        grand = total.total()
-        running = tuple(
-            (a, (grand - prefixes[a]) / (big_t - a) + shift) for a in ra_starts
-        )
+    tails, finals, snaps = tail.total() / (big_t - t0) + shift, w + shift, snaps + shift
+    if isinstance(process, str):
+        tails, finals, snaps = tails[:, 0], finals[:, 0], snaps[:, :, 0]
     return BatchResult(
-        tail_averages=tail.total() / (big_t - t0) + shift,
-        finals=w + shift,
+        tail_averages=tails,
+        finals=finals,
         snapshot_steps=tuple(snap_steps),
-        snapshots=snaps + shift,
-        running_averages=running,
+        snapshots=snaps,
         samples_per_replicate=big_t,
     )
 
 
-def _halving_starts(big_t: int) -> tuple[int, ...]:
-    starts = set()
-    a = big_t // 2
-    while a >= 1:
-        starts.add(a)
-        a //= 2
-    return tuple(sorted(starts))
-
-
-def _single_run(spec, config, seed, process, moments, checkpoint_averages) -> Trajectory:
+def run_tail_averaged(spec: DistributionSpec, config: SgdConfig, seed, *,
+                      moments: Moments | None = None) -> Trajectory:
+    """One full SGD run, recording every ``config.record_every``-th state."""
     snap = range(0, config.T + 1, config.record_every) if config.record_every else ()
-    starts = _halving_starts(config.T) if checkpoint_averages else ()
-    res = run_replicates(
-        spec, config, [seed], process=process, moments=moments,
-        snapshot_steps=snap, running_average_starts=starts,
-    )
+    res = run_replicates(spec, config, [seed], moments=moments, snapshot_steps=snap)
     return Trajectory(
         steps=np.array(res.snapshot_steps, dtype=int),
         iterates=res.snapshots[:, 0, :],
         tail_average=res.tail_averages[0],
         final=res.finals[0],
-        running_averages=tuple((a, avg[0]) for a, avg in res.running_averages),
         samples_used=res.samples_per_replicate,
     )
-
-
-def run_tail_averaged(spec: DistributionSpec, config: SgdConfig, seed, *,
-                      moments: Moments | None = None,
-                      checkpoint_averages: bool = False) -> Trajectory:
-    """One full SGD run.  ``checkpoint_averages`` additionally maintains
-    running averages started at T/2, T/4, ... down to 1."""
-    return _single_run(spec, config, seed, "standard", moments, checkpoint_averages)
-
-
-def run_bias_process(spec: DistributionSpec, config: SgdConfig, seed, *,
-                     moments: Moments | None = None,
-                     checkpoint_averages: bool = False) -> Trajectory:
-    """Noise-free half of a run: identical covariate stream, labels w*.x."""
-    return _single_run(spec, config, seed, "bias", moments, checkpoint_averages)
-
-
-def run_variance_process(spec: DistributionSpec, config: SgdConfig, seed, *,
-                         moments: Moments | None = None,
-                         checkpoint_averages: bool = False) -> Trajectory:
-    """Noise-driven half of a run: starts at w*, labels as drawn."""
-    return _single_run(spec, config, seed, "variance", moments, checkpoint_averages)
-
-
-def empirical_covariance(iterates, w_star) -> np.ndarray:
-    """Second-moment matrix of deviations from w* across replicates,
-    (1/R) sum_r (w_r - w*)(w_r - w*)^T, with no mean centering."""
-    ws = np.asarray(iterates, dtype=float)
-    if ws.ndim != 2:
-        raise DimensionError(f"expected a (replicates, d) array, got shape {ws.shape}")
-    if ws.shape[0] < 2:
-        raise ValueError(f"need at least 2 replicates, got {ws.shape[0]}")
-    dev = ws - np.asarray(w_star, dtype=float)
-    return sym(dev.T @ dev / ws.shape[0])

@@ -13,7 +13,6 @@ from tailsgd.bounds import (
     rho_misspec,
     risk_bound,
     sigma2_mle,
-    variance_of_average_bound,
     variance_term,
 )
 from tailsgd.distributions import Moments, SampleStream, exact_moments
@@ -116,17 +115,6 @@ def test_variance_term_equals_scaled_trace_cap():
         via_trace = refined_trace_bound(inst.sigma, inst.h, rc.gamma, inst.r2) / (rc.gamma * window)
         direct = variance_term(rc.gamma, inst.r2, rc.rho, rc.sigma2, window)
         assert direct == pytest.approx(via_trace, rel=1e-12)
-
-
-def test_variance_of_average_bound():
-    assert variance_of_average_bound(0.1 / 1.7, 0.1, 100) == pytest.approx(
-        0.00588235294117647, rel=1e-10)
-    with pytest.raises(EmptyWindowError):
-        variance_of_average_bound(1.0, 0.1, 0)
-    with pytest.raises(StepSizeError):
-        variance_of_average_bound(1.0, 0.0, 10)
-    with pytest.raises(ValueError):
-        variance_of_average_bound(-1.0, 0.1, 10)
 
 
 def test_excess_risk_oracles():

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from tailsgd.errors import ConfigError, ConvergenceError, IntractableMomentsErro
 from tailsgd.harness import (
     SWEEP_COLUMNS,
     CheckResult,
+    _chunk_ranges,
     config_from_dict,
     default_sweep_config,
     family_distribution,
@@ -143,20 +145,36 @@ def test_verification_requires_closed_form_moments():
         run_verification(cfg)
 
 
-def test_sweep_matches_single_experiment():
+def test_chunk_ranges_capped_at_usable_cpus():
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+    chunks = _chunk_ranges(10, 10**6)
+    assert 1 <= len(chunks) <= min(10, cpus)
+    assert chunks[0][0] == 0 and chunks[-1][1] == 10
+    assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+    assert _chunk_ranges(5, 1) == [(0, 5)]
+
+
+def test_sweep_matches_single_experiment(tmp_path):
     sweep_cfg = parse_sweep_config(json.dumps({
         "d": [3], "families": ["well_specified"], "gamma_rules": ["half_inv_R2"],
         "T": [400], "replicates": 40, "seed": 9,
     }))
     rows = sweep(sweep_cfg)
     assert len(rows) == 1 and rows[0]["error"] == ""
-    cfg = config_from_dict({
+    doc = {
         "distribution": family_distribution("well_specified", 3, 1.0),
         "gamma_rule": "half_inv_R2", "T": 400, "replicates": 40, "seed": 9,
-    })
-    report = run_experiment(cfg, cell=0)
+    }
+    report = run_experiment(config_from_dict(doc), cell=0)
     assert rows[0]["emp_risk"] == report.emp_risk
     assert rows[0]["bound"] == report.bound.total
+    # the one-cell sweep and simulate --format csv write the same bytes
+    config, out = tmp_path / "exp.json", tmp_path / "row.csv"
+    config.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(config), "--format", "csv",
+                 "--out", str(out)]) == 0
+    assert out.read_text() == sweep_csv(rows)
 
 
 def test_sweep_continues_past_failing_cells():

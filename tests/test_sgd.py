@@ -5,15 +5,11 @@ from helpers import gaussian_spec
 from tailsgd.distributions import DistributionSpec, SupportAtom, exact_moments
 from tailsgd.errors import DimensionError, EmptyWindowError, StepSizeError
 from tailsgd.sgd import (
+    PROCESSES,
     SgdConfig,
-    empirical_covariance,
-    gradient_noise,
     resolve_moments,
-    run_bias_process,
     run_replicates,
     run_tail_averaged,
-    run_variance_process,
-    sgd_step,
 )
 
 
@@ -22,22 +18,6 @@ def unit_design_1d(y_mean=1.0):
         kind="discrete", d=1,
         support=(SupportAtom(x=[1.0], y_mean=y_mean, y_std=0.0, prob=1.0),),
     )
-
-
-def test_sgd_step_examples():
-    w = np.array([1.0, 1.0])
-    x = np.array([1.0, 0.0])
-    assert np.allclose(sgd_step(w, x, 1.0, 0.3), w)  # residual 0, fixed point
-    assert sgd_step([0.0], [1.0], 1.0, 0.5) == pytest.approx([0.5])
-    assert np.allclose(sgd_step(w, np.zeros(2), 5.0, 0.5), w)  # x = 0 is inert
-    with pytest.raises(DimensionError):
-        sgd_step([0.0, 0.0], [1.0], 1.0, 0.5)
-
-
-def test_gradient_noise_example():
-    assert np.allclose(gradient_noise([1.0, 0.0], 2.0, [1.0, 1.0]), [-1.0, 0.0])
-    with pytest.raises(DimensionError):
-        gradient_noise([1.0], 2.0, [1.0, 1.0])
 
 
 def test_config_validation():
@@ -88,36 +68,29 @@ def test_kahan_tail_average_long_run():
                        rtol=1e-12, atol=1e-14)
 
 
-def test_checkpoint_running_averages():
-    spec = gaussian_spec(2, sigma=1.0)
-    cfg = SgdConfig(gamma=0.1, w0=[1.0, 1.0], t_avg_start=0, T=64, record_every=1)
-    traj = run_tail_averaged(spec, cfg, 5, checkpoint_averages=True)
-    starts = [a for a, _ in traj.running_averages]
-    assert starts == [1, 2, 4, 8, 16, 32]
-    for a, avg in traj.running_averages:
-        assert np.allclose(avg, traj.iterates[a:64].mean(axis=0), rtol=1e-12, atol=1e-14)
-
-
 def test_bias_process_fixed_point_and_exact_decay():
     spec = unit_design_1d(y_mean=5.0)  # w* = 5
-    at_min = run_bias_process(spec, SgdConfig(gamma=0.1, w0=[5.0], t_avg_start=0, T=20), 0)
-    assert at_min.final == pytest.approx([5.0], abs=0.0)
+    at_min = run_replicates(spec, SgdConfig(gamma=0.1, w0=[5.0], t_avg_start=0, T=20), [0],
+                            process="bias")
+    assert at_min.finals[0] == pytest.approx([5.0], abs=0.0)
 
-    cfg = SgdConfig(gamma=0.1, w0=[0.0], t_avg_start=0, T=50, record_every=1)
-    traj = run_bias_process(spec, cfg, 0)
+    cfg = SgdConfig(gamma=0.1, w0=[0.0], t_avg_start=0, T=50)
+    ts = (1, 10, 49)
+    res = run_replicates(spec, cfg, [0], process="bias", snapshot_steps=ts)
     m = exact_moments(spec)
-    for t in (1, 10, 49):
+    for k, t in enumerate(ts):
         exact = 5.0 * (1.0 - 0.9 ** t)
-        assert traj.iterates[t, 0] == pytest.approx(exact, rel=1e-12)
-        gap_sq = (traj.iterates[t, 0] - 5.0) ** 2
+        assert res.snapshots[k, 0, 0] == pytest.approx(exact, rel=1e-12)
+        gap_sq = (res.snapshots[k, 0, 0] - 5.0) ** 2
         assert gap_sq <= np.exp(-0.1 * m.mu * t) * 25.0
 
 
 def test_variance_process_noiseless_stays_put():
     spec = gaussian_spec(3, sigma=0.0)
-    traj = run_variance_process(spec, SgdConfig(gamma=0.05, w0=np.zeros(3),
-                                                t_avg_start=0, T=30), 2)
-    assert np.array_equal(traj.final, np.ones(3))  # w* exactly, never moves
+    cfg = SgdConfig(gamma=0.05, w0=np.zeros(3), t_avg_start=0, T=30)
+    res = run_replicates(spec, cfg, [2], process="variance", snapshot_steps=(0, 15, 30))
+    assert np.array_equal(res.finals[0], np.ones(3))  # w* exactly, never moves
+    assert np.array_equal(res.snapshots[:, 0], np.ones((3, 3)))
 
 
 def test_variance_process_first_step_covariance():
@@ -135,15 +108,6 @@ def test_variance_process_first_step_covariance():
     assert np.all(np.abs(mean - gamma ** 2 * m.Sigma) <= 4.0 * se + 1e-12)
 
 
-def test_empirical_covariance():
-    c = empirical_covariance([[1.0, 0.0], [-1.0, 0.0]], [0.0, 0.0])
-    assert np.allclose(c, [[1.0, 0.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        empirical_covariance([[1.0, 0.0]], [0.0, 0.0])
-    with pytest.raises(DimensionError):
-        empirical_covariance([1.0, 0.0], [0.0, 0.0])
-
-
 def test_batch_rows_equal_single_runs():
     spec = gaussian_spec(3, sigma=1.0)
     cfg = SgdConfig(gamma=0.1, w0=np.zeros(3), t_avg_start=10, T=200)
@@ -153,6 +117,33 @@ def test_batch_rows_equal_single_runs():
         solo = run_tail_averaged(spec, cfg, seed)
         assert np.array_equal(batch.tail_averages[i], solo.tail_average)
         assert np.array_equal(batch.finals[i], solo.final)
+
+
+@pytest.mark.parametrize("d", [1, 3, 12])
+def test_process_rows_equal_single_process_runs(d):
+    # rows advance on shared draws, yet each is the single-process run bit for bit
+    spec = gaussian_spec(d, h=np.diag(np.linspace(1.0, 0.2, d)), sigma=0.8,
+                         kind="gaussian_misspecified")
+    m = exact_moments(spec)
+    cfg = SgdConfig(gamma=0.4 / m.R2, w0=np.linspace(-1.0, 2.0, d), t_avg_start=300, T=1100)
+    seeds = [(4, d, r) for r in range(5)]
+    snaps = (0, 1, 600, 1100)
+    joint = run_replicates(spec, cfg, seeds, process=PROCESSES, moments=m,
+                           snapshot_steps=snaps)
+    halves = [run_replicates(spec, cfg, part, process=PROCESSES, moments=m,
+                             snapshot_steps=snaps) for part in (seeds[:2], seeds[2:])]
+    assert joint.tail_averages.shape == (5, len(PROCESSES), d)
+    assert joint.snapshots.shape == (len(snaps), 5, len(PROCESSES), d)
+    for k, process in enumerate(PROCESSES):
+        solo = run_replicates(spec, cfg, seeds, process=process, moments=m,
+                              snapshot_steps=snaps)
+        assert np.array_equal(joint.tail_averages[:, k], solo.tail_averages)
+        assert np.array_equal(joint.finals[:, k], solo.finals)
+        assert np.array_equal(joint.snapshots[:, :, k], solo.snapshots)
+        split_tails = np.concatenate([h.tail_averages[:, k] for h in halves])
+        split_snaps = np.concatenate([h.snapshots[:, :, k] for h in halves], axis=1)
+        assert np.array_equal(split_tails, solo.tail_averages)
+        assert np.array_equal(split_snaps, solo.snapshots)
 
 
 def test_run_reproducibility_and_seed_sensitivity():
@@ -172,8 +163,8 @@ def test_stepsize_gate_and_bad_arguments():
     cfg = SgdConfig(gamma=0.1, w0=np.zeros(3), t_avg_start=0, T=10)
     with pytest.raises(ValueError):
         run_replicates(spec, cfg, [0], snapshot_steps=(11,))
-    with pytest.raises(EmptyWindowError):
-        run_replicates(spec, cfg, [0], running_average_starts=(10,))
+    with pytest.raises(ValueError):
+        run_replicates(spec, cfg, [0], process=("standard", "noise"))
     with pytest.raises(DimensionError):
         run_replicates(spec, SgdConfig(gamma=0.1, w0=np.zeros(2), t_avg_start=0, T=10), [0])
     with pytest.raises(ValueError):
