@@ -30,6 +30,7 @@ from .errors import (
     EmptyWindowError,
     IndefiniteSolutionError,
     IntractableMomentsError,
+    NonFiniteResultError,
     NotSpdError,
     SingularMomentsError,
     SingularSystemError,
@@ -43,7 +44,6 @@ from .harness import (
     RiskReport,
     SweepConfig,
     config_from_dict,
-    default_sweep_config,
     parse_config,
     parse_sweep_config,
     run_experiment,

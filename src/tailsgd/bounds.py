@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Moments
-from .errors import EmptyWindowError, SingularMomentsError, ZeroNoiseError
+from .errors import EmptyWindowError, NonFiniteResultError, SingularMomentsError, ZeroNoiseError
 from .matcore import matrix_norm_under, weighted_norm_sq
 from .sgd import check_stepsize
 
@@ -113,6 +113,9 @@ class RiskBound:
     total: float
     t: int
     T: int
+
+    def __post_init__(self):
+        NonFiniteResultError.check(self)
 
 
 def risk_bound(rc: RateConstants, t: int, T: int, dist0_sq: float) -> RiskBound:

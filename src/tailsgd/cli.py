@@ -11,8 +11,8 @@
   any check fails.
 * ``sweep``: grid of experiments written as CSV.
 
-Exit codes: 0 success, 2 configuration error, 3 verification failure,
-4 numerical failure.
+Exit codes: 0 success, 2 configuration error naming its field, 3 verification
+failure, 4 numerical failure, a NaN or infinite result included.
 """
 
 from __future__ import annotations
@@ -28,19 +28,16 @@ from .bounds import rate_constants, risk_bound, sigma2_mle
 from .distributions import estimate_moments, exact_moments
 from .errors import (
     ConfigError,
-    ConvergenceError,
     DimensionError,
     EmptyWindowError,
-    IndefiniteSolutionError,
     IntractableMomentsError,
     NotSpdError,
     SingularMomentsError,
-    SingularSystemError,
     StepSizeError,
     TailSgdError,
-    ZeroNoiseError,
 )
 from .harness import (
+    _json_document,
     _sweep_row,
     config_from_dict,
     parse_sweep_config,
@@ -49,9 +46,8 @@ from .harness import (
     sweep,
     sweep_csv,
 )
-from .sgd import resolve_moments
+from .sgd import _resolve_operator, resolve_moments
 from .stationary import (
-    FourthMomentOperator,
     crude_bound,
     refined_trace_bound,
     solve_stationary_direct,
@@ -67,13 +63,6 @@ _CONFIG_ERRORS = (
     EmptyWindowError,
     StepSizeError,
     OSError,
-)
-_NUMERICAL_ERRORS = (
-    ConvergenceError,
-    SingularSystemError,
-    IndefiniteSolutionError,
-    ZeroNoiseError,
-    FloatingPointError,
 )
 
 
@@ -144,8 +133,18 @@ def _load_config(path: str):
         return fh.read()
 
 
+def _load_experiment(args):
+    """The ``--config`` experiment, with any ``--replicates``/``--seed``
+    override written into the document before it is checked."""
+    doc = _json_document(_load_config(args.config))
+    for key in ("replicates", "seed"):
+        if isinstance(doc, dict) and getattr(args, key, None) is not None:
+            doc[key] = getattr(args, key)
+    return config_from_dict(doc)
+
+
 def _cmd_moments(args) -> int:
-    cfg = config_from_dict(json.loads(_load_config(args.config)))
+    cfg = _load_experiment(args)
     spec = cfg.distribution
     if args.estimate is not None:
         m = estimate_moments(spec, args.estimate, (cfg.seed, 990))
@@ -164,9 +163,9 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_solve_cov(args) -> int:
-    cfg = config_from_dict(json.loads(_load_config(args.config)))
+    cfg = _load_experiment(args)
     m = resolve_moments(cfg.distribution)
-    op = FourthMomentOperator.from_spec(cfg.distribution)
+    op = _resolve_operator(cfg.distribution, m)
     solver = (solve_stationary_fixed_point if args.method == "fixed-point"
               else solve_stationary_direct)
     sol = solver(m.H, op, m.Sigma, cfg.gamma)
@@ -190,7 +189,7 @@ def _cmd_solve_cov(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    cfg = config_from_dict(json.loads(_load_config(args.config)))
+    cfg = _load_experiment(args)
     m = resolve_moments(cfg.distribution)
     rc = rate_constants(m, cfg.gamma)
     dist0_sq = float(np.sum((cfg.w0 - m.w_star) ** 2))
@@ -200,14 +199,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = config_from_dict(json.loads(_load_config(args.config)))
-    updates = {}
-    if args.replicates is not None:
-        updates["replicates"] = args.replicates
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if updates:
-        cfg = dataclasses.replace(cfg, **updates)
+    cfg = _load_experiment(args)
     report = run_experiment(cfg, workers=args.workers)
     if args.format == "csv":
         _emit(sweep_csv([_sweep_row(0, cfg, report)]), args.out)
@@ -217,7 +209,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = config_from_dict(json.loads(_load_config(args.config)))
+    cfg = _load_experiment(args)
     results = run_verification(cfg, workers=args.workers)
     failed = [r for r in results if not r.passed]
     if args.format == "json":
@@ -256,17 +248,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except json.JSONDecodeError as exc:
-        print(f"config error: invalid JSON: {exc}", file=sys.stderr)
-        return 2
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
+    except (TailSgdError, FloatingPointError) as exc:
+        # every other package error is numerical, a non-finite result included
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return 4
-    except TailSgdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 4
 
 

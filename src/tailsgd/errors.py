@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+import numpy as np
+
 
 class TailSgdError(Exception):
     """Base class for every package-specific failure."""
@@ -54,3 +56,18 @@ class ConfigError(TailSgdError, ValueError):
         self.field = field
         self.reason = reason
         super().__init__(f"{field}: {reason}")
+
+
+class NonFiniteResultError(TailSgdError, ArithmeticError):
+    """A computed result holds NaN or infinity; ``field`` names where."""
+
+    def __init__(self, field: str):
+        self.field = field
+        super().__init__(f"{field}: result is NaN or infinite")
+
+    @classmethod
+    def check(cls, record):
+        """Raise for the first non-finite float or array field of a record."""
+        for name, value in vars(record).items():
+            if isinstance(value, (float, np.ndarray)) and not np.all(np.isfinite(value)):
+                raise cls(name)

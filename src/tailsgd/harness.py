@@ -2,32 +2,39 @@
 
 Config schema (JSON)
 --------------------
-::
+One field table gives each field a type, a default and an inclusive range.
+Numbers must be finite, strings are never read as numbers, unknown keys are
+rejected, and a malformed document raises ConfigError naming its field.  ::
 
     {
       "distribution": {
         "kind": "gaussian_well_specified" | "gaussian_misspecified" | "discrete",
-        "d": 3,
-        "H_spec": [[...]] | {"diag": [...]} | "identity",   # Gaussian kinds
-        "w_star": [...],                                    # default zeros
-        "noise_sigma": 1.0,                                 # default 0
-        "misspec_fn": "norm_x" | "one_plus_norm_x",
+        "d": 3,                               # 1 <= d <= 1000
+        "H_spec": [[...]] | {"diag": [...]} | "identity",  # Gaussian kinds; default identity
+        "w_star": [...],                      # default zeros
+        "noise_sigma": 1.0,                   # default 0, >= 0
+        "misspec_fn": "norm_x" | "one_plus_norm_x",        # default norm_x
         "support": [{"x": [...], "y_mean": 0.0, "y_std": 1.0, "prob": 0.5}, ...]
-      },
-      "gamma_rule": "half_inv_R2" | "half_inv_rho_R2" | "explicit",
-      "gamma": 0.05,          # required iff gamma_rule == "explicit"
-      "t_rule": "half_T" | "explicit",
-      "t": 500,               # required iff t_rule == "explicit"
-      "T": 1000,
+      },                                      # atoms: y_std >= 0, 0 <= prob <= 1
+      "gamma_rule": "half_inv_R2" | "half_inv_rho_R2" | "explicit",  # default half_inv_R2
+      "gamma": 0.05,          # required iff gamma_rule == "explicit"; 0 < gamma < 1/R^2
+      "t_rule": "half_T" | "explicit",        # default half_T
+      "t": 500,               # required iff t_rule == "explicit"; 0 <= t < T
+      "T": 1000,              # default 1000, 1 <= T <= 10^9
       "w0": [...],            # default zeros
-      "replicates": 100,
-      "seed": 0
+      "replicates": 100,      # default 100, 1 <= replicates <= 10^6
+      "seed": 0               # default 0, 0 <= seed < 2^64
     }
+
+The draw buffer, BLOCK * replicates * d * 8 bytes, may not exceed 1 GiB.  A
+sweep reads gamma, replicates, seed, noise_sigma (default 1.0) and t_rule
+(half_T only) through the same entries, and checks its axes d (default
+[1, 3, 10]), gamma_rules (default both derived rules), T (default
+[1000, 10000]) and families (default both) against the entries they vary.
 
 Stepsize rules resolve against the model's moments: ``half_inv_R2`` gives
 gamma = 1 / (2 R^2) and ``half_inv_rho_R2`` gives gamma = 1 / (2 rho R^2),
-the conservative choice for badly misspecified noise.  Unknown keys are
-rejected.
+the conservative choice for badly misspecified noise.
 
 Replicate r of cell c under master seed s draws from the stream seeded by
 the tuple (s, c, r), so results do not depend on how replicates are batched
@@ -42,8 +49,9 @@ import itertools
 import json
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,15 +68,16 @@ from .distributions import (
     GAUSSIAN_MISSPECIFIED,
     GAUSSIAN_WELL_SPECIFIED,
     KINDS,
+    MISSPEC_FNS,
     DistributionSpec,
     Moments,
     SampleStream,
     SupportAtom,
     exact_moments,
 )
-from .errors import ConfigError, TailSgdError
+from .errors import ConfigError, NonFiniteResultError, TailSgdError
 from .matcore import psd_order_leq, sym_to_vec, vec_to_sym
-from .sgd import PROCESSES, SgdConfig, resolve_moments, run_replicates
+from .sgd import BLOCK, PROCESSES, SgdConfig, resolve_moments, run_replicates
 from .stationary import (
     FourthMomentOperator,
     covariance_step,
@@ -82,20 +91,126 @@ from .stationary import (
 
 GAMMA_RULES = ("half_inv_R2", "half_inv_rho_R2", "explicit")
 T_RULES = ("half_T", "explicit")
+FAMILIES = ("well_specified", "misspecified")
 
 SWEEP_COLUMNS = (
     "cell_id", "d", "gamma", "rho", "T", "t", "replicates", "seed",
     "emp_risk", "stderr", "bound", "bias_bound", "var_bound", "eff_ratio", "error",
 )
 
-_EXPERIMENT_KEYS = {
-    "distribution", "gamma_rule", "gamma", "t_rule", "t", "T",
-    "w0", "replicates", "seed",
+# Largest draw buffer, in bytes, that a config may ask run_replicates for.
+_BUFFER_CAP = 2 ** 30
+_REQUIRED = object()
+_INT, _NUM = (int,), (int, float)
+
+
+@dataclass(frozen=True)
+class _Field:
+    """One field of a JSON document: accepted types, default, inclusive range
+    of a number, allowed strings, table of an object, field of a list item."""
+
+    types: tuple
+    default: object = _REQUIRED
+    lo: float = -sys.float_info.max
+    hi: float = sys.float_info.max
+    choices: tuple = ()
+    table: dict | None = None
+    item: _Field | None = None
+
+
+_VECTOR = _Field((list,), item=_Field(_NUM))
+
+_ATOM_FIELDS = {
+    "x": _VECTOR,
+    "y_mean": _Field(_NUM, 0.0),
+    "y_std": _Field(_NUM, 0.0, lo=0.0),
+    "prob": _Field(_NUM, 0.0, lo=0.0, hi=1.0),
 }
-_DISTRIBUTION_KEYS = {
-    "kind", "d", "H_spec", "w_star", "noise_sigma", "misspec_fn", "support",
+
+_DISTRIBUTION_FIELDS = {
+    "kind": _Field((str,), choices=KINDS),
+    "d": _Field(_INT, lo=1, hi=1000),
+    "H_spec": _Field((str, dict, list), None, choices=("identity",),
+                     table={"diag": _VECTOR}, item=_VECTOR),
+    "w_star": replace(_VECTOR, default=None),
+    "noise_sigma": _Field(_NUM, 0.0, lo=0.0),
+    "misspec_fn": _Field((str,), "norm_x", choices=MISSPEC_FNS),
+    "support": _Field((list,), None, item=_Field((dict,), table=_ATOM_FIELDS)),
 }
-_ATOM_KEYS = {"x", "y_mean", "y_std", "prob"}
+
+_EXPERIMENT_FIELDS = {
+    "distribution": _Field((dict,), table=_DISTRIBUTION_FIELDS),
+    "gamma_rule": _Field((str,), "half_inv_R2", choices=GAMMA_RULES),
+    "gamma": _Field(_NUM, None, lo=0.0),
+    "t_rule": _Field((str,), "half_T", choices=T_RULES),
+    "t": _Field(_INT, None, lo=0, hi=10 ** 9),
+    "T": _Field(_INT, 1000, lo=1, hi=10 ** 9),
+    "w0": replace(_VECTOR, default=None),
+    "replicates": _Field(_INT, 100, lo=1, hi=10 ** 6),
+    "seed": _Field(_INT, 0, lo=0, hi=2 ** 64 - 1),
+}
+
+# A sweep shares the experiment's entries; no sweep cell can supply t.
+_SWEEP_FIELDS = {
+    "d": _Field((list,), (1, 3, 10), item=_DISTRIBUTION_FIELDS["d"]),
+    "families": _Field((list,), FAMILIES, item=_Field((str,), choices=FAMILIES)),
+    "gamma_rules": _Field((list,), ("half_inv_R2", "half_inv_rho_R2"),
+                          item=_EXPERIMENT_FIELDS["gamma_rule"]),
+    "T": _Field((list,), (1000, 10000), item=_EXPERIMENT_FIELDS["T"]),
+    "gamma": _EXPERIMENT_FIELDS["gamma"],
+    "t_rule": replace(_EXPERIMENT_FIELDS["t_rule"], choices=("half_T",)),
+    "noise_sigma": replace(_DISTRIBUTION_FIELDS["noise_sigma"], default=1.0),
+    "replicates": _EXPERIMENT_FIELDS["replicates"],
+    "seed": _EXPERIMENT_FIELDS["seed"],
+}
+
+
+def _check(value, field: _Field, name: str):
+    """One JSON value checked against its field; numbers of float fields
+    come back as floats and lists as tuples."""
+    if isinstance(value, bool) or not isinstance(value, field.types):
+        expected = " or ".join(t.__name__ for t in field.types)
+        raise ConfigError(name, f"expected {expected}, got {type(value).__name__}")
+    if isinstance(value, (int, float)):
+        if not field.lo <= value <= field.hi:
+            raise ConfigError(name, f"expected a finite value in [{field.lo:g}, {field.hi:g}], "
+                                    f"got {value!r}")
+        return float(value) if float in field.types else value
+    if isinstance(value, str):
+        if value not in field.choices:
+            raise ConfigError(name, f"expected one of {field.choices}, got {value!r}")
+        return value
+    if isinstance(value, dict):
+        return _read(value, field.table, name)
+    if not value:
+        raise ConfigError(name, "expected a non-empty list")
+    return tuple(_check(v, field.item, f"{name}[{i}]") for i, v in enumerate(value))
+
+
+def _read(doc, table: dict, where: str = "") -> dict:
+    """A JSON object checked field by field against a table, defaults filled in."""
+    if not isinstance(doc, dict):
+        raise ConfigError(where or "config", f"expected an object, got {type(doc).__name__}")
+    unknown = set(doc) - set(table)
+    if unknown:
+        raise ConfigError(where or "config", f"unknown keys {sorted(unknown)}")
+    out = {}
+    for key, field in table.items():
+        name = f"{where}.{key}" if where else key
+        if key in doc:
+            out[key] = _check(doc[key], field, name)
+        elif field.default is _REQUIRED:
+            raise ConfigError(name, "missing")
+        else:
+            out[key] = field.default
+    return out
+
+
+def _json_document(text: str):
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ConfigError("config", f"invalid JSON: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -104,155 +219,70 @@ class ExperimentConfig:
 
     distribution: DistributionSpec
     gamma: float
-    gamma_rule: str
     t: int
-    t_rule: str
     T: int
     w0: np.ndarray
     replicates: int
     seed: int
 
-    def __post_init__(self):
-        w = np.array(self.w0, dtype=float)
-        if w.shape != (self.distribution.d,):
-            raise ConfigError("w0", f"shape {w.shape} incompatible with d={self.distribution.d}")
-        w.setflags(write=False)
-        object.__setattr__(self, "w0", w)
-        if self.replicates < 1:
-            raise ConfigError("replicates", f"must be at least 1, got {self.replicates}")
-        if not 0 <= self.t < self.T:
-            raise ConfigError("t", f"window [{self.t}, {self.T}) is empty")
 
-
-def _parse_h_spec(value, d: int):
-    if value is None or value == "identity":
-        return np.eye(d)
-    if isinstance(value, dict):
-        if set(value) != {"diag"}:
-            raise ConfigError("distribution.H_spec", f"unknown matrix form {sorted(value)}")
-        return np.diag(np.asarray(value["diag"], dtype=float))
-    return np.asarray(value, dtype=float)
-
-
-def distribution_from_dict(doc: dict) -> DistributionSpec:
-    """Build and validate a DistributionSpec from its JSON form."""
-    if not isinstance(doc, dict):
-        raise ConfigError("distribution", f"expected an object, got {type(doc).__name__}")
-    unknown = set(doc) - _DISTRIBUTION_KEYS
-    if unknown:
-        raise ConfigError("distribution", f"unknown keys {sorted(unknown)}")
-    kind = doc.get("kind")
-    if kind not in KINDS:
-        raise ConfigError("distribution.kind", f"expected one of {KINDS}, got {kind!r}")
-    if not isinstance(doc.get("d"), int) or isinstance(doc.get("d"), bool):
-        raise ConfigError("distribution.d", "expected an integer")
-    d = doc["d"]
+def _model(f: dict) -> tuple[DistributionSpec, Moments]:
+    """The model of a checked distribution document, and its moments."""
+    h = f["H_spec"]
+    if h == "identity" or (h is None and f["kind"] != DISCRETE):
+        h = np.eye(f["d"])
+    elif isinstance(h, dict):
+        h = np.diag(h["diag"])
     try:
-        if kind == DISCRETE:
-            raw = doc.get("support")
-            if not isinstance(raw, list) or not raw:
-                raise ConfigError("distribution.support", "expected a non-empty list of atoms")
-            atoms = []
-            for i, a in enumerate(raw):
-                if not isinstance(a, dict) or set(a) - _ATOM_KEYS:
-                    raise ConfigError(f"distribution.support[{i}]",
-                                      "expected keys x, y_mean, y_std, prob")
-                atoms.append(SupportAtom(
-                    x=np.asarray(a.get("x"), dtype=float),
-                    y_mean=float(a.get("y_mean", 0.0)),
-                    y_std=float(a.get("y_std", 0.0)),
-                    prob=float(a.get("prob", 0.0)),
-                ))
-            w_star = doc.get("w_star")
-            return DistributionSpec(
-                kind=kind, d=d, support=tuple(atoms),
-                w_star=None if w_star is None else np.asarray(w_star, dtype=float),
-                noise_sigma=float(doc.get("noise_sigma", 0.0)),
-            )
-        w_star = doc.get("w_star")
-        return DistributionSpec(
-            kind=kind, d=d,
-            H_spec=_parse_h_spec(doc.get("H_spec"), d),
-            w_star=None if w_star is None else np.asarray(w_star, dtype=float),
-            noise_sigma=float(doc.get("noise_sigma", 0.0)),
-            misspec_fn=doc.get("misspec_fn", "norm_x"),
+        spec = DistributionSpec(
+            kind=f["kind"], d=f["d"],
+            H_spec=None if h is None else np.asarray(h, dtype=float),
+            w_star=None if f["w_star"] is None else np.asarray(f["w_star"]),
+            noise_sigma=f["noise_sigma"], misspec_fn=f["misspec_fn"],
+            support=tuple(SupportAtom(**a) for a in f["support"] or ()),
         )
-    except ConfigError:
-        raise
-    except (TailSgdError, ValueError, TypeError) as exc:
+        return spec, resolve_moments(spec)
+    except (TailSgdError, ValueError, ArithmeticError) as exc:
+        # ArithmeticError: finite inputs whose moments overflow
         raise ConfigError("distribution", str(exc)) from exc
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    """Validate an experiment document and resolve its derived rules."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config", f"expected an object, got {type(doc).__name__}")
-    unknown = set(doc) - _EXPERIMENT_KEYS
-    if unknown:
-        raise ConfigError("config", f"unknown keys {sorted(unknown)}")
-    if "distribution" not in doc:
-        raise ConfigError("distribution", "missing")
-    dist = distribution_from_dict(doc["distribution"])
+    """Check an experiment document against the field table and the
+    cross-field conditions, and resolve its derived rules."""
+    f = _read(doc, _EXPERIMENT_FIELDS)
+    d, big_t = f["distribution"]["d"], f["T"]
+    if BLOCK * f["replicates"] * d * 8 > _BUFFER_CAP:
+        raise ConfigError("replicates", f"the draw buffer of {BLOCK} x {f['replicates']} "
+                                        f"x {d} floats exceeds {_BUFFER_CAP} bytes")
+    w0 = np.zeros(d) if f["w0"] is None else np.asarray(f["w0"])
+    if w0.shape != (d,):
+        raise ConfigError("w0", f"shape {w0.shape} incompatible with d={d}")
+    if f["t_rule"] == "explicit" and f["t"] is None:
+        raise ConfigError("t", "required when t_rule is explicit")
+    t = f["t"] if f["t_rule"] == "explicit" else big_t // 2
+    if t >= big_t:
+        raise ConfigError("t", f"window [{t}, {big_t}) is empty")
 
-    big_t = doc.get("T", 1000)
-    if not isinstance(big_t, int) or isinstance(big_t, bool) or big_t < 1:
-        raise ConfigError("T", f"expected a positive integer, got {big_t!r}")
-
-    m = resolve_moments(dist)
-    gamma_rule = doc.get("gamma_rule", "half_inv_R2")
-    if gamma_rule not in GAMMA_RULES:
-        raise ConfigError("gamma_rule", f"expected one of {GAMMA_RULES}, got {gamma_rule!r}")
-    if gamma_rule == "explicit":
-        if "gamma" not in doc:
+    dist, m = _model(f["distribution"])
+    if f["gamma_rule"] == "explicit":
+        if f["gamma"] is None:
             raise ConfigError("gamma", "required when gamma_rule is explicit")
-        gamma = float(doc["gamma"])
-    elif gamma_rule == "half_inv_R2":
+        gamma = f["gamma"]
+    elif f["gamma_rule"] == "half_inv_R2":
         gamma = 1.0 / (2.0 * m.R2)
     else:
         rho = rate_constants(m, 1.0 / (2.0 * m.R2)).rho
         gamma = 1.0 / (2.0 * rho * m.R2)
     if not 0.0 < gamma < 1.0 / m.R2:
         raise ConfigError("gamma", f"{gamma!r} outside the stable range (0, {1.0 / m.R2!r})")
-
-    t_rule = doc.get("t_rule", "half_T")
-    if t_rule not in T_RULES:
-        raise ConfigError("t_rule", f"expected one of {T_RULES}, got {t_rule!r}")
-    if t_rule == "explicit":
-        if "t" not in doc:
-            raise ConfigError("t", "required when t_rule is explicit")
-        t = doc["t"]
-        if not isinstance(t, int) or isinstance(t, bool):
-            raise ConfigError("t", "expected an integer")
-    else:
-        t = big_t // 2
-
-    w0 = doc.get("w0")
-    replicates = doc.get("replicates", 100)
-    if not isinstance(replicates, int) or isinstance(replicates, bool):
-        raise ConfigError("replicates", "expected an integer")
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("seed", "expected an integer")
-    return ExperimentConfig(
-        distribution=dist,
-        gamma=gamma,
-        gamma_rule=gamma_rule,
-        t=t,
-        t_rule=t_rule,
-        T=big_t,
-        w0=np.zeros(dist.d) if w0 is None else np.asarray(w0, dtype=float),
-        replicates=replicates,
-        seed=seed,
-    )
+    return ExperimentConfig(distribution=dist, gamma=gamma, t=t, T=big_t, w0=w0,
+                            replicates=f["replicates"], seed=f["seed"])
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse a JSON experiment document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"invalid JSON: {exc}") from exc
-    return config_from_dict(doc)
+    return config_from_dict(_json_document(text))
 
 
 # ---------------------------------------------------------------------------
@@ -331,19 +361,23 @@ class RiskReport:
     replicates: int
     seed: int
 
+    def __post_init__(self):
+        NonFiniteResultError.check(self)
+
 
 def run_experiment(cfg: ExperimentConfig, *, workers: int = 1, cell: int = 0) -> RiskReport:
     """Estimate the tail-average risk (and its bias/variance split) and
     evaluate the closed-form bound for the same run geometry."""
     m = resolve_moments(cfg.distribution)
+    rc = rate_constants(m, cfg.gamma)
+    dist0_sq = float(np.sum((cfg.w0 - m.w_star) ** 2))
+    # a non-finite bound fails here, before the simulation is paid for
+    rb = risk_bound(rc, cfg.t, cfg.T, dist0_sq)
     sgd_cfg = SgdConfig(gamma=cfg.gamma, w0=cfg.w0, t_avg_start=cfg.t, T=cfg.T)
     tails = _tail_averages(cfg.distribution, sgd_cfg, m, cfg.seed, cell,
                            cfg.replicates, workers)
     stats = {p: _risk_stats(tails[:, k], m) for k, p in enumerate(PROCESSES)}
     emp, se = stats["standard"]
-    rc = rate_constants(m, cfg.gamma)
-    dist0_sq = float(np.sum((cfg.w0 - m.w_star) ** 2))
-    rb = risk_bound(rc, cfg.t, cfg.T, dist0_sq)
     eff = emp * (cfg.T - cfg.t) / rc.sigma2 if rc.sigma2 > 0.0 else 0.0
     return RiskReport(
         emp_risk=emp,
@@ -620,83 +654,29 @@ def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckRe
 # ---------------------------------------------------------------------------
 # Sweeps
 
-_SWEEP_KEYS = {
-    "d", "families", "gamma_rules", "T", "gamma", "t_rule",
-    "noise_sigma", "replicates", "seed",
-}
-
-FAMILIES = ("well_specified", "misspecified")
-
-
 @dataclass(frozen=True)
 class SweepConfig:
-    """Cross product of dimensions, model families, stepsize rules, and
-    horizons; every cell shares the replication and seeding policy."""
+    """Cross product of dimensions ``d``, model families, stepsize rules,
+    and horizons ``T``; every cell shares the remaining fields."""
 
-    d_values: tuple[int, ...]
+    d: tuple[int, ...]
     families: tuple[str, ...]
     gamma_rules: tuple[str, ...]
-    T_values: tuple[int, ...]
-    gamma: float | None = None
-    t_rule: str = "half_T"
-    noise_sigma: float = 1.0
-    replicates: int = 100
-    seed: int = 0
-
-    def __post_init__(self):
-        for fam in self.families:
-            if fam not in FAMILIES:
-                raise ConfigError("families", f"expected members of {FAMILIES}, got {fam!r}")
-        for rule in self.gamma_rules:
-            if rule not in GAMMA_RULES:
-                raise ConfigError("gamma_rules", f"expected members of {GAMMA_RULES}, got {rule!r}")
-            if rule == "explicit" and self.gamma is None:
-                raise ConfigError("gamma", "required when gamma_rules contains explicit")
-        if not (self.d_values and self.families and self.gamma_rules and self.T_values):
-            raise ConfigError("config", "every sweep axis needs at least one value")
+    T: tuple[int, ...]
+    gamma: float | None
+    t_rule: str
+    noise_sigma: float
+    replicates: int
+    seed: int
 
 
 def parse_sweep_config(text: str) -> SweepConfig:
     """Parse a JSON sweep document (keys d, families, gamma_rules, T, plus
     the scalar policy fields)."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config", f"expected an object, got {type(doc).__name__}")
-    unknown = set(doc) - _SWEEP_KEYS
-    if unknown:
-        raise ConfigError("config", f"unknown keys {sorted(unknown)}")
-
-    def axis(key, default):
-        v = doc.get(key, default)
-        if not isinstance(v, list) or not v:
-            raise ConfigError(key, "expected a non-empty list")
-        return tuple(v)
-
-    return SweepConfig(
-        d_values=axis("d", [1, 3, 10]),
-        families=axis("families", list(FAMILIES)),
-        gamma_rules=axis("gamma_rules", ["half_inv_R2", "half_inv_rho_R2"]),
-        T_values=axis("T", [1000, 10000]),
-        gamma=doc.get("gamma"),
-        t_rule=doc.get("t_rule", "half_T"),
-        noise_sigma=float(doc.get("noise_sigma", 1.0)),
-        replicates=int(doc.get("replicates", 100)),
-        seed=int(doc.get("seed", 0)),
-    )
-
-
-def default_sweep_config() -> SweepConfig:
-    """Desk-scale default grid: both families, both derived stepsize rules."""
-    return SweepConfig(
-        d_values=(1, 3, 10),
-        families=FAMILIES,
-        gamma_rules=("half_inv_R2", "half_inv_rho_R2"),
-        T_values=(1000, 10000),
-        replicates=200,
-    )
+    cfg = SweepConfig(**_read(_json_document(text), _SWEEP_FIELDS))
+    if "explicit" in cfg.gamma_rules and cfg.gamma is None:
+        raise ConfigError("gamma", "required when gamma_rules contains explicit")
+    return cfg
 
 
 def family_distribution(family: str, d: int, noise_sigma: float) -> dict:
@@ -719,8 +699,8 @@ def sweep(sweep_cfg: SweepConfig, *, workers: int = 1) -> list[dict]:
     """Run every cell of the grid; failed cells record the error message in
     their row and the sweep continues."""
     rows = []
-    cells = itertools.product(sweep_cfg.d_values, sweep_cfg.families,
-                              sweep_cfg.gamma_rules, sweep_cfg.T_values)
+    cells = itertools.product(sweep_cfg.d, sweep_cfg.families,
+                              sweep_cfg.gamma_rules, sweep_cfg.T)
     for cell_id, (d, family, rule, big_t) in enumerate(cells):
         try:
             doc = {

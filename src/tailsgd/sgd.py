@@ -32,6 +32,7 @@ from .errors import (
     IntractableMomentsError,
     StepSizeError,
 )
+from .stationary import FourthMomentOperator
 
 # Samples buffered per replicate between vectorized sweeps.  The buffer costs
 # BLOCK * replicates * d * 8 bytes; the draw pattern is a function of T alone,
@@ -139,6 +140,14 @@ def resolve_moments(spec: DistributionSpec) -> Moments:
         return exact_moments(spec)
     except IntractableMomentsError:
         return estimate_moments(spec, _EST_SAMPLES, _EST_SEED)
+
+
+def _resolve_operator(spec: DistributionSpec, m: Moments) -> FourthMomentOperator:
+    """The fourth-moment operator with the backing of ``resolve_moments``:
+    exact for closed-form moments, else built from the same draws."""
+    if m.exact:
+        return FourthMomentOperator.from_spec(spec)
+    return FourthMomentOperator.monte_carlo(spec, _EST_SAMPLES, _EST_SEED)
 
 
 def run_replicates(spec: DistributionSpec, config: SgdConfig, seeds, *,

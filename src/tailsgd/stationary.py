@@ -29,6 +29,7 @@ from .errors import (
     ConvergenceError,
     DimensionError,
     IndefiniteSolutionError,
+    NonFiniteResultError,
     SingularSystemError,
     StepSizeError,
 )
@@ -172,6 +173,9 @@ class StationarySolution:
     exact: bool
     iterations: int | None = None
     condition: float | None = None
+
+    def __post_init__(self):
+        NonFiniteResultError.check(self)
 
 
 def _gate(gamma: float, h, s_op: FourthMomentOperator) -> tuple[np.ndarray, float]:

@@ -1,0 +1,86 @@
+"""Mutated config documents: one field at a time is replaced by a hostile
+value, deleted, or joined by an unknown key.  An experiment document must end
+in exit 0, 2 or 4 from the CLI, never in an uncaught exception or a
+non-finite number printed with exit 0; a sweep document must parse or raise
+ConfigError.  Only parsing and the cheap commands run here."""
+
+import copy
+import json
+import math
+import os
+import tempfile
+from functools import reduce
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tailsgd.cli import main
+from tailsgd.errors import ConfigError
+from tailsgd.harness import parse_sweep_config
+
+MUTANTS = (math.nan, math.inf, -math.inf, -1, 0, 1e300, 10**30, "abc", True, None, [], {})
+
+EXPERIMENTS = (
+    {"distribution": {"kind": "gaussian_misspecified", "d": 2,
+                      "H_spec": {"diag": [1.0, 0.5]}, "w_star": [1.0, -1.0],
+                      "noise_sigma": 1.0, "misspec_fn": "norm_x"},
+     "gamma_rule": "explicit", "gamma": 0.05, "t_rule": "explicit", "t": 50, "T": 100,
+     "w0": [0.0, 0.0], "replicates": 10, "seed": 0},
+    {"distribution": {"kind": "discrete", "d": 2, "support": [
+        {"x": [1.0, 0.0], "y_mean": 1.0, "y_std": 1.0, "prob": 0.5},
+        {"x": [0.3, 1.1], "y_mean": -0.5, "y_std": 0.5, "prob": 0.5}]},
+     "gamma_rule": "half_inv_rho_R2", "T": 100},
+)
+SWEEPS = (
+    {"d": [2, 3], "families": ["well_specified", "misspecified"],
+     "gamma_rules": ["half_inv_R2", "explicit"], "T": [100, 200], "gamma": 0.05,
+     "t_rule": "half_T", "noise_sigma": 1.0, "replicates": 10, "seed": 0},
+)
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=600)
+
+
+def _paths(doc, prefix=()):
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, bases):
+    doc = copy.deepcopy(draw(st.sampled_from(bases)))
+    *head, key = draw(st.sampled_from(list(_paths(doc))))
+    parent = reduce(lambda node, k: node[k], head, doc)
+    action = draw(st.sampled_from(("replace", "delete", "add")))
+    if action == "replace":
+        parent[key] = draw(st.sampled_from(MUTANTS))
+    elif action == "delete":
+        del parent[key]
+    else:
+        (parent if isinstance(parent, dict) else doc)["unknown_key"] = 1
+    return doc
+
+
+@FUZZ
+@given(doc=mutated(EXPERIMENTS), command=st.sampled_from(("bound", "moments")))
+def test_mutated_experiment_documents_exit_cleanly(doc, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = os.path.join(tmp, "exp.json"), os.path.join(tmp, "out.json")
+        with open(config, "w") as fh:
+            json.dump(doc, fh)
+        code = main([command, "--config", config, "--out", out])
+        assert code in (0, 2, 4)
+        if code == 0:
+            with open(out) as fh:
+                text = fh.read()
+            assert "NaN" not in text and "Infinity" not in text
+
+
+@FUZZ
+@given(doc=mutated(SWEEPS))
+def test_mutated_sweep_documents_parse_or_raise_config_error(doc):
+    try:
+        parse_sweep_config(json.dumps(doc))
+    except ConfigError:
+        pass

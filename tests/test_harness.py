@@ -13,7 +13,6 @@ from tailsgd.harness import (
     CheckResult,
     _chunk_ranges,
     config_from_dict,
-    default_sweep_config,
     family_distribution,
     parse_config,
     parse_sweep_config,
@@ -38,6 +37,10 @@ def test_parse_minimal_config_resolves_rules():
     assert cfg.T == 1000 and cfg.t == 500
     assert np.array_equal(cfg.w0, np.zeros(3))
     assert cfg.replicates == 100 and cfg.seed == 0
+    # a sweep's defaults come from the same table
+    sweep_cfg = parse_sweep_config("{}")
+    assert sweep_cfg.d == (1, 3, 10) and sweep_cfg.T == (1000, 10000)
+    assert sweep_cfg.replicates == 100 and sweep_cfg.noise_sigma == 1.0
 
 
 def test_parse_rho_scaled_stepsize_rule():
@@ -77,6 +80,19 @@ def test_parse_h_spec_forms():
     ({"distribution": {"kind": "gaussian_well_specified", "d": 3}, "w0": [1.0]}, "w0"),
     ({"distribution": {"kind": "gaussian_well_specified", "d": 3}, "replicates": 0},
      "replicates"),
+    ({"distribution": {"kind": "gaussian_well_specified", "d": 3,
+                       "noise_sigma": float("nan")}}, "distribution.noise_sigma"),
+    ({"distribution": {"kind": "gaussian_well_specified", "d": 3},
+      "gamma_rule": "explicit", "gamma": "abc"}, "gamma"),
+    ({"distribution": {"kind": "gaussian_well_specified", "d": 3}, "seed": -3}, "seed"),
+    ({"distribution": {"kind": "discrete", "d": 1,
+                       "support": [{"x": [1.0], "prob": "1.0"}]}},
+     "distribution.support[0].prob"),
+    ({"distribution": {"kind": "gaussian_well_specified", "d": 1001}}, "distribution.d"),
+    ({"distribution": {"kind": "gaussian_well_specified", "d": 3}, "T": 10**9 + 1}, "T"),
+    # the draw buffer (BLOCK * replicates * d floats) would exceed its cap
+    ({"distribution": {"kind": "gaussian_well_specified", "d": 100}, "replicates": 10**6},
+     "replicates"),
 ])
 def test_parse_config_rejects_bad_documents(doc, field):
     with pytest.raises(ConfigError) as err:
@@ -87,6 +103,8 @@ def test_parse_config_rejects_bad_documents(doc, field):
 def test_parse_config_rejects_invalid_json():
     with pytest.raises(ConfigError):
         parse_config("{not json")
+    with pytest.raises(ConfigError):  # nested past the decoder's recursion limit
+        parse_config("[" * 100_000 + "]" * 100_000)
 
 
 def test_noiseless_run_at_minimizer_has_zero_risk():
@@ -216,11 +234,6 @@ def test_sweep_risk_decays_roughly_like_inverse_window():
     assert -1.3 < slope < -0.7
 
 
-def test_default_sweep_config_is_valid():
-    cfg = default_sweep_config()
-    assert cfg.d_values and cfg.families and cfg.T_values
-
-
 def test_parse_sweep_config_rejects_bad_documents():
     with pytest.raises(ConfigError):
         parse_sweep_config(json.dumps({"d": [], "families": ["well_specified"],
@@ -233,6 +246,17 @@ def test_parse_sweep_config_rejects_bad_documents():
                                        "gamma_rules": ["explicit"], "T": [100]}))
     with pytest.raises(ConfigError):
         parse_sweep_config("not json")
+    for bad, field in (
+        ({"replicates": "many"}, "replicates"),
+        ({"d": ["x"]}, "d[0]"),
+        ({"d": [True]}, "d[0]"),
+        ({"seed": 1.7}, "seed"),
+        ({"noise_sigma": "1.0"}, "noise_sigma"),
+        ({"t_rule": "explicit"}, "t_rule"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            parse_sweep_config(json.dumps({"d": [2], **bad}))
+        assert err.value.field == field
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +326,18 @@ def test_cli_verify_failure_exit_code(config_path, monkeypatch, capsys):
     assert "FAIL forced" in capsys.readouterr().out
 
 
-def test_cli_numerical_failure_exit_code(config_path, monkeypatch):
+def test_cli_solve_cov_operator_matches_moments(tmp_path, capsys):
+    estimate_only = {"distribution": {"kind": "gaussian_misspecified", "d": 2,
+                                      "noise_sigma": 1.0, "misspec_fn": "one_plus_norm_x"}}
+    for doc, exact in ((WELL3, True), (estimate_only, False)):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve-cov", "--config", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["operator_exact"] is payload["moments_exact"] is exact
+
+
+def test_cli_numerical_failure_exit_code(config_path, monkeypatch, tmp_path, capsys):
     import tailsgd.cli as cli_mod
 
     def explode(*args, **kwargs):
@@ -310,6 +345,13 @@ def test_cli_numerical_failure_exit_code(config_path, monkeypatch):
 
     monkeypatch.setattr(cli_mod, "solve_stationary_direct", explode)
     assert main(["solve-cov", "--config", config_path]) == 4
+    # a non-finite result fails instead of printing Infinity
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({**WELL3, "w0": [1e300] * 3, "T": 100, "replicates": 4}))
+    for command in ("bound", "simulate"):
+        assert main([command, "--config", str(huge)]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "bias" in err
 
 
 def test_cli_config_error_exit_codes(tmp_path):
@@ -320,6 +362,9 @@ def test_cli_config_error_exit_codes(tmp_path):
     notjson.write_text("{")
     assert main(["bound", "--config", str(notjson)]) == 2
     assert main(["bound", "--config", str(tmp_path / "missing.json")]) == 2
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(WELL3))
+    assert main(["simulate", "--config", str(good), "--seed", "-1"]) == 2
 
 
 def test_cli_sweep_writes_file(tmp_path):
