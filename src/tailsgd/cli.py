@@ -37,6 +37,7 @@ from .errors import (
     TailSgdError,
 )
 from .harness import (
+    _dist0_sq,
     _json_document,
     _sweep_row,
     config_from_dict,
@@ -46,6 +47,7 @@ from .harness import (
     sweep,
     sweep_csv,
 )
+from .matcore import _BUFFER_CAP
 from .sgd import _resolve_operator, resolve_moments
 from .stationary import (
     crude_bound,
@@ -147,7 +149,13 @@ def _cmd_moments(args) -> int:
     cfg = _load_experiment(args)
     spec = cfg.distribution
     if args.estimate is not None:
-        m = estimate_moments(spec, args.estimate, (cfg.seed, 990))
+        n = args.estimate
+        if n < spec.d:
+            raise ConfigError("--estimate", f"need at least d={spec.d} draws, got {n}")
+        if n * (spec.d + 1) * 8 > _BUFFER_CAP:
+            raise ConfigError("--estimate", f"{n} draws of {spec.d + 1} floats exceed "
+                                            f"{_BUFFER_CAP} bytes")
+        m = estimate_moments(spec, n, (cfg.seed, 990))
     else:
         m = exact_moments(spec)
     noiseless = float(np.linalg.norm(m.Sigma)) == 0.0
@@ -192,7 +200,7 @@ def _cmd_bound(args) -> int:
     cfg = _load_experiment(args)
     m = resolve_moments(cfg.distribution)
     rc = rate_constants(m, cfg.gamma)
-    dist0_sq = float(np.sum((cfg.w0 - m.w_star) ** 2))
+    dist0_sq = _dist0_sq(cfg, m)
     rb = risk_bound(rc, cfg.t, cfg.T, dist0_sq)
     _emit_json({"constants": rc, "dist0_sq": dist0_sq, "bound": rb}, args.out)
     return 0
@@ -247,6 +255,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "workers", 1) < 1:
+            raise ConfigError("--workers", f"must be at least 1, got {args.workers}")
         return _COMMANDS[args.command](args)
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)

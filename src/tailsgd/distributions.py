@@ -125,6 +125,8 @@ class DistributionSpec:
         if h.shape[0] != self.d:
             raise DimensionError(f"H_spec has shape {h.shape}, expected ({self.d}, {self.d})")
         object.__setattr__(self, "H_spec", _frozen_array(h))
+        # every SampleStream of this spec draws through the same factor
+        object.__setattr__(self, "_chol", _frozen_array(np.linalg.cholesky(h)))
         w = np.zeros(self.d) if self.w_star is None else np.asarray(self.w_star, float)
         if w.shape != (self.d,):
             raise DimensionError(f"w_star has shape {w.shape}, expected ({self.d},)")
@@ -153,6 +155,13 @@ class DistributionSpec:
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"support probabilities sum to {total!r}, expected 1")
         object.__setattr__(self, "support", support)
+        # the stacked support every SampleStream of this spec draws from
+        object.__setattr__(self, "_atoms", (
+            _frozen_array([a.x for a in support]),
+            _frozen_array([a.y_mean for a in support]),
+            _frozen_array([a.y_std for a in support]),
+            _frozen_array(np.cumsum([a.prob for a in support])),
+        ))
         h = _discrete_second_moment(support)
         evals = np.linalg.eigvalsh(h)
         if evals[0] <= _SING_TOL * max(evals[-1], 0.0):
@@ -236,12 +245,9 @@ class SampleStream:
         self._gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
         self.count = 0
         if spec.kind == DISCRETE:
-            self._xs = np.stack([a.x for a in spec.support])
-            self._y_mean = np.array([a.y_mean for a in spec.support])
-            self._y_std = np.array([a.y_std for a in spec.support])
-            self._cum = np.cumsum([a.prob for a in spec.support])
+            self._xs, self._y_mean, self._y_std, self._cum = spec._atoms
         else:
-            self._chol = np.linalg.cholesky(spec.H_spec)
+            self._chol = spec._chol
 
     def draw(self, n: int):
         """Draw n pairs; returns (X, y) with shapes (n, d) and (n,)."""

@@ -36,8 +36,8 @@ class ConvergenceError(TailSgdError, RuntimeError):
 
 
 class SingularSystemError(TailSgdError, RuntimeError):
-    """Linear system defining the stationary covariance is singular or
-    too ill-conditioned to trust."""
+    """Linear system defining the stationary covariance is singular, too
+    ill-conditioned to trust, or too large to build as a dense matrix."""
 
 
 class IndefiniteSolutionError(TailSgdError, RuntimeError):

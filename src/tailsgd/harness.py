@@ -76,7 +76,7 @@ from .distributions import (
     exact_moments,
 )
 from .errors import ConfigError, NonFiniteResultError, TailSgdError
-from .matcore import psd_order_leq, sym_to_vec, vec_to_sym
+from .matcore import _BUFFER_CAP, psd_order_leq, sym_to_vec, vec_to_sym
 from .sgd import BLOCK, PROCESSES, SgdConfig, resolve_moments, run_replicates
 from .stationary import (
     FourthMomentOperator,
@@ -98,8 +98,6 @@ SWEEP_COLUMNS = (
     "emp_risk", "stderr", "bound", "bias_bound", "var_bound", "eff_ratio", "error",
 )
 
-# Largest draw buffer, in bytes, that a config may ask run_replicates for.
-_BUFFER_CAP = 2 ** 30
 _REQUIRED = object()
 _INT, _NUM = (int,), (int, float)
 
@@ -365,12 +363,19 @@ class RiskReport:
         NonFiniteResultError.check(self)
 
 
+def _dist0_sq(cfg: ExperimentConfig, m) -> float:
+    """||w0 - w*||^2; infinite, without a numpy overflow warning, when the
+    square overflows, so the bound built from it fails as non-finite."""
+    with np.errstate(over="ignore"):
+        return float(np.sum((cfg.w0 - m.w_star) ** 2))
+
+
 def run_experiment(cfg: ExperimentConfig, *, workers: int = 1, cell: int = 0) -> RiskReport:
     """Estimate the tail-average risk (and its bias/variance split) and
     evaluate the closed-form bound for the same run geometry."""
     m = resolve_moments(cfg.distribution)
     rc = rate_constants(m, cfg.gamma)
-    dist0_sq = float(np.sum((cfg.w0 - m.w_star) ** 2))
+    dist0_sq = _dist0_sq(cfg, m)
     # a non-finite bound fails here, before the simulation is paid for
     rb = risk_bound(rc, cfg.t, cfg.T, dist0_sq)
     sgd_cfg = SgdConfig(gamma=cfg.gamma, w0=cfg.w0, t_avg_start=cfg.t, T=cfg.T)
@@ -602,7 +607,7 @@ def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckRe
         seeds = [replicate_seed(cfg.seed, 905, i) for i in range(reps)]
         res = run_replicates(spec, run_cfg, seeds, process="bias", moments=m,
                              snapshot_steps=ts)
-        d0 = float(np.sum((cfg.w0 - m.w_star) ** 2))
+        d0 = _dist0_sq(cfg, m)
         worst, details = math.inf, []
         for k, t in enumerate(res.snapshot_steps):
             sq = np.sum((res.snapshots[k] - m.w_star) ** 2, axis=1)

@@ -25,6 +25,10 @@ _SQRT2 = math.sqrt(2.0)
 # Relative floor on the smallest eigenvalue accepted by spd().
 SPD_TOL = 1e-12
 
+# Largest float buffer, in bytes, that an input may make the package allocate
+# at once: a draw buffer or a dense operator matrix.
+_BUFFER_CAP = 2 ** 30
+
 
 def sym(m) -> np.ndarray:
     """Validate a square real matrix and return its symmetric part (M + M^T)/2."""

@@ -6,16 +6,39 @@ one SGD step maps
     C_{t+1} = C_t - gamma (H C_t + C_t H)
               + gamma^2 E[(x^T C_t x) x x^T] + gamma^2 Sigma.
 
-The quartic term is the fourth-moment operator M -> E[(x^T M x) x x^T],
+The quartic term is the fourth-moment operator S(M) = E[(x^T M x) x x^T],
 available in closed form for Gaussian and discrete designs and by sample
 average otherwise.  The fixed point C of the recursion solves
 
-    H C + C H = gamma * (E[(x^T C x) x x^T] + Sigma),
+    L0(C) = H C + C H = gamma * (S(C) + Sigma).
 
-which this module solves both by iterating the recursion and by linear
-algebra in the flattened symmetric basis of ``matcore``.  Two a-priori
-bounds on the fixed point (a spectral-norm cap and a sharper trace cap) are
-provided alongside.
+Iterating the recursion itself contracts only at rate 1 - Theta(gamma mu).
+``solve_stationary_fixed_point`` instead iterates the preconditioned map
+
+    C_{k+1} = L0^{-1}(gamma (S(C_k) + Sigma)),   C_0 = 0,
+
+with L0^{-1}(A) = V ((V^T A V) / (lam_i + lam_j)) V^T from H = V diag(lam) V^T.
+Why it converges in tens of iterations whatever mu or d is:
+
+* S and L0^{-1} both preserve the semidefinite order, so the steps
+  D_k = C_k - C_{k-1} are PSD and the iterates increase towards C.
+* Tr(H L0^{-1}(A)) = Tr(A) / 2, and Tr(S(M)) = Tr(M S(I)) <= R^2 Tr(HM) for
+  PSD M, with R^2 the smallest constant such that S(I) <= R^2 H.  So
+  Tr(H D_{k+1}) <= q Tr(H D_k) with q = gamma R^2 / 2 < 1/2.
+* Summing the remaining steps, and using ||M||_F <= Tr(M) <= Tr(HM) / mu
+  for PSD M,
+
+      ||C - C_k||_F <= Tr(H (C - C_k)) / mu <= q / (1 - q) * Tr(H D_k) / mu.
+
+* The equation defect of C_k is L0(C_k) - gamma (S(C_k) + Sigma)
+  = -gamma S(D_k), a PSD matrix, so its Frobenius norm is at most its trace,
+  gamma R^2 Tr(H D_k).
+
+Both bounds are computable from Tr(H D_k) alone, and the solver stops when
+both are small.  ``solve_stationary_direct`` solves the same equation as a
+dense linear system in the flattened symmetric basis of ``matcore``; it is
+the independent small-d oracle.  Two a-priori bounds on the fixed point (a
+spectral-norm cap and a sharper trace cap) are provided alongside.
 """
 
 from __future__ import annotations
@@ -33,7 +56,15 @@ from .errors import (
     SingularSystemError,
     StepSizeError,
 )
-from .matcore import matrix_norm_under, spd, sym, sym_to_vec, sym_vec_len, vec_to_sym
+from .matcore import (
+    _BUFFER_CAP,
+    matrix_norm_under,
+    spd,
+    sym,
+    sym_to_vec,
+    sym_vec_len,
+    vec_to_sym,
+)
 
 
 class FourthMomentOperator:
@@ -212,39 +243,44 @@ def ensure_psd_solution(c, tol: float = 1e-10) -> np.ndarray:
 def solve_stationary_fixed_point(h, s_op: FourthMomentOperator, sigma, gamma: float, *,
                                  tol: float = 1e-11, resid_rtol: float = 1e-8,
                                  max_iter: int = 1_000_000) -> StationarySolution:
-    """Solve the fixed-point equation by iterating the covariance recursion
-    from C = 0.
+    """Solve the fixed-point equation by the preconditioned iteration
+    C <- L0^{-1}(gamma (S(C) + Sigma)) from C = 0, with L0(M) = HM + MH
+    inverted in H's eigenbasis.
 
-    Stops when a computable bound on the distance to the fixed point falls
-    below ``tol`` relative to the current matrix and the implied equation
-    defect is below ``resid_rtol * gamma * ||Sigma||_F``; raises
-    ConvergenceError if the budget runs out or the iteration leaves the
-    space of finite matrices.
+    The iteration contracts in Tr(H .) at rate q = gamma R^2 / 2 < 1/2 (see
+    the module docstring), so it takes tens of iterations whatever mu or d
+    is.  With D the last step, it stops when the distance bound
+    q / (1 - q) * Tr(H D) / mu is at most ``tol * ||C||_F`` and the defect
+    bound gamma R^2 Tr(H D) is at most ``resid_rtol * gamma * ||Sigma||_F``.
+    Raises ConvergenceError if the budget runs out or the iteration leaves
+    the space of finite matrices.
     """
     hh, r2 = _gate(gamma, h, s_op)
-    mu = float(np.linalg.eigvalsh(hh)[0])
-    # the defect map L(M) = HM + MH - gamma S(M) satisfies
-    # <L(M), M> >= mu (2 - gamma R^2) ||M||_F^2, and the defect of the
-    # current iterate is exactly delta / gamma, so the distance to the
-    # fixed point is at most delta * err_scale
-    err_scale = 1.0 / (gamma * mu * (2.0 - gamma * r2))
+    lam, v = np.linalg.eigh(hh)
+    mu = float(lam[0])
+    # L0^{-1}(A) = V ((V^T A V) / (lam_i + lam_j)) V^T
+    denom = lam[:, None] + lam[None, :]
+    q = 0.5 * gamma * r2
     ss = sym(sigma)
+    # both stopping bounds are multiples of step = Tr(H D); gamma cancels from
+    # the defect test gamma R^2 step <= resid_rtol gamma ||Sigma||_F
+    resid_cap = resid_rtol * float(np.linalg.norm(ss, "fro"))
     c = np.zeros_like(hh)
-    resid_cap = 0.5 * resid_rtol * gamma * float(np.linalg.norm(ss, "fro"))
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        nxt = covariance_step(c, hh, s_op, ss, gamma)
-        delta = float(np.linalg.norm(nxt - c, "fro"))
-        if not np.isfinite(delta):
+        rhs = gamma * (s_op.apply(c) + ss)
+        nxt = v @ ((v.T @ rhs @ v) / denom) @ v.T
+        nxt = 0.5 * (nxt + nxt.T)
+        # any non-finite entry of nxt makes step non-finite
+        step = float(np.sum(hh * (nxt - c)))
+        if not np.isfinite(step):
             raise ConvergenceError(
                 f"iteration diverged after {iterations} steps (gamma too large "
                 "for this backing?)"
             )
         c = nxt
-        # delta / gamma bounds the defect of the previous iterate; the
-        # returned one is strictly better, hence the 0.5 safety inside resid_cap
-        if (delta * err_scale <= tol * np.linalg.norm(c, "fro")
-                and delta <= resid_cap * gamma):
+        if (q / (1.0 - q) * step / mu <= tol * np.linalg.norm(c, "fro")
+                and r2 * step <= resid_cap):
             break
     else:
         raise ConvergenceError(f"no convergence within {max_iter} iterations")
@@ -260,8 +296,15 @@ def solve_stationary_fixed_point(h, s_op: FourthMomentOperator, sigma, gamma: fl
 
 def operator_matrix(apply_fn, d: int) -> np.ndarray:
     """Matrix of a linear operator on symmetric matrices in the flattened
-    basis, built by applying it to each basis element."""
+    basis, built by applying it to each basis element.
+
+    Raises SingularSystemError, before allocating, when the (d(d+1)/2)^2
+    matrix would exceed the package's 1 GiB buffer cap (d > 151).
+    """
     n = sym_vec_len(d)
+    if n * n * 8 > _BUFFER_CAP:
+        raise SingularSystemError(f"the dense operator matrix at d={d} needs {n * n * 8} "
+                                  f"bytes, over the cap of {_BUFFER_CAP}")
     out = np.empty((n, n))
     for k in range(n):
         e = np.zeros(n)
@@ -277,9 +320,12 @@ def solve_stationary_direct(h, s_op: FourthMomentOperator, sigma, gamma: float, 
     hh, _ = _gate(gamma, h, s_op)
     ss = sym(sigma)
     d = hh.shape[0]
-    a = (operator_matrix(lambda m: anticommutator(m, hh), d)
-         - gamma * operator_matrix(s_op.apply, d))
-    cond = float(np.linalg.cond(a))
+    a = operator_matrix(lambda m: anticommutator(m, hh) - gamma * s_op.apply(m), d)
+    # L0 - gamma S is self-adjoint, so its matrix in the sqrt(2)-scaled basis
+    # is symmetric and the condition number comes from its eigenvalues
+    evals = np.abs(np.linalg.eigvalsh(a))
+    lo, hi = float(evals.min()), float(evals.max())
+    cond = hi / lo if lo > 0.0 else np.inf
     if not np.isfinite(cond) or cond > cond_max:
         raise SingularSystemError(f"system condition number {cond:.3e} exceeds {cond_max:.1e}")
     try:

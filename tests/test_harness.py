@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -345,16 +346,21 @@ def test_cli_numerical_failure_exit_code(config_path, monkeypatch, tmp_path, cap
 
     monkeypatch.setattr(cli_mod, "solve_stationary_direct", explode)
     assert main(["solve-cov", "--config", config_path]) == 4
+    capsys.readouterr()
     # a non-finite result fails instead of printing Infinity
     huge = tmp_path / "huge.json"
     huge.write_text(json.dumps({**WELL3, "w0": [1e300] * 3, "T": 100, "replicates": 4}))
     for command in ("bound", "simulate"):
-        assert main([command, "--config", str(huge)]) == 4
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", str(huge)]) == 4
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         out, err = capsys.readouterr()
         assert out == "" and "bias" in err
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
 
 
-def test_cli_config_error_exit_codes(tmp_path):
+def test_cli_config_error_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"distribution": {"kind": "nope", "d": 1}}))
     assert main(["bound", "--config", str(bad)]) == 2
@@ -365,6 +371,18 @@ def test_cli_config_error_exit_codes(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(WELL3))
     assert main(["simulate", "--config", str(good), "--seed", "-1"]) == 2
+    # integer flags are range-checked before any draw buffer or pool exists
+    for argv, flag in [
+        (["moments", "--estimate", "0"], "--estimate"),
+        (["moments", "--estimate", "2"], "--estimate"),          # fewer than d=3
+        (["moments", "--estimate", str(10 ** 9)], "--estimate"),  # over the 1 GiB cap
+        (["simulate", "--workers", "0"], "--workers"),
+        (["verify", "--workers", "-2"], "--workers"),
+        (["sweep", "--workers", "0"], "--workers"),
+    ]:
+        capsys.readouterr()
+        assert main([*argv, "--config", str(good)]) == 2
+        assert flag in capsys.readouterr().err
 
 
 def test_cli_sweep_writes_file(tmp_path):

@@ -1,7 +1,11 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from helpers import discrete_spec, gaussian_spec, random_spd
+from tailsgd.cli import main
 from tailsgd.distributions import exact_moments
 from tailsgd.errors import (
     ConvergenceError,
@@ -10,6 +14,7 @@ from tailsgd.errors import (
     SingularSystemError,
     StepSizeError,
 )
+from tailsgd.harness import config_from_dict, family_distribution
 from tailsgd.matcore import psd_order_leq, sym_to_vec, sym_vec_len
 from tailsgd.stationary import (
     FourthMomentOperator,
@@ -168,7 +173,52 @@ def test_solver_agreement_small_instance():
     scale = np.linalg.norm(di.cov, "fro")
     assert np.linalg.norm(fp.cov - di.cov, "fro") <= 1e-8 * scale
     assert stationary_residual(di.cov, m.H, op, m.Sigma, gamma) == di.residual
-    assert fp.exact and di.exact and di.condition is not None
+    assert fp.exact and di.exact
+    # the symmetric system's eigenvalue ratio is its 2-norm condition number
+    a = (operator_matrix(lambda mm: anticommutator(mm, m.H), 3)
+         - gamma * operator_matrix(op.apply, 3))
+    assert di.condition == pytest.approx(np.linalg.cond(a), rel=1e-10)
+
+
+@pytest.mark.parametrize("source,d", [
+    ("misspecified", 20), ("misspecified", 39), ("discrete", 3), ("discrete", 12),
+])
+def test_fixed_point_converges_fast_and_matches_direct(source, d):
+    # the plain recursion needs ~1/(gamma mu) steps (10^6 were not enough for
+    # the misspecified family at d=20); the preconditioned one contracts at
+    # gamma R^2 / 2 < 1/2 whatever mu is
+    spec = (discrete_spec(d, 40 + d) if source == "discrete" else
+            config_from_dict({"distribution": family_distribution(source, d, 1.0)}).distribution)
+    m = exact_moments(spec)
+    gamma = (0.9 if source == "discrete" else 0.5) / m.R2
+    op = FourthMomentOperator.from_spec(spec)
+    fp = solve_stationary_fixed_point(m.H, op, m.Sigma, gamma)
+    di = solve_stationary_direct(m.H, op, m.Sigma, gamma)
+    assert fp.iterations <= 60
+    assert np.linalg.norm(fp.cov - di.cov, "fro") <= 1e-8 * np.linalg.norm(di.cov, "fro")
+    assert fp.residual <= 1e-8 * gamma * np.linalg.norm(m.Sigma, "fro")
+
+
+def test_direct_solver_refuses_oversized_systems():
+    # at d=160 the dense matrix would take (160*161/2)^2 * 8 bytes, about 1.3 GB
+    d = 160
+    op = FourthMomentOperator.gaussian(np.eye(d))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SingularSystemError, match="d=160"):
+            solve_stationary_direct(np.eye(d), op, np.eye(d), 0.5 / (d + 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+
+
+def test_cli_verify_misspecified_d20(tmp_path, capsys):
+    path = tmp_path / "misspec20.json"
+    path.write_text(json.dumps({"distribution": family_distribution("misspecified", 20, 1.0),
+                                "T": 200, "replicates": 20, "seed": 3}))
+    assert main(["verify", "--config", str(path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_solver_gates_and_failures():
