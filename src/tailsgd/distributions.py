@@ -16,6 +16,13 @@ Streams use numpy's counter-based Philox bit generator seeded through
 patterns reproduce bit-identical samples; distinct keys give independent
 streams.  For the Gaussian families the draw pattern does not matter: one
 draw of 2n pairs equals two consecutive draws of n.
+
+Gaussian covariates are x = L z with L the Cholesky factor of H, computed once
+per spec.  When L is diagonal (every H the sweep grid builds) the spec keeps
+only its diagonal, and a draw scales its block of normals in place with no
+BLAS call; otherwise it keeps the dense factor and multiplies.  Both give the
+same numbers, since each entry of the dense product is z_j L_jj plus exact
+zeros.
 """
 
 from __future__ import annotations
@@ -126,7 +133,12 @@ class DistributionSpec:
             raise DimensionError(f"H_spec has shape {h.shape}, expected ({self.d}, {self.d})")
         object.__setattr__(self, "H_spec", _frozen_array(h))
         # every SampleStream of this spec draws through the same factor
-        object.__setattr__(self, "_chol", _frozen_array(np.linalg.cholesky(h)))
+        chol = np.linalg.cholesky(h)
+        diag = np.diagonal(chol)
+        if np.array_equal(chol, np.diag(diag)):
+            # scales each row [z, eta] of a draw block; eta's 1.0 is exact
+            chol = np.append(diag, 1.0)
+        object.__setattr__(self, "_chol", _frozen_array(chol))
         w = np.zeros(self.d) if self.w_star is None else np.asarray(self.w_star, float)
         if w.shape != (self.d,):
             raise DimensionError(f"w_star has shape {w.shape}, expected ({self.d},)")
@@ -264,7 +276,12 @@ class SampleStream:
         else:
             # one contiguous block per draw keeps the stream split-invariant
             z = self._gen.standard_normal((n, spec.d + 1))
-            x = z[:, :spec.d] @ self._chol.T
+            if self._chol.ndim == 1:
+                # in place over the contiguous block: cheaper than a fresh x
+                z *= self._chol
+                x = z[:, :spec.d]
+            else:
+                x = z[:, :spec.d] @ self._chol.T
             eta = z[:, spec.d]
             clean = x @ spec.w_star
             if spec.kind == GAUSSIAN_WELL_SPECIFIED:
@@ -313,8 +330,10 @@ def exact_moments(spec: DistributionSpec) -> Moments:
         h = _discrete_second_moment(spec.support)
         xs = np.stack([a.x for a in spec.support])
         ps = np.array([a.prob for a in spec.support])
-        resid_sq = (np.array([a.y_mean for a in spec.support]) - xs @ spec.w_star) ** 2
-        resid_sq += np.array([a.y_std for a in spec.support]) ** 2
+        # an overflow here becomes a non-finite Sigma, which Moments rejects
+        with np.errstate(over="ignore"):
+            resid_sq = (np.array([a.y_mean for a in spec.support]) - xs @ spec.w_star) ** 2
+            resid_sq += np.array([a.y_std for a in spec.support]) ** 2
         sigma = sym(np.einsum("k,ki,kj->ij", ps * resid_sq, xs, xs))
     else:
         h = spec.H_spec

@@ -573,12 +573,14 @@ def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckRe
         direct = vec_to_sym(np.linalg.solve(a, sym_to_vec(probe)))
         shrink = eye - gamma * h
         rate = float(np.linalg.eigvalsh(shrink)[-1]) ** 2
-        k = min(int(math.ceil(math.log(1e-12) / math.log(rate))) + 1, 60_000)
-        series = np.zeros((d, d))
-        term = gamma * probe
-        for _ in range(k):
-            series += term
-            term = shrink @ term @ shrink
+        need = int(math.ceil(math.log(1e-12) / math.log(rate))) + 1
+        # sum_{i<2k} A^i P A^i = S_k + A^k S_k A^k: the first k = 2^m >= need
+        # terms in m doubling steps
+        series, power, k = gamma * probe, shrink, 1
+        while k < min(need, 2 ** 16):
+            series = series + power @ series @ power
+            power = power @ power
+            k *= 2
         envelope = (float(np.linalg.norm(probe, "fro")) * gamma * rate ** k / (1.0 - rate)
                     + 1e-10 * (1.0 + float(np.linalg.norm(direct, "fro"))))
         diff = float(np.linalg.norm(series - direct, "fro"))

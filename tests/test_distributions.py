@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import gaussian_spec
+from helpers import gaussian_spec, random_spd
 from tailsgd.distributions import (
     DistributionSpec,
     Moments,
@@ -185,14 +185,25 @@ def test_streams_reproducible_and_independent():
 
 
 def test_gaussian_draws_split_invariant():
-    spec = gaussian_spec(3, sigma=0.5)
-    whole_x, whole_y = SampleStream(spec, 7).draw(100)
-    s = SampleStream(spec, 7)
-    ax, ay = s.draw(60)
-    bx, by = s.draw(40)
-    assert np.array_equal(whole_x, np.vstack([ax, bx]))
-    assert np.array_equal(whole_y, np.concatenate([ay, by]))
-    assert s.count == 100
+    # diagonal H (unequal, non-unit variances) scales the normals, a dense H
+    # multiplies them by its factor; both give exactly z @ cholesky(H).T
+    g = np.random.default_rng(3)
+    cases = [np.diag(g.uniform(0.1, 4.0, d)) for d in (1, 3, 100)] + [random_spd(4, 5)]
+    for h in cases:
+        d = h.shape[0]
+        spec = gaussian_spec(d, h=h, w_star=np.linspace(-1.0, 1.0, d), sigma=0.5)
+        whole_x, whole_y = SampleStream(spec, 7).draw(100)
+        z = np.random.Generator(np.random.Philox(np.random.SeedSequence([7]))).standard_normal(
+            (100, d + 1))
+        x = z[:, :d] @ np.linalg.cholesky(spec.H_spec).T
+        assert np.array_equal(whole_x, x)
+        assert np.array_equal(whole_y, x @ spec.w_star + 0.5 * z[:, d])
+        s = SampleStream(spec, 7)
+        ax, ay = s.draw(60)
+        bx, by = s.draw(40)
+        assert np.array_equal(whole_x, np.vstack([ax, bx]))
+        assert np.array_equal(whole_y, np.concatenate([ay, by]))
+        assert s.count == 100
 
 
 def test_moments_validation():

@@ -325,6 +325,14 @@ def test_cli_verify_failure_exit_code(config_path, monkeypatch, capsys):
         lambda cfg, workers=1: [CheckResult("forced", False, -1.0, "forced failure")])
     assert main(["verify", "--config", config_path]) == 3
     assert "FAIL forced" in capsys.readouterr().out
+    # checks compute their flags and margins as numpy scalars
+    monkeypatch.setattr(
+        cli_mod, "run_verification",
+        lambda cfg, workers=1: [CheckResult("forced", np.bool_(False), np.float64(-1.0),
+                                            "forced failure")])
+    assert main(["verify", "--config", config_path, "--format", "json"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is False and doc["checks"][0]["passed"] is False
 
 
 def test_cli_solve_cov_operator_matches_moments(tmp_path, capsys):
@@ -371,6 +379,18 @@ def test_cli_config_error_exit_codes(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(WELL3))
     assert main(["simulate", "--config", str(good), "--seed", "-1"]) == 2
+    # a residual near 1e300 overflows Sigma: rejected without numpy's warning
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"distribution": {"kind": "discrete", "d": 1, "support": [
+        {"x": [1.0], "y_mean": 1e300, "y_std": 0.5, "prob": 0.5},
+        {"x": [2.0], "y_mean": -1.0, "y_std": 0.5, "prob": 0.5}]}}))
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["bound", "--config", str(huge)]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err.startswith("config error: distribution") and err.count("\n") == 1
     # integer flags are range-checked before any draw buffer or pool exists
     for argv, flag in [
         (["moments", "--estimate", "0"], "--estimate"),
