@@ -37,7 +37,7 @@ from .errors import (
     NotSpdError,
     SingularMomentsError,
 )
-from .matcore import matrix_norm_under, spd, sym
+from .matcore import _weighted_gram, matrix_norm_under, spd, sym
 
 GAUSSIAN_WELL_SPECIFIED = "gaussian_well_specified"
 GAUSSIAN_MISSPECIFIED = "gaussian_misspecified"
@@ -293,11 +293,6 @@ class SampleStream:
         self.count += n
         return x, y
 
-    def sample(self):
-        """Draw a single pair (x, y)."""
-        x, y = self.draw(1)
-        return x[0], float(y[0])
-
 
 def weighted_fourth_moment(spec: DistributionSpec) -> np.ndarray:
     """Closed-form E[||x||^2 x x^T].
@@ -364,7 +359,7 @@ def estimate_moments(spec: DistributionSpec, n: int, seed) -> Moments:
             f"empirical second moment from {n} draws does not span R^{spec.d}"
         )
     resid_sq = (y - x @ spec.w_star) ** 2
-    sigma = sym(np.einsum("n,ni,nj->ij", resid_sq, x, x) / n)
-    f = sym(np.einsum("n,ni,nj->ij", np.einsum("ni,ni->n", x, x), x, x) / n)
+    sigma = sym(_weighted_gram(x, resid_sq) / n)
+    f = sym(_weighted_gram(x, np.einsum("ni,ni->n", x, x)) / n)
     r2 = matrix_norm_under(f, h)
     return Moments(H=h, Sigma=sigma, w_star=spec.w_star, R2=r2, exact=False, n_samples=n)

@@ -44,6 +44,7 @@ across worker processes: running with 1 or many workers is bit-identical.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -76,7 +77,7 @@ from .distributions import (
     exact_moments,
 )
 from .errors import ConfigError, NonFiniteResultError, TailSgdError
-from .matcore import _BUFFER_CAP, psd_order_leq, sym_to_vec, vec_to_sym
+from .matcore import _BUFFER_CAP, _quad_forms, psd_order_leq, sym_to_vec, vec_to_sym
 from .sgd import BLOCK, PROCESSES, SgdConfig, resolve_moments, run_replicates
 from .stationary import (
     FourthMomentOperator,
@@ -491,7 +492,7 @@ def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckRe
     def c_sigma2_quadratic():
         n = 200_000
         x, y = SampleStream(spec, (cfg.seed, 903)).draw(n)
-        q = 0.5 * (y - x @ m.w_star) ** 2 * np.einsum("ni,ij,nj->n", x, np.linalg.inv(h), x)
+        q = 0.5 * (y - x @ m.w_star) ** 2 * _quad_forms(x, np.linalg.inv(h))
         est, se = float(q.mean()), float(q.std(ddof=1) / math.sqrt(n))
         target = sigma2_mle(m)
         cap = 4.0 * se + 1e-12
@@ -517,26 +518,30 @@ def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckRe
                            f"|fp-direct|_F={diff:.3e}")
     run("stationary-agreement", c_agreement)
 
-    def c_monotone():
+    @functools.cache
+    def covariance_walk():
+        # 300 steps of the recursion from C = 0, shared by the next two checks:
+        # the smallest eigenvalue of each step, relative to max(1, |C|_F), and
+        # the largest trace of an iterate
         c = np.zeros((d, d))
-        worst = math.inf
+        low, top = math.inf, -math.inf
         for _ in range(300):
             nxt = covariance_step(c, h, op, sigma, gamma)
             gap = float(np.linalg.eigvalsh(nxt - c)[0])
-            worst = min(worst, gap / max(1.0, float(np.linalg.norm(nxt, "fro"))))
+            low = min(low, gap / max(1.0, float(np.linalg.norm(nxt, "fro"))))
+            top = max(top, float(np.trace(nxt)))
             c = nxt
+        return low, top
+
+    def c_monotone():
+        worst, _ = covariance_walk()
         return CheckResult("covariance-monotone", worst >= -1e-12, worst,
                            "iterates increase in the semidefinite order")
     run("covariance-monotone", c_monotone)
 
     def c_trace_cap():
         cap = gamma * float(np.trace(sigma)) / m.mu
-        c = np.zeros((d, d))
-        worst = -math.inf
-        for _ in range(300):
-            c = covariance_step(c, h, op, sigma, gamma)
-            worst = max(worst, float(np.trace(c)))
-        worst = max(worst, float(np.trace(sol_fp.cov)))
+        worst = max(covariance_walk()[1], float(np.trace(sol_fp.cov)))
         ok = worst <= cap * (1.0 + 1e-12) + 1e-300
         return CheckResult("covariance-trace-cap", ok, cap - worst,
                            f"max trace {worst:.6e} vs gamma Tr(Sigma)/mu = {cap:.6e}")

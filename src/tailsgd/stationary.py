@@ -8,7 +8,10 @@ one SGD step maps
 
 The quartic term is the fourth-moment operator S(M) = E[(x^T M x) x x^T],
 available in closed form for Gaussian and discrete designs and by sample
-average otherwise.  The fixed point C of the recursion solves
+average otherwise.  The discrete and sampled backings contract their rows in
+fixed blocks through BLAS products (``matcore._weighted_gram``), so applying
+them allocates a few block-sized arrays whatever the number of rows.  The
+fixed point C of the recursion solves
 
     L0(C) = H C + C H = gamma * (S(C) + Sigma).
 
@@ -58,6 +61,9 @@ from .errors import (
 )
 from .matcore import (
     _BUFFER_CAP,
+    _ROW_BLOCK,
+    _quad_forms,
+    _weighted_gram,
     matrix_norm_under,
     spd,
     sym,
@@ -129,8 +135,7 @@ class FourthMomentOperator:
         if self.kind == "gaussian":
             hm = self._h @ mm
             return sym(2.0 * (hm @ self._h) + np.trace(hm) * self._h)
-        q = self._probs * np.einsum("ki,ij,kj->k", self._xs, mm, self._xs)
-        return sym(np.einsum("k,ki,kj->ij", q, self._xs, self._xs))
+        return sym(_weighted_gram(self._xs, self._probs, mm))
 
     def apply_with_stderr(self, m):
         """Monte-Carlo mean and entrywise standard error of (x^T M x) x x^T.
@@ -140,12 +145,19 @@ class FourthMomentOperator:
         if self.kind != "monte_carlo":
             raise ValueError("standard errors only exist for the monte_carlo backing")
         mm = sym(m)
-        n = self._xs.shape[0]
-        q = np.einsum("ki,ij,kj->k", self._xs, mm, self._xs)
-        mean = sym(np.einsum("k,ki,kj->ij", q, self._xs, self._xs) / n)
-        p = self._xs ** 2
-        m2 = np.einsum("k,ki,kj->ij", q * q, p, p) / n
-        var = np.maximum(m2 - mean ** 2, 0.0)
+        n, d = self._xs.shape
+        # one pass over row blocks: with u_k = (x_k^T M x_k) x_k, the first
+        # moment is sum_k u_k x_k^T and the entrywise second moment is
+        # (u o u)^T (x o x)
+        mean, m2 = np.zeros((d, d)), np.zeros((d, d))
+        for i in range(0, n, _ROW_BLOCK):
+            xb = self._xs[i:i + _ROW_BLOCK]
+            u = xb * _quad_forms(xb, mm)[:, None]
+            mean += u.T @ xb
+            u *= u
+            m2 += u.T @ (xb * xb)
+        mean = sym(mean / n)
+        var = np.maximum(m2 / n - mean ** 2, 0.0)
         return mean, np.sqrt(var / n)
 
     def r_squared_under(self, h) -> float:

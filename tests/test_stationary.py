@@ -6,7 +6,7 @@ import pytest
 
 from helpers import discrete_spec, gaussian_spec, random_spd
 from tailsgd.cli import main
-from tailsgd.distributions import exact_moments
+from tailsgd.distributions import SampleStream, estimate_moments, exact_moments
 from tailsgd.errors import (
     ConvergenceError,
     DimensionError,
@@ -15,7 +15,14 @@ from tailsgd.errors import (
     StepSizeError,
 )
 from tailsgd.harness import config_from_dict, family_distribution
-from tailsgd.matcore import psd_order_leq, sym_to_vec, sym_vec_len
+from tailsgd.matcore import (
+    _ROW_BLOCK,
+    _quad_forms,
+    matrix_norm_under,
+    psd_order_leq,
+    sym_to_vec,
+    sym_vec_len,
+)
 from tailsgd.stationary import (
     FourthMomentOperator,
     anticommutator,
@@ -211,6 +218,61 @@ def test_direct_solver_refuses_oversized_systems():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2 ** 20
+
+
+def _rel_gap(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def test_blocked_contractions_match_einsum():
+    # the row-blocked BLAS forms against the einsum forms they replace, with a
+    # ragged last block
+    n, d = 3 * _ROW_BLOCK + 17, 4
+    g = np.random.default_rng(21)
+    m = random_spd(d, 22)
+    xs = g.standard_normal((n, d))
+    probs = g.uniform(0.5, 1.5, n)
+    probs /= probs.sum()
+    q = np.einsum("ki,ij,kj->k", xs, m, xs)
+    assert _rel_gap(_quad_forms(xs, m), q) <= 1e-12
+    discrete = FourthMomentOperator.discrete(xs, probs)
+    assert _rel_gap(discrete.apply(m), np.einsum("k,ki,kj->ij", probs * q, xs, xs)) <= 1e-12
+
+    spec = gaussian_spec(d, h=random_spd(d, 23), sigma=0.7, kind="gaussian_misspecified",
+                         misspec_fn="one_plus_norm_x")
+    x, y = SampleStream(spec, 24).draw(n)
+    q = np.einsum("ki,ij,kj->k", x, m, x)
+    mean = np.einsum("k,ki,kj->ij", q, x, x) / n
+    m2 = np.einsum("k,ki,kj->ij", q * q, x ** 2, x ** 2) / n
+    se = np.sqrt(np.maximum(m2 - mean ** 2, 0.0) / n)
+    mc = FourthMomentOperator.monte_carlo(spec, n, 24)
+    assert _rel_gap(mc.apply(m), mean) <= 1e-12
+    mc_mean, mc_se = mc.apply_with_stderr(m)
+    assert _rel_gap(mc_mean, mean) <= 1e-12
+    assert _rel_gap(mc_se, se) <= 1e-12
+
+    est = estimate_moments(spec, n, 24)
+    sigma = np.einsum("n,ni,nj->ij", (y - x @ spec.w_star) ** 2, x, x) / n
+    f = np.einsum("n,ni,nj->ij", np.einsum("ni,ni->n", x, x), x, x) / n
+    assert _rel_gap(est.Sigma, sigma) <= 1e-12
+    assert est.R2 == pytest.approx(matrix_norm_under(f, x.T @ x / n), rel=1e-12)
+
+
+def test_sampled_operator_memory_is_bounded_by_row_blocks():
+    # 200,000 draws at d=10 are 16 MB; an unblocked contraction makes
+    # temporaries of that size
+    cfg = config_from_dict({"distribution": family_distribution("misspecified", 10, 1.0)})
+    spec = cfg.distribution
+    op = FourthMomentOperator.monte_carlo(spec, 200_000, 5)
+    h = spec.H_spec
+    for fn in (op.apply, op.apply_with_stderr):
+        tracemalloc.start()
+        try:
+            fn(h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20, fn.__name__
 
 
 def test_cli_verify_misspecified_d20(tmp_path, capsys):
