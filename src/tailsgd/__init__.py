@@ -60,13 +60,7 @@ from .matcore import (
     vec_to_sym,
     weighted_norm_sq,
 )
-from .sgd import (
-    BatchResult,
-    SgdConfig,
-    Trajectory,
-    run_replicates,
-    run_tail_averaged,
-)
+from .sgd import BatchResult, SgdConfig, run_replicates
 from .stationary import (
     FourthMomentOperator,
     StationarySolution,

@@ -13,6 +13,9 @@
 
 Exit codes: 0 success, 2 configuration error naming its field, 3 verification
 failure, 4 numerical failure, a NaN or infinite result included.
+
+This module parses flags, prints and maps errors to exit codes; ``harness``
+builds each command's result.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ import sys
 
 import numpy as np
 
-from .bounds import rate_constants, risk_bound, sigma2_mle
-from .distributions import estimate_moments, exact_moments
 from .errors import (
     ConfigError,
     DimensionError,
@@ -37,23 +38,16 @@ from .errors import (
     TailSgdError,
 )
 from .harness import (
-    _dist0_sq,
-    _json_document,
-    _sweep_row,
-    config_from_dict,
+    bound_report,
+    moments_report,
+    parse_config,
     parse_sweep_config,
     run_experiment,
     run_verification,
+    stationary_report,
     sweep,
     sweep_csv,
-)
-from .matcore import _BUFFER_CAP
-from .sgd import _resolve_operator, resolve_moments
-from .stationary import (
-    crude_bound,
-    refined_trace_bound,
-    solve_stationary_direct,
-    solve_stationary_fixed_point,
+    sweep_row,
 )
 
 _CONFIG_ERRORS = (
@@ -135,90 +129,39 @@ def _load_config(path: str):
         return fh.read()
 
 
-def _load_experiment(args):
-    """The ``--config`` experiment, with any ``--replicates``/``--seed``
-    override written into the document before it is checked."""
-    doc = _json_document(_load_config(args.config))
-    for key in ("replicates", "seed"):
-        if isinstance(doc, dict) and getattr(args, key, None) is not None:
-            doc[key] = getattr(args, key)
-    return config_from_dict(doc)
+def _experiment(args):
+    """The ``--config`` experiment, with any ``--replicates``/``--seed``."""
+    return parse_config(_load_config(args.config), getattr(args, "replicates", None),
+                        getattr(args, "seed", None))
 
 
 def _cmd_moments(args) -> int:
-    cfg = _load_experiment(args)
-    spec = cfg.distribution
-    if args.estimate is not None:
-        n = args.estimate
-        if n < spec.d:
-            raise ConfigError("--estimate", f"need at least d={spec.d} draws, got {n}")
-        if n * (spec.d + 1) * 8 > _BUFFER_CAP:
-            raise ConfigError("--estimate", f"{n} draws of {spec.d + 1} floats exceed "
-                                            f"{_BUFFER_CAP} bytes")
-        m = estimate_moments(spec, n, (cfg.seed, 990))
-    else:
-        m = exact_moments(spec)
-    noiseless = float(np.linalg.norm(m.Sigma)) == 0.0
-    payload = {
-        "kind": spec.kind, "d": m.d, "exact": m.exact, "n_samples": m.n_samples,
-        "H": m.H, "Sigma": m.Sigma, "w_star": m.w_star,
-        "mu": m.mu, "R2": m.R2,
-        "sigma2_mle": sigma2_mle(m),
-        "rho": None if noiseless else rate_constants(m, 0.5 / m.R2).rho,
-    }
-    _emit_json(payload, args.out)
+    _emit_json(moments_report(_experiment(args), args.estimate), args.out)
     return 0
 
 
 def _cmd_solve_cov(args) -> int:
-    cfg = _load_experiment(args)
-    m = resolve_moments(cfg.distribution)
-    op = _resolve_operator(cfg.distribution, m)
-    solver = (solve_stationary_fixed_point if args.method == "fixed-point"
-              else solve_stationary_direct)
-    sol = solver(m.H, op, m.Sigma, cfg.gamma)
-    window = cfg.T - cfg.t
-    payload = {
-        "method": sol.method,
-        "cov": sol.cov,
-        "residual": sol.residual,
-        "iterations": sol.iterations,
-        "condition": sol.condition,
-        "operator_exact": sol.exact,
-        "moments_exact": m.exact,
-        "trace": float(np.trace(sol.cov)),
-        "lambda_max": float(np.linalg.eigvalsh(sol.cov)[-1]),
-        "crude_bound": crude_bound(m.Sigma, m.H, cfg.gamma, m.R2),
-        "refined_trace_bound": refined_trace_bound(m.Sigma, m.H, cfg.gamma, m.R2),
-        "variance_of_average": float(np.trace(sol.cov)) / (cfg.gamma * window),
-    }
-    _emit_json(payload, args.out)
+    _emit_json(stationary_report(_experiment(args), args.method), args.out)
     return 0
 
 
 def _cmd_bound(args) -> int:
-    cfg = _load_experiment(args)
-    m = resolve_moments(cfg.distribution)
-    rc = rate_constants(m, cfg.gamma)
-    dist0_sq = _dist0_sq(cfg, m)
-    rb = risk_bound(rc, cfg.t, cfg.T, dist0_sq)
-    _emit_json({"constants": rc, "dist0_sq": dist0_sq, "bound": rb}, args.out)
+    _emit_json(bound_report(_experiment(args)), args.out)
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _load_experiment(args)
+    cfg = _experiment(args)
     report = run_experiment(cfg, workers=args.workers)
     if args.format == "csv":
-        _emit(sweep_csv([_sweep_row(0, cfg, report)]), args.out)
+        _emit(sweep_csv([sweep_row(0, cfg, report)]), args.out)
     else:
         _emit_json(report, args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    cfg = _load_experiment(args)
-    results = run_verification(cfg, workers=args.workers)
+    results = run_verification(_experiment(args), workers=args.workers)
     failed = [r for r in results if not r.passed]
     if args.format == "json":
         _emit_json({"checks": results, "passed": not failed}, args.out)

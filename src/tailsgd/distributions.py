@@ -11,11 +11,11 @@ Three families of (x, y) pairs:
 * ``discrete``: x drawn from a finite support {x_i with probability p_i}, and
   y | x_i ~ N(y_mean_i, y_std_i^2).  The support must span R^d.
 
-Streams use numpy's counter-based Philox bit generator seeded through
-``SeedSequence([seed, *key])``.  Equal (spec, seed, key) and equal draw
-patterns reproduce bit-identical samples; distinct keys give independent
-streams.  For the Gaussian families the draw pattern does not matter: one
-draw of 2n pairs equals two consecutive draws of n.
+Streams use numpy's counter-based Philox bit generator, seeded through a
+SeedSequence of the seed, an int or a tuple of ints.  Equal (spec, seed) and
+equal draw patterns reproduce bit-identical samples; distinct seeds give
+independent streams.  For the Gaussian families the draw pattern does not
+matter: one draw of 2n pairs equals two consecutive draws of n.
 
 Gaussian covariates are x = L z with L the Cholesky factor of H, computed once
 per spec.  When L is diagonal (every H the sweep grid builds) the spec keeps
@@ -37,7 +37,7 @@ from .errors import (
     NotSpdError,
     SingularMomentsError,
 )
-from .matcore import _weighted_gram, matrix_norm_under, spd, sym
+from .matcore import _ROW_BLOCK, _weighted_gram, matrix_norm_under, spd, sym
 
 GAUSSIAN_WELL_SPECIFIED = "gaussian_well_specified"
 GAUSSIAN_MISSPECIFIED = "gaussian_misspecified"
@@ -245,17 +245,15 @@ class Moments:
 class SampleStream:
     """Reproducible stream of iid (x, y) pairs from one DistributionSpec.
 
-    ``seed`` may be an int or a tuple of ints; together with ``key`` it forms
-    the SeedSequence entropy, so ``SampleStream(spec, s, key=(k,))`` for
-    distinct k are independent streams of the same model.
+    ``seed`` is an int or a tuple of ints, the SeedSequence entropy, so
+    ``SampleStream(spec, (s, k))`` for distinct k are independent streams of
+    the same model.
     """
 
-    def __init__(self, spec: DistributionSpec, seed, key: tuple[int, ...] = ()):
+    def __init__(self, spec: DistributionSpec, seed):
         self.spec = spec
         entropy = list(seed) if isinstance(seed, (tuple, list)) else [int(seed)]
-        entropy.extend(int(k) for k in key)
         self._gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
-        self.count = 0
         if spec.kind == DISCRETE:
             self._xs, self._y_mean, self._y_std, self._cum = spec._atoms
         else:
@@ -286,11 +284,14 @@ class SampleStream:
             clean = x @ spec.w_star
             if spec.kind == GAUSSIAN_WELL_SPECIFIED:
                 y = clean + spec.noise_sigma * eta
-            elif spec.misspec_fn == "norm_x":
-                y = clean + np.linalg.norm(x, axis=1) * spec.noise_sigma * eta
             else:
-                y = clean + (1.0 + np.linalg.norm(x, axis=1)) * spec.noise_sigma * eta
-        self.count += n
+                # ||x|| block by block, with no (n, d) temporary of squares
+                g = np.empty(n)
+                for i in range(0, n, _ROW_BLOCK):
+                    g[i:i + _ROW_BLOCK] = np.linalg.norm(x[i:i + _ROW_BLOCK], axis=1)
+                if spec.misspec_fn != "norm_x":
+                    g += 1.0
+                y = clean + g * spec.noise_sigma * eta
         return x, y
 
 

@@ -1,4 +1,4 @@
-"""Experiment harness: configs, Monte-Carlo risk experiments, verification, sweeps.
+"""Experiment harness: configs, a report per command, risk experiments, verification, sweeps.
 
 Config schema (JSON)
 --------------------
@@ -74,11 +74,12 @@ from .distributions import (
     Moments,
     SampleStream,
     SupportAtom,
+    estimate_moments,
     exact_moments,
 )
 from .errors import ConfigError, NonFiniteResultError, TailSgdError
 from .matcore import _BUFFER_CAP, _quad_forms, psd_order_leq, sym_to_vec, vec_to_sym
-from .sgd import BLOCK, PROCESSES, SgdConfig, resolve_moments, run_replicates
+from .sgd import BLOCK, PROCESSES, SgdConfig, _resolve_operator, resolve_moments, run_replicates
 from .stationary import (
     FourthMomentOperator,
     covariance_step,
@@ -214,9 +215,11 @@ def _json_document(text: str):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved experiment: model, stepsize, window, and replication."""
+    """Fully resolved experiment: model and its moments, stepsize, window,
+    and replication."""
 
     distribution: DistributionSpec
+    moments: Moments
     gamma: float
     t: int
     T: int
@@ -248,7 +251,8 @@ def _model(f: dict) -> tuple[DistributionSpec, Moments]:
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Check an experiment document against the field table and the
-    cross-field conditions, and resolve its derived rules."""
+    cross-field conditions, and resolve the model's moments and the
+    derived rules."""
     f = _read(doc, _EXPERIMENT_FIELDS)
     d, big_t = f["distribution"]["d"], f["T"]
     if BLOCK * f["replicates"] * d * 8 > _BUFFER_CAP:
@@ -275,13 +279,83 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         gamma = 1.0 / (2.0 * rho * m.R2)
     if not 0.0 < gamma < 1.0 / m.R2:
         raise ConfigError("gamma", f"{gamma!r} outside the stable range (0, {1.0 / m.R2!r})")
-    return ExperimentConfig(distribution=dist, gamma=gamma, t=t, T=big_t, w0=w0,
-                            replicates=f["replicates"], seed=f["seed"])
+    return ExperimentConfig(distribution=dist, moments=m, gamma=gamma, t=t, T=big_t,
+                            w0=w0, replicates=f["replicates"], seed=f["seed"])
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse a JSON experiment document."""
-    return config_from_dict(_json_document(text))
+def parse_config(text: str, replicates: int | None = None,
+                 seed: int | None = None) -> ExperimentConfig:
+    """Parse a JSON experiment document; a ``replicates`` or ``seed`` given
+    here replaces the document's before it is checked."""
+    doc = _json_document(text)
+    if isinstance(doc, dict):
+        doc.update((k, v) for k, v in (("replicates", replicates), ("seed", seed))
+                   if v is not None)
+    return config_from_dict(doc)
+
+
+# ---------------------------------------------------------------------------
+# Model reports
+
+
+def _closed_form(cfg: ExperimentConfig) -> Moments:
+    """The config's moments, which must be closed-form: on an estimate-only
+    model ``exact_moments`` raises the IntractableMomentsError that says so."""
+    return cfg.moments if cfg.moments.exact else exact_moments(cfg.distribution)
+
+
+def moments_report(cfg: ExperimentConfig, estimate: int | None = None) -> dict:
+    """The model's closed-form moments or, given ``estimate`` (the
+    ``--estimate`` flag), moments from that many fresh draws; with sigma2_mle
+    and rho at gamma = 1 / (2 R^2)."""
+    spec = cfg.distribution
+    if estimate is None:
+        m = _closed_form(cfg)
+    else:
+        if estimate < spec.d:
+            raise ConfigError("--estimate", f"need at least d={spec.d} draws, got {estimate}")
+        if estimate * (spec.d + 1) * 8 > _BUFFER_CAP:
+            raise ConfigError("--estimate", f"{estimate} draws of {spec.d + 1} floats "
+                                            f"exceed {_BUFFER_CAP} bytes")
+        m = estimate_moments(spec, estimate, (cfg.seed, 990))
+    noiseless = float(np.linalg.norm(m.Sigma)) == 0.0
+    return {
+        "kind": spec.kind, "d": m.d, "exact": m.exact, "n_samples": m.n_samples,
+        "H": m.H, "Sigma": m.Sigma, "w_star": m.w_star, "mu": m.mu, "R2": m.R2,
+        "sigma2_mle": sigma2_mle(m),
+        "rho": None if noiseless else rate_constants(m, 0.5 / m.R2).rho,
+    }
+
+
+def stationary_report(cfg: ExperimentConfig, method: str) -> dict:
+    """The stationary iterate covariance by ``method`` ("fixed-point" or
+    "direct"), with its a-priori caps and the variance of the tail average."""
+    m = cfg.moments
+    solver = {"fixed-point": solve_stationary_fixed_point,
+              "direct": solve_stationary_direct}[method]
+    sol = solver(m.H, _resolve_operator(cfg.distribution, m), m.Sigma, cfg.gamma)
+    trace = float(np.trace(sol.cov))
+    return {
+        "method": sol.method, "cov": sol.cov, "residual": sol.residual,
+        "iterations": sol.iterations, "condition": sol.condition,
+        "operator_exact": sol.exact, "moments_exact": m.exact,
+        "trace": trace, "lambda_max": float(np.linalg.eigvalsh(sol.cov)[-1]),
+        "crude_bound": crude_bound(m.Sigma, m.H, cfg.gamma, m.R2),
+        "refined_trace_bound": refined_trace_bound(m.Sigma, m.H, cfg.gamma, m.R2),
+        "variance_of_average": trace / (cfg.gamma * (cfg.T - cfg.t)),
+    }
+
+
+def bound_report(cfg: ExperimentConfig) -> dict:
+    """Rate constants, ||w0 - w*||^2 and the closed-form risk bound of the
+    configured run.  A non-finite bound raises NonFiniteResultError; when
+    ||w0 - w*||^2 overflows it is infinite, without a numpy warning."""
+    m = cfg.moments
+    rc = rate_constants(m, cfg.gamma)
+    with np.errstate(over="ignore"):
+        dist0_sq = float(np.sum((cfg.w0 - m.w_star) ** 2))
+    return {"constants": rc, "dist0_sq": dist0_sq,
+            "bound": risk_bound(rc, cfg.t, cfg.T, dist0_sq)}
 
 
 # ---------------------------------------------------------------------------
@@ -364,21 +438,13 @@ class RiskReport:
         NonFiniteResultError.check(self)
 
 
-def _dist0_sq(cfg: ExperimentConfig, m) -> float:
-    """||w0 - w*||^2; infinite, without a numpy overflow warning, when the
-    square overflows, so the bound built from it fails as non-finite."""
-    with np.errstate(over="ignore"):
-        return float(np.sum((cfg.w0 - m.w_star) ** 2))
-
-
 def run_experiment(cfg: ExperimentConfig, *, workers: int = 1, cell: int = 0) -> RiskReport:
     """Estimate the tail-average risk (and its bias/variance split) and
     evaluate the closed-form bound for the same run geometry."""
-    m = resolve_moments(cfg.distribution)
-    rc = rate_constants(m, cfg.gamma)
-    dist0_sq = _dist0_sq(cfg, m)
+    m = cfg.moments
     # a non-finite bound fails here, before the simulation is paid for
-    rb = risk_bound(rc, cfg.t, cfg.T, dist0_sq)
+    bound = bound_report(cfg)
+    rc = bound["constants"]
     sgd_cfg = SgdConfig(gamma=cfg.gamma, w0=cfg.w0, t_avg_start=cfg.t, T=cfg.T)
     tails = _tail_averages(cfg.distribution, sgd_cfg, m, cfg.seed, cell,
                            cfg.replicates, workers)
@@ -390,7 +456,7 @@ def run_experiment(cfg: ExperimentConfig, *, workers: int = 1, cell: int = 0) ->
         stderr=se,
         ci_low=emp - 1.96 * se,
         ci_high=emp + 1.96 * se,
-        bound=rb,
+        bound=bound["bound"],
         constants=rc,
         bias_risk=stats["bias"][0],
         bias_stderr=stats["bias"][1],
@@ -432,7 +498,9 @@ def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckRe
     reproducible and a failure means a real discrepancy at that seed.
     """
     spec = cfg.distribution
-    m = exact_moments(spec)
+    m = _closed_form(cfg)
+    # a non-finite bound fails here, before any check is paid for
+    bound = bound_report(cfg)
     gamma = cfg.gamma
     op = FourthMomentOperator.from_spec(spec)
     h, sigma = m.H, m.Sigma
@@ -563,7 +631,7 @@ def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckRe
 
     def c_variance_identity():
         window = cfg.T - cfg.t
-        rc = rate_constants(m, gamma)
+        rc = bound["constants"]
         via_trace = refined_trace_bound(sigma, h, gamma, m.R2) / (gamma * window)
         direct = variance_term(gamma, m.R2, rc.rho, rc.sigma2, window)
         diff = abs(via_trace - direct)
@@ -614,7 +682,7 @@ def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckRe
         seeds = [replicate_seed(cfg.seed, 905, i) for i in range(reps)]
         res = run_replicates(spec, run_cfg, seeds, process="bias", moments=m,
                              snapshot_steps=ts)
-        d0 = _dist0_sq(cfg, m)
+        d0 = bound["dist0_sq"]
         worst, details = math.inf, []
         for k, t in enumerate(res.snapshot_steps):
             sq = np.sum((res.snapshots[k] - m.w_star) ** 2, axis=1)
@@ -727,7 +795,7 @@ def sweep(sweep_cfg: SweepConfig, *, workers: int = 1) -> list[dict]:
                 doc["gamma"] = sweep_cfg.gamma
             cfg = config_from_dict(doc)
             report = run_experiment(cfg, workers=workers, cell=cell_id)
-            row = _sweep_row(cell_id, cfg, report)
+            row = sweep_row(cell_id, cfg, report)
         except TailSgdError as exc:
             row = dict.fromkeys(SWEEP_COLUMNS, "")
             row.update(cell_id=cell_id, d=d, T=big_t, replicates=sweep_cfg.replicates,
@@ -736,7 +804,7 @@ def sweep(sweep_cfg: SweepConfig, *, workers: int = 1) -> list[dict]:
     return rows
 
 
-def _sweep_row(cell_id: int, cfg: ExperimentConfig, report: RiskReport) -> dict:
+def sweep_row(cell_id: int, cfg: ExperimentConfig, report: RiskReport) -> dict:
     """The sweep CSV row of one finished experiment."""
     row = dict.fromkeys(SWEEP_COLUMNS, "")
     row.update(

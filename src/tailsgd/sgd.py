@@ -35,8 +35,9 @@ from .errors import (
 from .stationary import FourthMomentOperator
 
 # Samples buffered per replicate between vectorized sweeps.  The buffer costs
-# BLOCK * replicates * d * 8 bytes; the draw pattern is a function of T alone,
-# which is what keeps trajectories independent of how seeds are batched.
+# min(BLOCK, T) * replicates * d * 8 bytes; the draw pattern is a function of
+# T alone, which is what keeps trajectories independent of how seeds are
+# batched.
 BLOCK = 512
 
 PROCESSES = ("standard", "bias", "variance")
@@ -49,22 +50,17 @@ _EST_SEED = 7
 
 @dataclass(frozen=True)
 class SgdConfig:
-    """Run geometry: stepsize, start point, averaging window start t, horizon T.
-
-    ``record_every`` > 0 asks single-run drivers to record every k-th state.
-    """
+    """Run geometry: stepsize, start point, averaging window start t, horizon T."""
 
     gamma: float
     w0: np.ndarray
     t_avg_start: int
     T: int
-    record_every: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", float(self.gamma))
         object.__setattr__(self, "T", int(self.T))
         object.__setattr__(self, "t_avg_start", int(self.t_avg_start))
-        object.__setattr__(self, "record_every", int(self.record_every))
         if self.gamma <= 0.0:
             raise StepSizeError(f"stepsize must be positive, got {self.gamma}")
         if self.T < 1:
@@ -73,24 +69,11 @@ class SgdConfig:
             raise EmptyWindowError(
                 f"averaging window [{self.t_avg_start}, {self.T}) is empty"
             )
-        if self.record_every < 0:
-            raise ValueError(f"record_every must be nonnegative, got {self.record_every}")
         w = np.array(self.w0, dtype=float)
         if w.ndim != 1:
             raise DimensionError(f"w0 must be a vector, got shape {w.shape}")
         w.setflags(write=False)
         object.__setattr__(self, "w0", w)
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """One replicate's run: recorded states, tail average and final state."""
-
-    steps: np.ndarray
-    iterates: np.ndarray
-    tail_average: np.ndarray
-    final: np.ndarray
-    samples_used: int = 0
 
 
 @dataclass(frozen=True)
@@ -196,8 +179,9 @@ def run_replicates(spec: DistributionSpec, config: SgdConfig, seeds, *,
     mask = np.array([0.0 if p == "bias" else 1.0 for p in names])
 
     tail = _KahanSum(w.shape)
-    xb = np.empty((BLOCK, n_rep, d))
-    yb = np.empty((BLOCK, n_rep))
+    rows = min(BLOCK, big_t)
+    xb = np.empty((rows, n_rep, d))
+    yb = np.empty((rows, n_rep))
     done = 0
     while done < big_t:
         b = min(BLOCK, big_t - done)
@@ -229,18 +213,4 @@ def run_replicates(spec: DistributionSpec, config: SgdConfig, seeds, *,
         snapshot_steps=tuple(snap_steps),
         snapshots=snaps,
         samples_per_replicate=big_t,
-    )
-
-
-def run_tail_averaged(spec: DistributionSpec, config: SgdConfig, seed, *,
-                      moments: Moments | None = None) -> Trajectory:
-    """One full SGD run, recording every ``config.record_every``-th state."""
-    snap = range(0, config.T + 1, config.record_every) if config.record_every else ()
-    res = run_replicates(spec, config, [seed], moments=moments, snapshot_steps=snap)
-    return Trajectory(
-        steps=np.array(res.snapshot_steps, dtype=int),
-        iterates=res.snapshots[:, 0, :],
-        tail_average=res.tail_averages[0],
-        final=res.finals[0],
-        samples_used=res.samples_per_replicate,
     )

@@ -17,6 +17,7 @@ from tailsgd.errors import (
     NotSpdError,
     SingularMomentsError,
 )
+from tailsgd.matcore import _ROW_BLOCK
 
 
 def two_point_spec(y_std=0.0):
@@ -179,7 +180,7 @@ def test_streams_reproducible_and_independent():
     x1, y1 = SampleStream(spec, 42).draw(100)
     x2, y2 = SampleStream(spec, 42).draw(100)
     assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
-    x3, _ = SampleStream(spec, 42, key=(1,)).draw(100)
+    x3, _ = SampleStream(spec, (42, 1)).draw(100)
     assert not np.array_equal(x1, x3)
     assert np.array_equal(x1, SampleStream(spec, (42,)).draw(100)[0])
 
@@ -203,7 +204,18 @@ def test_gaussian_draws_split_invariant():
         bx, by = s.draw(40)
         assert np.array_equal(whole_x, np.vstack([ax, bx]))
         assert np.array_equal(whole_y, np.concatenate([ay, by]))
-        assert s.count == 100
+    # the misspecified noise scale ||x|| is taken over row blocks, with the
+    # bits of the whole-array norm
+    for fn, shift in (("norm_x", 0.0), ("one_plus_norm_x", 1.0)):
+        spec = gaussian_spec(3, h=np.diag([2.0, 1.0, 0.5]), w_star=[1.0, -1.0, 0.5],
+                             sigma=0.7, kind="gaussian_misspecified", misspec_fn=fn)
+        n = 2 * _ROW_BLOCK + 5
+        x, y = SampleStream(spec, 7).draw(n)
+        z = np.random.Generator(np.random.Philox(np.random.SeedSequence([7]))).standard_normal(
+            (n, 4))
+        assert np.array_equal(x, z[:, :3] * np.sqrt([2.0, 1.0, 0.5]))
+        assert np.array_equal(
+            y, x @ spec.w_star + (shift + np.linalg.norm(x, axis=1)) * 0.7 * z[:, 3])
 
 
 def test_moments_validation():

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 import os
 import warnings
@@ -347,18 +349,18 @@ def test_cli_solve_cov_operator_matches_moments(tmp_path, capsys):
 
 
 def test_cli_numerical_failure_exit_code(config_path, monkeypatch, tmp_path, capsys):
-    import tailsgd.cli as cli_mod
+    import tailsgd.harness as harness_mod
 
     def explode(*args, **kwargs):
         raise ConvergenceError("forced")
 
-    monkeypatch.setattr(cli_mod, "solve_stationary_direct", explode)
+    monkeypatch.setattr(harness_mod, "solve_stationary_direct", explode)
     assert main(["solve-cov", "--config", config_path]) == 4
     capsys.readouterr()
     # a non-finite result fails instead of printing Infinity
     huge = tmp_path / "huge.json"
     huge.write_text(json.dumps({**WELL3, "w0": [1e300] * 3, "T": 100, "replicates": 4}))
-    for command in ("bound", "simulate"):
+    for command in ("bound", "simulate", "verify"):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main([command, "--config", str(huge)]) == 4
@@ -403,6 +405,22 @@ def test_cli_config_error_exit_codes(tmp_path, capsys):
         capsys.readouterr()
         assert main([*argv, "--config", str(good)]) == 2
         assert flag in capsys.readouterr().err
+
+
+def test_cli_imports_only_public_harness_and_errors_names():
+    # the CLI parses flags and prints; every result comes from a harness builder
+    import tailsgd.cli as cli_mod
+
+    tree = ast.parse(inspect.getsource(cli_mod))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [a.name for a in node.names]
+            assert not [n for n in names if n.startswith("_")], names
+            if node.level or (node.module or "").split(".")[0] == "tailsgd":
+                assert node.module in ("harness", "errors", "tailsgd.harness",
+                                       "tailsgd.errors"), node.module
+        elif isinstance(node, ast.Import):
+            assert not [a.name for a in node.names if a.name.split(".")[0] == "tailsgd"]
 
 
 def test_cli_sweep_writes_file(tmp_path):

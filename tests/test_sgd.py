@@ -1,16 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from helpers import gaussian_spec
 from tailsgd.distributions import DistributionSpec, SupportAtom, exact_moments
 from tailsgd.errors import DimensionError, EmptyWindowError, StepSizeError
-from tailsgd.sgd import (
-    PROCESSES,
-    SgdConfig,
-    resolve_moments,
-    run_replicates,
-    run_tail_averaged,
-)
+from tailsgd.sgd import PROCESSES, SgdConfig, resolve_moments, run_replicates
 
 
 def unit_design_1d(y_mean=1.0):
@@ -32,39 +28,40 @@ def test_config_validation():
 def test_deterministic_one_dimensional_run():
     # w_{s+1} = w_s + 0.5 (1 - w_s): states 0, 1/2, 3/4, 7/8
     spec = unit_design_1d()
-    cfg = SgdConfig(gamma=0.5, w0=[0.0], t_avg_start=0, T=3, record_every=1)
-    traj = run_tail_averaged(spec, cfg, 0)
-    assert np.allclose(traj.iterates[:, 0], [0.0, 0.5, 0.75, 0.875])
-    assert traj.tail_average == pytest.approx([5.0 / 12.0], rel=1e-15)
-    assert traj.final == pytest.approx([0.875])
-    assert traj.samples_used == 3
+    cfg = SgdConfig(gamma=0.5, w0=[0.0], t_avg_start=0, T=3)
+    run = run_replicates(spec, cfg, [0], snapshot_steps=range(4))
+    assert np.allclose(run.snapshots[:, 0, 0], [0.0, 0.5, 0.75, 0.875])
+    assert run.tail_averages[0] == pytest.approx([5.0 / 12.0], rel=1e-15)
+    assert run.finals[0] == pytest.approx([0.875])
+    assert run.samples_per_replicate == 3
     # window of length one picks exactly w_{T-1}
-    last = run_tail_averaged(spec, SgdConfig(gamma=0.5, w0=[0.0], t_avg_start=2, T=3), 0)
-    assert last.tail_average == pytest.approx([0.75], rel=1e-15)
+    last = run_replicates(spec, SgdConfig(gamma=0.5, w0=[0.0], t_avg_start=2, T=3), [0])
+    assert last.tail_averages[0] == pytest.approx([0.75], rel=1e-15)
 
 
 def test_start_at_minimizer_is_stationary_when_noiseless():
     spec = unit_design_1d(y_mean=2.0)  # w* = 2
     cfg = SgdConfig(gamma=0.3, w0=[2.0], t_avg_start=0, T=10)
-    traj = run_tail_averaged(spec, cfg, 1)
-    assert traj.tail_average == pytest.approx([2.0], abs=0.0)
-    assert traj.final == pytest.approx([2.0], abs=0.0)
+    run = run_replicates(spec, cfg, [1])
+    assert run.tail_averages[0] == pytest.approx([2.0], abs=0.0)
+    assert run.finals[0] == pytest.approx([2.0], abs=0.0)
 
 
 def test_tail_average_matches_recorded_iterates():
     spec = gaussian_spec(2, sigma=1.0)
-    cfg = SgdConfig(gamma=0.1, w0=[0.0, 0.0], t_avg_start=137, T=500, record_every=1)
-    traj = run_tail_averaged(spec, cfg, 3)
-    recomputed = traj.iterates[137:500].mean(axis=0)
-    assert np.allclose(traj.tail_average, recomputed, rtol=1e-12, atol=1e-14)
-    assert np.array_equal(traj.iterates[-1], traj.final)  # stride hits T = 500
+    cfg = SgdConfig(gamma=0.1, w0=[0.0, 0.0], t_avg_start=137, T=500)
+    run = run_replicates(spec, cfg, [3], snapshot_steps=range(501))
+    iterates = run.snapshots[:, 0]
+    recomputed = iterates[137:500].mean(axis=0)
+    assert np.allclose(run.tail_averages[0], recomputed, rtol=1e-12, atol=1e-14)
+    assert np.array_equal(iterates[-1], run.finals[0])  # the last snapshot is T = 500
 
 
 def test_kahan_tail_average_long_run():
     spec = gaussian_spec(2, sigma=1.0)
-    cfg = SgdConfig(gamma=0.1, w0=[3.0, -1.0], t_avg_start=0, T=20_000, record_every=1)
-    traj = run_tail_averaged(spec, cfg, 9)
-    assert np.allclose(traj.tail_average, traj.iterates[:-1].mean(axis=0),
+    cfg = SgdConfig(gamma=0.1, w0=[3.0, -1.0], t_avg_start=0, T=20_000)
+    run = run_replicates(spec, cfg, [9], snapshot_steps=range(20_001))
+    assert np.allclose(run.tail_averages[0], run.snapshots[:-1, 0].mean(axis=0),
                        rtol=1e-12, atol=1e-14)
 
 
@@ -114,9 +111,9 @@ def test_batch_rows_equal_single_runs():
     seeds = [101, 102, 103]
     batch = run_replicates(spec, cfg, seeds)
     for i, seed in enumerate(seeds):
-        solo = run_tail_averaged(spec, cfg, seed)
-        assert np.array_equal(batch.tail_averages[i], solo.tail_average)
-        assert np.array_equal(batch.finals[i], solo.final)
+        solo = run_replicates(spec, cfg, [seed])
+        assert np.array_equal(batch.tail_averages[i], solo.tail_averages[0])
+        assert np.array_equal(batch.finals[i], solo.finals[0])
 
 
 @pytest.mark.parametrize("d", [1, 3, 12])
@@ -149,17 +146,15 @@ def test_process_rows_equal_single_process_runs(d):
 def test_run_reproducibility_and_seed_sensitivity():
     spec = gaussian_spec(2, sigma=1.0)
     cfg = SgdConfig(gamma=0.1, w0=np.zeros(2), t_avg_start=0, T=100)
-    a = run_tail_averaged(spec, cfg, 7)
-    b = run_tail_averaged(spec, cfg, 7)
-    c = run_tail_averaged(spec, cfg, 8)
-    assert np.array_equal(a.tail_average, b.tail_average)
-    assert not np.array_equal(a.tail_average, c.tail_average)
+    a, b, c = (run_replicates(spec, cfg, [seed]).tail_averages[0] for seed in (7, 7, 8))
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_stepsize_gate_and_bad_arguments():
     spec = gaussian_spec(3, sigma=1.0)  # R^2 = 5
     with pytest.raises(StepSizeError):
-        run_tail_averaged(spec, SgdConfig(gamma=0.2, w0=np.zeros(3), t_avg_start=0, T=10), 0)
+        run_replicates(spec, SgdConfig(gamma=0.2, w0=np.zeros(3), t_avg_start=0, T=10), [0])
     cfg = SgdConfig(gamma=0.1, w0=np.zeros(3), t_avg_start=0, T=10)
     with pytest.raises(ValueError):
         run_replicates(spec, cfg, [0], snapshot_steps=(11,))
@@ -180,3 +175,19 @@ def test_resolve_moments_fallback_is_deterministic():
     m2 = resolve_moments(hard)
     assert not m1.exact and m1.n_samples == m2.n_samples
     assert np.array_equal(m1.Sigma, m2.Sigma)
+
+
+def test_short_runs_size_the_draw_buffer_by_horizon():
+    # verify's mean-recursion check: 31 steps on 2,000 replicates at d=10
+    # needs 31 rows of draws, not a full BLOCK of 512 (82 MB)
+    spec = gaussian_spec(10, sigma=1.0)
+    cfg = SgdConfig(gamma=0.01, w0=np.zeros(10), t_avg_start=0, T=31)
+    seeds = [(0, 904, i) for i in range(2000)]
+    m = exact_moments(spec)
+    tracemalloc.start()
+    try:
+        run_replicates(spec, cfg, seeds, moments=m, snapshot_steps=(30,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
