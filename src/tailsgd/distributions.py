@@ -17,12 +17,19 @@ equal draw patterns reproduce bit-identical samples; distinct seeds give
 independent streams.  For the Gaussian families the draw pattern does not
 matter: one draw of 2n pairs equals two consecutive draws of n.
 
+Sampling has two steps with one path.  A stream fills its raw variates into
+its rows of a (streams, n, d + 1) block, and ``_pairs`` turns a whole block
+into pairs in place: x over the first d columns, y written over the noise
+column.  ``SampleStream.draw(n)`` is a block of one stream; a simulation
+fills one block row per replicate and transforms all of them at once, with
+the same numbers as lone draws.
+
 Gaussian covariates are x = L z with L the Cholesky factor of H, computed once
 per spec.  When L is diagonal (every H the sweep grid builds) the spec keeps
-only its diagonal, and a draw scales its block of normals in place with no
-BLAS call; otherwise it keeps the dense factor and multiplies.  Both give the
-same numbers, since each entry of the dense product is z_j L_jj plus exact
-zeros.
+only its diagonal, and the transform scales the block of normals in place
+with no BLAS call; otherwise it keeps the dense factor and multiplies.  Both
+give the same numbers, since each entry of the dense product is z_j L_jj plus
+exact zeros.
 """
 
 from __future__ import annotations
@@ -254,45 +261,95 @@ class SampleStream:
         self.spec = spec
         entropy = list(seed) if isinstance(seed, (tuple, list)) else [int(seed)]
         self._gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
-        if spec.kind == DISCRETE:
-            self._xs, self._y_mean, self._y_std, self._cum = spec._atoms
+
+    def _fill(self, out: np.ndarray):
+        """Write the raw variates of len(out) pairs into ``out``, a C-contiguous
+        (n, d + 1) block: normals [z, eta] row by row for the Gaussian kinds,
+        and for the discrete kind n uniforms then n normals from its start."""
+        if self.spec.kind == DISCRETE:
+            n = out.shape[0]
+            flat = out.reshape(-1)
+            self._gen.random(out=flat[:n])
+            self._gen.standard_normal(out=flat[n:2 * n])
         else:
-            self._chol = spec._chol
+            # one contiguous block per draw keeps the stream split-invariant
+            self._gen.standard_normal(out=out)
+
+    def _draw(self, n: int, labels: bool):
+        if n < 1:
+            raise ValueError(f"draw size must be positive, got {n}")
+        block = np.empty((1, n, self.spec.d + 1))
+        self._fill(block[0])
+        x, y = _pairs(self.spec, block, labels)
+        x, y = x[0], None if y is None else y[0].copy()
+        # Results computed from a draw depend on its memory layout: BLAS dots
+        # over rows (x.T @ y, or any product at d = 1) sum in an order set by
+        # the row stride.  So a draw keeps the layouts it has always had: y
+        # and a gathered or multiplied x are fresh arrays, a scaled x a view.
+        if self.spec.kind == DISCRETE or self.spec._chol.ndim == 2:
+            x = x.copy()
+        return x, y
 
     def draw(self, n: int):
         """Draw n pairs; returns (X, y) with shapes (n, d) and (n,)."""
-        if n < 1:
-            raise ValueError(f"draw size must be positive, got {n}")
-        spec = self.spec
-        if spec.kind == DISCRETE:
-            u = self._gen.random(n)
-            idx = np.minimum(np.searchsorted(self._cum, u, side="right"),
-                             len(self._cum) - 1)
-            eta = self._gen.standard_normal(n)
-            x = self._xs[idx]
-            y = self._y_mean[idx] + self._y_std[idx] * eta
-        else:
-            # one contiguous block per draw keeps the stream split-invariant
-            z = self._gen.standard_normal((n, spec.d + 1))
-            if self._chol.ndim == 1:
-                # in place over the contiguous block: cheaper than a fresh x
-                z *= self._chol
-                x = z[:, :spec.d]
-            else:
-                x = z[:, :spec.d] @ self._chol.T
-            eta = z[:, spec.d]
-            clean = x @ spec.w_star
-            if spec.kind == GAUSSIAN_WELL_SPECIFIED:
-                y = clean + spec.noise_sigma * eta
-            else:
-                # ||x|| block by block, with no (n, d) temporary of squares
-                g = np.empty(n)
-                for i in range(0, n, _ROW_BLOCK):
-                    g[i:i + _ROW_BLOCK] = np.linalg.norm(x[i:i + _ROW_BLOCK], axis=1)
-                if spec.misspec_fn != "norm_x":
-                    g += 1.0
-                y = clean + g * spec.noise_sigma * eta
-        return x, y
+        return self._draw(n, labels=True)
+
+
+def _pairs(spec: DistributionSpec, block: np.ndarray, labels: bool = True):
+    """Turn a (streams, n, d + 1) block of raw variates, each stream's filled
+    by ``SampleStream._fill``, into pairs in place.
+
+    Returns views (x, y) of shapes (streams, n, d) and (streams, n): x over
+    the first d columns, y over the last.  Without ``labels`` y is None and
+    the last column is left as drawn.  The work runs over chunks of whole
+    streams, at most ``_ROW_BLOCK`` rows where streams are shorter, so no
+    temporary spans the block, and every product runs once per stream on its
+    (n, d) rows: the shapes a lone ``draw(n)`` gives it, so a stream's pairs
+    do not depend on the streams beside it.
+    """
+    streams, n = block.shape[:2]
+    if spec.kind != DISCRETE and spec._chol.ndim == 1:
+        # in place over the contiguous block; eta's factor is an exact 1.0
+        block *= spec._chol
+    step = max(1, _ROW_BLOCK // n)
+    for i in range(0, streams, step):
+        _chunk_pairs(spec, block[i:i + step], labels)
+    return block[..., :spec.d], block[..., spec.d] if labels else None
+
+
+def _chunk_pairs(spec: DistributionSpec, chunk: np.ndarray, labels: bool):
+    """``_pairs`` on a chunk of whole streams."""
+    n, d = chunk.shape[1], spec.d
+    x, y = chunk[..., :d], chunk[..., d]
+    if spec.kind == DISCRETE:
+        xs, y_mean, y_std, cum = spec._atoms
+        # each stream's n uniforms, then its n normals, from its row start
+        raw = chunk.reshape(chunk.shape[0], -1)
+        idx = np.minimum(np.searchsorted(cum, raw[:, :n], side="right"), len(cum) - 1)
+        # labels first: x overwrites the raw variates
+        if labels:
+            labelled = y_mean[idx] + y_std[idx] * raw[:, n:2 * n]
+        x[...] = xs[idx]
+        if labels:
+            y[...] = labelled
+        return
+    if spec._chol.ndim == 2:
+        x[...] = x @ spec._chol.T
+    if not labels:
+        return
+    if spec.kind == GAUSSIAN_WELL_SPECIFIED:
+        y *= spec.noise_sigma
+    else:
+        # ||x|| over row blocks, with no temporary of squares past _ROW_BLOCK rows
+        g = np.empty(y.shape)
+        for j in range(0, n, _ROW_BLOCK):
+            xc = x[:, j:j + _ROW_BLOCK]
+            g[:, j:j + _ROW_BLOCK] = np.sqrt(np.add.reduce(xc * xc, axis=-1))
+        if spec.misspec_fn != "norm_x":
+            g += 1.0
+        g *= spec.noise_sigma
+        y *= g
+    y += x @ spec.w_star
 
 
 def weighted_fourth_moment(spec: DistributionSpec) -> np.ndarray:
@@ -344,15 +401,23 @@ def exact_moments(spec: DistributionSpec) -> Moments:
 
 
 def estimate_moments(spec: DistributionSpec, n: int, seed) -> Moments:
-    """Monte-Carlo moments from n fresh draws of the model.
-
-    Residuals are taken against the model's own minimizer.  Raises
-    SingularMomentsError when the empirical second moment does not span R^d
-    (always for n < d, and possible for degenerate draws at any n).
-    """
+    """Monte-Carlo moments from n fresh draws of the model; see
+    ``sample_moments``."""
     if n < spec.d:
         raise ValueError(f"need at least d={spec.d} samples, got {n}")
     x, y = SampleStream(spec, seed).draw(n)
+    return sample_moments(spec, x, y)
+
+
+def sample_moments(spec: DistributionSpec, x: np.ndarray, y: np.ndarray) -> Moments:
+    """Moments of the sample (x, y) drawn from a model.
+
+    Residuals are taken against the model's own minimizer.  Raises
+    SingularMomentsError when the empirical second moment does not span R^d
+    (always for fewer than d rows, and possible for degenerate draws at any
+    number of rows).
+    """
+    n = x.shape[0]
     h = sym(x.T @ x / n)
     evals = np.linalg.eigvalsh(h)
     if evals[0] <= _SING_TOL * max(evals[-1], 0.0):

@@ -26,10 +26,10 @@ rejected, and a malformed document raises ConfigError naming its field.  ::
       "seed": 0               # default 0, 0 <= seed < 2^64
     }
 
-The draw buffer, BLOCK * replicates * d * 8 bytes, may not exceed 1 GiB.  A
-sweep reads gamma, replicates, seed, noise_sigma (default 1.0) and t_rule
-(half_T only) through the same entries, and checks its axes d (default
-[1, 3, 10]), gamma_rules (default both derived rules), T (default
+The draw buffer, replicates * min(BLOCK, T) * (d + 1) * 8 bytes, may not
+exceed 1 GiB.  A sweep reads gamma, replicates, seed, noise_sigma (default
+1.0) and t_rule (half_T only) through the same entries, and checks its axes d
+(default [1, 3, 10]), gamma_rules (default both derived rules), T (default
 [1000, 10000]) and families (default both) against the entries they vary.
 
 Stepsize rules resolve against the model's moments: ``half_inv_R2`` gives
@@ -79,7 +79,7 @@ from .distributions import (
 )
 from .errors import ConfigError, NonFiniteResultError, TailSgdError
 from .matcore import _BUFFER_CAP, _quad_forms, psd_order_leq, sym_to_vec, vec_to_sym
-from .sgd import BLOCK, PROCESSES, SgdConfig, _resolve_operator, resolve_moments, run_replicates
+from .sgd import PROCESSES, SgdConfig, draw_buffer_shape, resolve_model, run_replicates
 from .stationary import (
     FourthMomentOperator,
     covariance_step,
@@ -215,11 +215,12 @@ def _json_document(text: str):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved experiment: model and its moments, stepsize, window,
-    and replication."""
+    """Fully resolved experiment: model with its moments and fourth-moment
+    operator, stepsize, window, and replication."""
 
     distribution: DistributionSpec
     moments: Moments
+    operator: FourthMomentOperator
     gamma: float
     t: int
     T: int
@@ -228,8 +229,9 @@ class ExperimentConfig:
     seed: int
 
 
-def _model(f: dict) -> tuple[DistributionSpec, Moments]:
-    """The model of a checked distribution document, and its moments."""
+def _model(f: dict) -> tuple[DistributionSpec, Moments, FourthMomentOperator]:
+    """The model of a checked distribution document, its moments and its
+    fourth-moment operator."""
     h = f["H_spec"]
     if h == "identity" or (h is None and f["kind"] != DISCRETE):
         h = np.eye(f["d"])
@@ -243,7 +245,7 @@ def _model(f: dict) -> tuple[DistributionSpec, Moments]:
             noise_sigma=f["noise_sigma"], misspec_fn=f["misspec_fn"],
             support=tuple(SupportAtom(**a) for a in f["support"] or ()),
         )
-        return spec, resolve_moments(spec)
+        return (spec, *resolve_model(spec))
     except (TailSgdError, ValueError, ArithmeticError) as exc:
         # ArithmeticError: finite inputs whose moments overflow
         raise ConfigError("distribution", str(exc)) from exc
@@ -255,9 +257,11 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     derived rules."""
     f = _read(doc, _EXPERIMENT_FIELDS)
     d, big_t = f["distribution"]["d"], f["T"]
-    if BLOCK * f["replicates"] * d * 8 > _BUFFER_CAP:
-        raise ConfigError("replicates", f"the draw buffer of {BLOCK} x {f['replicates']} "
-                                        f"x {d} floats exceeds {_BUFFER_CAP} bytes")
+    shape = draw_buffer_shape(f["replicates"], big_t, d)
+    if math.prod(shape) * 8 > _BUFFER_CAP:
+        raise ConfigError("replicates", "the draw buffer of "
+                                        f"{' x '.join(map(str, shape))} floats "
+                                        f"exceeds {_BUFFER_CAP} bytes")
     w0 = np.zeros(d) if f["w0"] is None else np.asarray(f["w0"])
     if w0.shape != (d,):
         raise ConfigError("w0", f"shape {w0.shape} incompatible with d={d}")
@@ -267,7 +271,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if t >= big_t:
         raise ConfigError("t", f"window [{t}, {big_t}) is empty")
 
-    dist, m = _model(f["distribution"])
+    dist, m, op = _model(f["distribution"])
     if f["gamma_rule"] == "explicit":
         if f["gamma"] is None:
             raise ConfigError("gamma", "required when gamma_rule is explicit")
@@ -279,8 +283,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         gamma = 1.0 / (2.0 * rho * m.R2)
     if not 0.0 < gamma < 1.0 / m.R2:
         raise ConfigError("gamma", f"{gamma!r} outside the stable range (0, {1.0 / m.R2!r})")
-    return ExperimentConfig(distribution=dist, moments=m, gamma=gamma, t=t, T=big_t,
-                            w0=w0, replicates=f["replicates"], seed=f["seed"])
+    return ExperimentConfig(distribution=dist, moments=m, operator=op, gamma=gamma, t=t,
+                            T=big_t, w0=w0, replicates=f["replicates"], seed=f["seed"])
 
 
 def parse_config(text: str, replicates: int | None = None,
@@ -333,7 +337,7 @@ def stationary_report(cfg: ExperimentConfig, method: str) -> dict:
     m = cfg.moments
     solver = {"fixed-point": solve_stationary_fixed_point,
               "direct": solve_stationary_direct}[method]
-    sol = solver(m.H, _resolve_operator(cfg.distribution, m), m.Sigma, cfg.gamma)
+    sol = solver(m.H, cfg.operator, m.Sigma, cfg.gamma)
     trace = float(np.trace(sol.cov))
     return {
         "method": sol.method, "cov": sol.cov, "residual": sol.residual,
@@ -502,7 +506,7 @@ def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckRe
     # a non-finite bound fails here, before any check is paid for
     bound = bound_report(cfg)
     gamma = cfg.gamma
-    op = FourthMomentOperator.from_spec(spec)
+    op = cfg.operator
     h, sigma = m.H, m.Sigma
     d = m.d
     eye = np.eye(d)

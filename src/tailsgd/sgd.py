@@ -7,10 +7,13 @@ the final state w_T never does.
 
 ``run_replicates`` runs one replicate per seed with the update vectorized
 across replicates.  Each replicate owns an independent sample stream, drawn
-in fixed-size blocks, so a replicate's trajectory depends only on its own
-seed: splitting a seed list across calls (or worker processes) reproduces
-bit-identical trajectories.  Iterate sums use compensated (Kahan) summation
-so long tail averages do not lose precision.
+in fixed-size blocks: per block, every stream fills its raw variates into
+its rows of one shared buffer, and one transform turns the whole buffer into
+covariates and labels.  A replicate's draws, and so its trajectory, depend
+only on its own seed: splitting a seed list across calls (or worker
+processes) reproduces bit-identical trajectories.  The step loop reads the
+buffer in place and allocates nothing per step.  Iterate sums use
+compensated (Kahan) summation so long tail averages do not lose precision.
 
 A run advances any of three processes as rows of one pass over each
 replicate's draws: the standard process; the bias process, the noise-free
@@ -25,7 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DistributionSpec, Moments, SampleStream, estimate_moments, exact_moments
+from .distributions import (
+    DistributionSpec,
+    Moments,
+    SampleStream,
+    _pairs,
+    exact_moments,
+    sample_moments,
+)
 from .errors import (
     DimensionError,
     EmptyWindowError,
@@ -34,10 +44,9 @@ from .errors import (
 )
 from .stationary import FourthMomentOperator
 
-# Samples buffered per replicate between vectorized sweeps.  The buffer costs
-# min(BLOCK, T) * replicates * d * 8 bytes; the draw pattern is a function of
-# T alone, which is what keeps trajectories independent of how seeds are
-# batched.
+# Samples buffered per replicate between vectorized sweeps (see
+# draw_buffer_shape).  The draw pattern is a function of T alone, which is
+# what keeps trajectories independent of how seeds are batched.
 BLOCK = 512
 
 PROCESSES = ("standard", "bias", "variance")
@@ -90,17 +99,20 @@ class BatchResult:
 
 
 class _KahanSum:
-    """Compensated elementwise sum of equally shaped arrays."""
+    """Compensated elementwise sum of equally shaped arrays, in place."""
 
     def __init__(self, shape):
         self._s = np.zeros(shape)
         self._c = np.zeros(shape)
+        self._t = np.empty(shape)
+        self._y = np.empty(shape)
 
     def add(self, v):
-        y = v - self._c
-        t = self._s + y
-        self._c = (t - self._s) - y
-        self._s = t
+        y = np.subtract(v, self._c, out=self._y)
+        t = np.add(self._s, y, out=self._t)
+        np.subtract(t, self._s, out=self._c)
+        self._c -= y
+        self._s, self._t = t, self._s
 
     def total(self) -> np.ndarray:
         return self._s.copy()
@@ -116,21 +128,26 @@ def check_stepsize(gamma: float, r2: float):
         )
 
 
-def resolve_moments(spec: DistributionSpec) -> Moments:
-    """Closed-form moments when available, otherwise a Monte-Carlo estimate
-    with a fixed internal seed so repeated resolutions agree exactly."""
+def resolve_model(spec: DistributionSpec) -> tuple[Moments, FourthMomentOperator]:
+    """The model's moments and fourth-moment operator, with one backing:
+    closed forms when available, otherwise both from one Monte-Carlo draw
+    with a fixed internal seed, so repeated resolutions agree exactly."""
     try:
-        return exact_moments(spec)
+        return exact_moments(spec), FourthMomentOperator.from_spec(spec)
     except IntractableMomentsError:
-        return estimate_moments(spec, _EST_SAMPLES, _EST_SEED)
+        x, y = SampleStream(spec, _EST_SEED).draw(_EST_SAMPLES)
+        return sample_moments(spec, x, y), FourthMomentOperator.sampled(x)
 
 
-def _resolve_operator(spec: DistributionSpec, m: Moments) -> FourthMomentOperator:
-    """The fourth-moment operator with the backing of ``resolve_moments``:
-    exact for closed-form moments, else built from the same draws."""
-    if m.exact:
-        return FourthMomentOperator.from_spec(spec)
-    return FourthMomentOperator.monte_carlo(spec, _EST_SAMPLES, _EST_SEED)
+def resolve_moments(spec: DistributionSpec) -> Moments:
+    """The moments of ``resolve_model``."""
+    return resolve_model(spec)[0]
+
+
+def draw_buffer_shape(replicates: int, T: int, d: int) -> tuple[int, int, int]:
+    """Shape of the draw buffer of a run: one block of min(BLOCK, T) rows of
+    d + 1 raw variates per replicate, the last column holding the labels."""
+    return replicates, min(BLOCK, T), d + 1
 
 
 def run_replicates(spec: DistributionSpec, config: SgdConfig, seeds, *,
@@ -177,18 +194,20 @@ def run_replicates(spec: DistributionSpec, config: SgdConfig, seeds, *,
     w[:] = np.stack([start[p] for p in names])
     shift = np.stack([w_star if p == "bias" else np.zeros(d) for p in names])
     mask = np.array([0.0 if p == "bias" else 1.0 for p in names])
+    labels = bool(mask.any())
 
     tail = _KahanSum(w.shape)
-    rows = min(BLOCK, big_t)
-    xb = np.empty((rows, n_rep, d))
-    yb = np.empty((rows, n_rep))
+    buf = np.empty(draw_buffer_shape(n_rep, big_t, d)).reshape(-1)
+    dot, r, upd = np.empty(w.shape[:2]), np.empty(w.shape[:2]), np.empty(w.shape)
     done = 0
     while done < big_t:
         b = min(BLOCK, big_t - done)
-        for i, stream in enumerate(streams):
-            xi, yi = stream.draw(b)
-            xb[:b, i, :] = xi
-            yb[:b, i] = yi
+        # contiguous, a short last block too: a strided one makes numpy
+        # buffer its broadcast products
+        block = buf[:n_rep * b * (d + 1)].reshape(n_rep, b, d + 1)
+        for stream, rows in zip(streams, block):
+            stream._fill(rows)
+        xb, yb = _pairs(spec, block, labels)
         for j in range(b):
             state = done + j
             if state >= t0:
@@ -196,9 +215,16 @@ def run_replicates(spec: DistributionSpec, config: SgdConfig, seeds, *,
             k = snap_idx.get(state)
             if k is not None:
                 snaps[k] = w
-            x = xb[j]
-            r = gamma * (yb[j][:, None] * mask - np.einsum("rpd,rd->rp", w, x))
-            w += r[:, :, None] * x[:, None, :]
+            x = xb[:, j]
+            # r = gamma * (y * mask - w.x), the dot's summation order fixed by einsum
+            np.einsum("rpd,rd->rp", w, x, out=dot)
+            if labels:
+                np.multiply(yb[:, j, None], mask, out=r)
+                r -= dot
+            else:
+                np.subtract(0.0, dot, out=r)
+            r *= gamma
+            w += np.einsum("rp,rd->rpd", r, x, out=upd)
         done += b
     k = snap_idx.get(big_t)
     if k is not None:

@@ -63,6 +63,7 @@ from .matcore import (
     _BUFFER_CAP,
     _ROW_BLOCK,
     _quad_forms,
+    _sym_part,
     _weighted_gram,
     matrix_norm_under,
     spd,
@@ -107,21 +108,27 @@ class FourthMomentOperator:
 
     @classmethod
     def monte_carlo(cls, spec: DistributionSpec, n: int, seed) -> "FourthMomentOperator":
-        """Backing from n covariate draws of a model (labels are discarded)."""
+        """Backing from n covariate draws of a model (no labels are formed)."""
         if n < 1:
             raise ValueError(f"need at least one sample, got {n}")
-        x, _ = SampleStream(spec, seed).draw(n)
+        return cls.sampled(SampleStream(spec, seed)._draw(n, labels=False)[0])
+
+    @classmethod
+    def sampled(cls, x) -> "FourthMomentOperator":
+        """Monte-Carlo backing: the sample average over the rows of x."""
+        n = x.shape[0]
         return cls("monte_carlo", xs=x, probs=np.full(n, 1.0 / n), exact=False)
 
     @classmethod
     def from_spec(cls, spec: DistributionSpec) -> "FourthMomentOperator":
         """Exact backing for a model's covariate distribution.  Available for
-        every kind: the Gaussian families share the same x marginal."""
+        every kind: the Gaussian families share the same x marginal, whose
+        H the spec has already checked."""
         if spec.kind == DISCRETE:
             xs = np.stack([a.x for a in spec.support])
             probs = np.array([a.prob for a in spec.support])
             return cls.discrete(xs, probs)
-        return cls.gaussian(spec.H_spec)
+        return cls("gaussian", h=spec.H_spec, exact=True)
 
     @property
     def d(self) -> int:
@@ -132,10 +139,14 @@ class FourthMomentOperator:
         mm = sym(m)
         if mm.shape[0] != self.d:
             raise DimensionError(f"matrix has shape {mm.shape}, expected ({self.d}, {self.d})")
+        return sym(self._unsymmetrized(mm))
+
+    def _unsymmetrized(self, mm: np.ndarray) -> np.ndarray:
+        # the map on a checked symmetric M, before its result is symmetrised
         if self.kind == "gaussian":
             hm = self._h @ mm
-            return sym(2.0 * (hm @ self._h) + np.trace(hm) * self._h)
-        return sym(_weighted_gram(self._xs, self._probs, mm))
+            return 2.0 * (hm @ self._h) + np.trace(hm) * self._h
+        return _weighted_gram(self._xs, self._probs, mm)
 
     def apply_with_stderr(self, m):
         """Monte-Carlo mean and entrywise standard error of (x^T M x) x x^T.
@@ -187,10 +198,18 @@ def damped_anticommutator(m, h, gamma: float) -> np.ndarray:
 
 
 def covariance_step(c, h, s_op: FourthMomentOperator, sigma, gamma: float) -> np.ndarray:
-    """One application of the covariance recursion."""
-    cc = sym(c)
-    return sym(cc - gamma * anticommutator(cc, h)
-               + gamma ** 2 * (s_op.apply(cc) + sym(sigma)))
+    """One application of the covariance recursion.
+
+    C, H and Sigma are validated once, on entry, and the result on exit; the
+    terms in between are symmetrised without checking them again.
+    """
+    cc, hh, ss = sym(c), sym(h), sym(sigma)
+    if not cc.shape == hh.shape == ss.shape == (s_op.d, s_op.d):
+        raise DimensionError(f"shape mismatch: C {cc.shape}, H {hh.shape}, "
+                             f"Sigma {ss.shape}, operator dimension {s_op.d}")
+    hm = hh @ cc
+    return sym(cc - gamma * (hm + hm.T)
+               + gamma ** 2 * (_sym_part(s_op._unsymmetrized(cc)) + ss))
 
 
 def stationary_residual(c, h, s_op: FourthMomentOperator, sigma, gamma: float) -> float:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,32 @@ def test_gaussian_draws_split_invariant():
         assert np.array_equal(x, z[:, :3] * np.sqrt([2.0, 1.0, 0.5]))
         assert np.array_equal(
             y, x @ spec.w_star + (shift + np.linalg.norm(x, axis=1)) * 0.7 * z[:, 3])
+
+
+def test_misspecified_draw_squares_one_row_block_at_a_time():
+    # beside its (n, d + 1) block a draw holds a few length-n vectors and
+    # the squares of one row block, not an (n, d) array of them
+    spec = gaussian_spec(10, sigma=1.0, kind="gaussian_misspecified")
+    n = 4 * _ROW_BLOCK
+    tracemalloc.start()
+    try:
+        SampleStream(spec, 1).draw(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 11 * 8 + 4 * n * 8 + 2 * _ROW_BLOCK * 10 * 8
+
+
+def test_draw_layouts():
+    # BLAS dots over rows sum in an order set by the row stride, so results
+    # computed from a draw keep their bits only if its layout stays: y and a
+    # gathered or multiplied x are contiguous, a scaled x is a view of the
+    # draw's normals
+    dense = gaussian_spec(3, h=random_spd(3, 1))
+    for spec, x_view in ((gaussian_spec(3, h=np.diag([2.0, 1.0, 0.5])), True),
+                         (dense, False), (two_point_spec(y_std=1.0), False)):
+        x, y = SampleStream(spec, 3).draw(50)
+        assert y.flags.c_contiguous and x.flags.c_contiguous is not x_view
 
 
 def test_moments_validation():

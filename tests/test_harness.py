@@ -9,7 +9,7 @@ import pytest
 
 from tailsgd.bounds import rate_constants
 from tailsgd.cli import main
-from tailsgd.distributions import exact_moments
+from tailsgd.distributions import SampleStream, exact_moments
 from tailsgd.errors import ConfigError, ConvergenceError, IntractableMomentsError
 from tailsgd.harness import (
     SWEEP_COLUMNS,
@@ -93,7 +93,7 @@ def test_parse_h_spec_forms():
      "distribution.support[0].prob"),
     ({"distribution": {"kind": "gaussian_well_specified", "d": 1001}}, "distribution.d"),
     ({"distribution": {"kind": "gaussian_well_specified", "d": 3}, "T": 10**9 + 1}, "T"),
-    # the draw buffer (BLOCK * replicates * d floats) would exceed its cap
+    # the draw buffer (replicates x min(BLOCK, T) x (d + 1) floats) would exceed its cap
     ({"distribution": {"kind": "gaussian_well_specified", "d": 100}, "replicates": 10**6},
      "replicates"),
 ])
@@ -101,6 +101,13 @@ def test_parse_config_rejects_bad_documents(doc, field):
     with pytest.raises(ConfigError) as err:
         config_from_dict(doc)
     assert err.value.field == field
+
+
+def test_parse_config_sizes_the_draw_buffer_by_horizon():
+    # 300 replicates x min(512, 10) rows x 1001 floats: a 24 MB buffer
+    cfg = config_from_dict({"distribution": {"kind": "gaussian_well_specified", "d": 1000},
+                            "T": 10, "replicates": 300})
+    assert (cfg.distribution.d, cfg.T, cfg.replicates) == (1000, 10, 300)
 
 
 def test_parse_config_rejects_invalid_json():
@@ -346,6 +353,23 @@ def test_cli_solve_cov_operator_matches_moments(tmp_path, capsys):
         assert main(["solve-cov", "--config", str(path)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["operator_exact"] is payload["moments_exact"] is exact
+
+
+@pytest.mark.parametrize("argv", [["bound"], ["solve-cov", "--method", "direct"],
+                                  ["solve-cov", "--method", "fixed-point"]])
+def test_cli_estimate_only_model_draws_once(argv, tmp_path, monkeypatch, capsys):
+    # moments and operator of an estimate-only model come from one draw
+    rows = []
+    real = SampleStream._fill
+    monkeypatch.setattr(SampleStream, "_fill",
+                        lambda self, out: (rows.append(len(out)), real(self, out))[1])
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"distribution": {
+        "kind": "gaussian_misspecified", "d": 2, "noise_sigma": 1.0,
+        "misspec_fn": "one_plus_norm_x"}}))
+    assert main([*argv, "--config", str(path)]) == 0
+    assert rows == [32768]
+    capsys.readouterr()
 
 
 def test_cli_numerical_failure_exit_code(config_path, monkeypatch, tmp_path, capsys):

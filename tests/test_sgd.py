@@ -1,12 +1,22 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import gaussian_spec
-from tailsgd.distributions import DistributionSpec, SupportAtom, exact_moments
+import tailsgd.sgd as sgd_mod
+from helpers import discrete_spec, gaussian_spec, random_spd
+from tailsgd.distributions import DistributionSpec, SampleStream, SupportAtom, exact_moments
 from tailsgd.errors import DimensionError, EmptyWindowError, StepSizeError
-from tailsgd.sgd import PROCESSES, SgdConfig, resolve_moments, run_replicates
+from tailsgd.matcore import _ROW_BLOCK
+from tailsgd.sgd import (
+    BLOCK,
+    PROCESSES,
+    SgdConfig,
+    draw_buffer_shape,
+    resolve_moments,
+    run_replicates,
+)
 
 
 def unit_design_1d(y_mean=1.0):
@@ -191,3 +201,83 @@ def test_short_runs_size_the_draw_buffer_by_horizon():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2 ** 20
+
+
+BLOCK_KINDS = {
+    "diagonal": lambda: gaussian_spec(3, h=np.diag([2.0, 1.0, 0.5]), sigma=0.7),
+    "dense": lambda: gaussian_spec(4, h=random_spd(4, 5), sigma=0.7),
+    "norm_x": lambda: gaussian_spec(3, h=np.diag([2.0, 1.0, 0.5]), sigma=0.7,
+                                    kind="gaussian_misspecified"),
+    "one_plus_norm_x": lambda: gaussian_spec(4, h=random_spd(4, 6), sigma=0.7,
+                                             kind="gaussian_misspecified",
+                                             misspec_fn="one_plus_norm_x"),
+    "discrete": lambda: discrete_spec(3, 8),
+}
+
+
+def _blocks_seen(monkeypatch, spec, seeds, big_t, process="standard"):
+    """Copies of the (x, y) blocks a run of run_replicates steps through."""
+    seen = []
+
+    def recording(spec_, block, labels):
+        x, y = real(spec_, block, labels)
+        seen.append((x.copy(), None if y is None else y.copy()))
+        return x, y
+
+    real = sgd_mod._pairs
+    monkeypatch.setattr(sgd_mod, "_pairs", recording)
+    m = resolve_moments(spec)
+    cfg = SgdConfig(gamma=0.1 / m.R2, w0=np.zeros(spec.d), t_avg_start=0, T=big_t)
+    run_replicates(spec, cfg, seeds, process=process, moments=m)
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("big_t", [1, BLOCK - 1, BLOCK + 17])
+@pytest.mark.parametrize("kind", sorted(BLOCK_KINDS))
+def test_block_pairs_equal_lone_draws(monkeypatch, kind, big_t):
+    # each replicate's rows of every block are its own stream's draw of that
+    # block, bit for bit, however the seeds are batched and with labels off
+    spec = BLOCK_KINDS[kind]()
+    seeds = [(6, r) for r in range(5)]
+    joint = _blocks_seen(monkeypatch, spec, seeds, big_t)
+    streams = [SampleStream(spec, s) for s in seeds]
+    sizes = [min(BLOCK, big_t - done) for done in range(0, big_t, BLOCK)]
+    assert len(joint) == len(sizes)
+    for (x, y), b in zip(joint, sizes):
+        assert x.shape == (len(seeds), b, spec.d) and y.shape == (len(seeds), b)
+        for i, stream in enumerate(streams):
+            xi, yi = stream.draw(b)
+            assert np.array_equal(x[i], xi) and np.array_equal(y[i], yi)
+    halves = [_blocks_seen(monkeypatch, spec, part, big_t) for part in (seeds[:2], seeds[2:])]
+    for k, (x, y) in enumerate(joint):
+        assert np.array_equal(x, np.concatenate([h[k][0] for h in halves]))
+        assert np.array_equal(y, np.concatenate([h[k][1] for h in halves]))
+    unlabelled = _blocks_seen(monkeypatch, spec, seeds, big_t, process="bias")
+    for (x, _), (bx, by) in zip(joint, unlabelled):
+        assert by is None and np.array_equal(x, bx)
+
+
+@pytest.mark.parametrize("kind, allowance", [
+    ("gaussian_well_specified", 0),
+    # the noise scale ||x|| squares one row block of x at a time
+    ("gaussian_misspecified", _ROW_BLOCK * 100 * 8),
+])
+def test_run_memory_is_the_draw_buffer_plus_a_small_working_set(kind, allowance):
+    # the sweep's d=100 cell.  Beside the draw buffer a run holds about ten
+    # (R, P, d) arrays (state, Kahan sum, update, outputs) and the label
+    # temporaries of one chunk of streams; an (R, rows, P) label buffer would
+    # add five more units, an unblocked ||x|| temporary a whole buffer
+    r, p, d = 200, len(PROCESSES), 100
+    spec = gaussian_spec(d, sigma=1.0, kind=kind)
+    m = exact_moments(spec)
+    cfg = SgdConfig(gamma=0.5 / m.R2, w0=np.zeros(d), t_avg_start=512, T=1024)
+    seeds = [(0, 1, i) for i in range(r)]
+    buffer = math.prod(draw_buffer_shape(r, 1024, d)) * 8
+    tracemalloc.start()
+    try:
+        run_replicates(spec, cfg, seeds, process=PROCESSES, moments=m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - buffer < 12 * r * p * d * 8 + allowance
