@@ -17,12 +17,12 @@ equal draw patterns reproduce bit-identical samples; distinct seeds give
 independent streams.  For the Gaussian families the draw pattern does not
 matter: one draw of 2n pairs equals two consecutive draws of n.
 
-Sampling has two steps with one path.  A stream fills its raw variates into
-its rows of a (streams, n, d + 1) block, and ``_pairs`` turns a whole block
-into pairs in place: x over the first d columns, y written over the noise
-column.  ``SampleStream.draw(n)`` is a block of one stream; a simulation
-fills one block row per replicate and transforms all of them at once, with
-the same numbers as lone draws.
+Sampling has two steps with one path.  A stream fills the raw variates of
+its pairs into its rows of an array, and one transform turns the rows of
+many streams into pairs at once.  ``SampleStream.draw(n)`` transforms the
+rows of one stream; ``draw_block`` fills one (n, d + 1) block per stream,
+transforms all of them together and writes x over the first d columns and
+y over the noise column, with the same numbers as lone draws.
 
 Gaussian covariates are x = L z with L the Cholesky factor of H, computed once
 per spec.  When L is diagonal (every H the sweep grid builds) the spec keeps
@@ -263,9 +263,10 @@ class SampleStream:
         self._gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
     def _fill(self, out: np.ndarray):
-        """Write the raw variates of len(out) pairs into ``out``, a C-contiguous
-        (n, d + 1) block: normals [z, eta] row by row for the Gaussian kinds,
-        and for the discrete kind n uniforms then n normals from its start."""
+        """Write the raw variates of n = len(out) pairs into ``out``, a
+        C-contiguous (n, k) array: n rows of normals [z, eta] (k = d + 1) for
+        the Gaussian kinds, and for the discrete kind n uniforms then n
+        normals from its start (k >= 2)."""
         if self.spec.kind == DISCRETE:
             n = out.shape[0]
             flat = out.reshape(-1)
@@ -275,70 +276,83 @@ class SampleStream:
             # one contiguous block per draw keeps the stream split-invariant
             self._gen.standard_normal(out=out)
 
-    def _draw(self, n: int, labels: bool):
-        if n < 1:
-            raise ValueError(f"draw size must be positive, got {n}")
-        block = np.empty((1, n, self.spec.d + 1))
-        self._fill(block[0])
-        x, y = _pairs(self.spec, block, labels)
-        x, y = x[0], None if y is None else y[0].copy()
-        # Results computed from a draw depend on its memory layout: BLAS dots
-        # over rows (x.T @ y, or any product at d = 1) sum in an order set by
-        # the row stride.  So a draw keeps the layouts it has always had: y
-        # and a gathered or multiplied x are fresh arrays, a scaled x a view.
-        if self.spec.kind == DISCRETE or self.spec._chol.ndim == 2:
-            x = x.copy()
-        return x, y
-
     def draw(self, n: int):
         """Draw n pairs; returns (X, y) with shapes (n, d) and (n,)."""
-        return self._draw(n, labels=True)
+        x, y = _pairs(self.spec, self._raw(n))
+        return x[0], y[0]
+
+    def draw_covariates(self, n: int) -> np.ndarray:
+        """X of ``draw(n)``, shape (n, d), without forming the labels; the
+        stream advances as ``draw(n)`` advances it."""
+        return _pairs(self.spec, self._raw(n), labels=False)[0][0]
+
+    def _raw(self, n: int) -> np.ndarray:
+        if n < 1:
+            raise ValueError(f"draw size must be positive, got {n}")
+        # a discrete x is gathered from the atoms: its raw variates need no
+        # room for it
+        raw = np.empty((1, n, 2 if self.spec.kind == DISCRETE else self.spec.d + 1))
+        self._fill(raw[0])
+        return raw
 
 
-def _pairs(spec: DistributionSpec, block: np.ndarray, labels: bool = True):
-    """Turn a (streams, n, d + 1) block of raw variates, each stream's filled
-    by ``SampleStream._fill``, into pairs in place.
+def draw_block(streams, block: np.ndarray):
+    """Draw n pairs from each of ``streams``, streams of one model, into
+    ``block``, a C-contiguous (len(streams), n, d + 1) array.
 
-    Returns views (x, y) of shapes (streams, n, d) and (streams, n): x over
-    the first d columns, y over the last.  Without ``labels`` y is None and
-    the last column is left as drawn.  The work runs over chunks of whole
-    streams, at most ``_ROW_BLOCK`` rows where streams are shorter, so no
-    temporary spans the block, and every product runs once per stream on its
-    (n, d) rows: the shapes a lone ``draw(n)`` gives it, so a stream's pairs
-    do not depend on the streams beside it.
+    Returns views (x, y) of the block with shapes (streams, n, d) and
+    (streams, n): x over the first d columns, y over the last.  Each stream
+    fills its rows with the raw variates of its ``draw(n)``, and the
+    transform runs over chunks of whole streams, at most ``_ROW_BLOCK`` rows
+    where streams are shorter, so no temporary spans the block.  Every
+    product runs once per stream on its (n, d) rows, the shapes a lone draw
+    gives it, so each stream's pairs are those of its ``draw(n)``.
     """
-    streams, n = block.shape[:2]
-    if spec.kind != DISCRETE and spec._chol.ndim == 1:
-        # in place over the contiguous block; eta's factor is an exact 1.0
-        block *= spec._chol
+    spec = streams[0].spec
+    n, d = block.shape[1], spec.d
+    for stream, rows in zip(streams, block):
+        stream._fill(rows)
     step = max(1, _ROW_BLOCK // n)
-    for i in range(0, streams, step):
-        _chunk_pairs(spec, block[i:i + step], labels)
-    return block[..., :spec.d], block[..., spec.d] if labels else None
+    for i in range(0, len(streams), step):
+        chunk = block[i:i + step]
+        x, y = _pairs(spec, chunk)
+        if spec.kind == DISCRETE or spec._chol.ndim == 2:
+            chunk[..., :d] = x
+        chunk[..., d] = y
+    return block[..., :d], block[..., d]
 
 
-def _chunk_pairs(spec: DistributionSpec, chunk: np.ndarray, labels: bool):
-    """``_pairs`` on a chunk of whole streams."""
-    n, d = chunk.shape[1], spec.d
-    x, y = chunk[..., :d], chunk[..., d]
+def _pairs(spec: DistributionSpec, raw: np.ndarray, labels: bool = True):
+    """The pairs (x, y) of a (streams, n, k) array of raw variates, each
+    stream's rows filled by ``SampleStream._fill``.
+
+    x has shape (streams, n, d): where the Cholesky factor is diagonal, the
+    normals scaled in place and returned as a view of ``raw``, otherwise a
+    fresh array.  y is a fresh (streams, n) array, or None without
+    ``labels``.  Results computed from a draw depend on these layouts (BLAS
+    dots over rows, x.T @ y or any product at d = 1, sum in an order set by
+    the row stride), so they are the layouts draws have always had.
+    """
+    n, d = raw.shape[1], spec.d
     if spec.kind == DISCRETE:
         xs, y_mean, y_std, cum = spec._atoms
         # each stream's n uniforms, then its n normals, from its row start
-        raw = chunk.reshape(chunk.shape[0], -1)
-        idx = np.minimum(np.searchsorted(cum, raw[:, :n], side="right"), len(cum) - 1)
-        # labels first: x overwrites the raw variates
-        if labels:
-            labelled = y_mean[idx] + y_std[idx] * raw[:, n:2 * n]
-        x[...] = xs[idx]
-        if labels:
-            y[...] = labelled
-        return
-    if spec._chol.ndim == 2:
-        x[...] = x @ spec._chol.T
+        flat = raw.reshape(raw.shape[0], -1)
+        idx = np.minimum(np.searchsorted(cum, flat[:, :n], side="right"), len(cum) - 1)
+        y = y_mean[idx] + y_std[idx] * flat[:, n:2 * n] if labels else None
+        return np.take(xs, idx, axis=0), y
+    if spec._chol.ndim == 1:
+        # in place over the contiguous rows; eta's factor is an exact 1.0
+        raw *= spec._chol
+        x = raw[..., :d]
+    else:
+        x = raw[..., :d] @ spec._chol.T
     if not labels:
-        return
+        return x, None
+    eta = raw[..., d]
+    y = x @ spec.w_star
     if spec.kind == GAUSSIAN_WELL_SPECIFIED:
-        y *= spec.noise_sigma
+        y += spec.noise_sigma * eta
     else:
         # ||x|| over row blocks, with no temporary of squares past _ROW_BLOCK rows
         g = np.empty(y.shape)
@@ -348,8 +362,9 @@ def _chunk_pairs(spec: DistributionSpec, chunk: np.ndarray, labels: bool):
         if spec.misspec_fn != "norm_x":
             g += 1.0
         g *= spec.noise_sigma
-        y *= g
-    y += x @ spec.w_star
+        g *= eta
+        y += g
+    return x, y
 
 
 def weighted_fourth_moment(spec: DistributionSpec) -> np.ndarray:

@@ -26,11 +26,12 @@ rejected, and a malformed document raises ConfigError naming its field.  ::
       "seed": 0               # default 0, 0 <= seed < 2^64
     }
 
-The draw buffer, replicates * min(BLOCK, T) * (d + 1) * 8 bytes, may not
-exceed 1 GiB.  A sweep reads gamma, replicates, seed, noise_sigma (default
-1.0) and t_rule (half_T only) through the same entries, and checks its axes d
-(default [1, 3, 10]), gamma_rules (default both derived rules), T (default
-[1000, 10000]) and families (default both) against the entries they vary.
+A run's draw buffer and state, replicates * (min(BLOCK, T) * (d + 1) +
+24 * d) * 8 bytes, may not exceed 1 GiB.  A sweep reads gamma, replicates,
+seed, noise_sigma (default 1.0) and t_rule (half_T only) through the same
+entries, and checks its axes d (default [1, 3, 10]), gamma_rules (default
+both derived rules), T (default [1000, 10000]) and families (default both)
+against the entries they vary.
 
 Stepsize rules resolve against the model's moments: ``half_inv_R2`` gives
 gamma = 1 / (2 R^2) and ``half_inv_rho_R2`` gives gamma = 1 / (2 rho R^2),
@@ -79,7 +80,7 @@ from .distributions import (
 )
 from .errors import ConfigError, NonFiniteResultError, TailSgdError
 from .matcore import _BUFFER_CAP, _quad_forms, psd_order_leq, sym_to_vec, vec_to_sym
-from .sgd import PROCESSES, SgdConfig, draw_buffer_shape, resolve_model, run_replicates
+from .sgd import PROCESSES, SgdConfig, resolve_model, run_bytes, run_replicates
 from .stationary import (
     FourthMomentOperator,
     covariance_step,
@@ -257,11 +258,10 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     derived rules."""
     f = _read(doc, _EXPERIMENT_FIELDS)
     d, big_t = f["distribution"]["d"], f["T"]
-    shape = draw_buffer_shape(f["replicates"], big_t, d)
-    if math.prod(shape) * 8 > _BUFFER_CAP:
-        raise ConfigError("replicates", "the draw buffer of "
-                                        f"{' x '.join(map(str, shape))} floats "
-                                        f"exceeds {_BUFFER_CAP} bytes")
+    size = run_bytes(f["replicates"], big_t, d)
+    if size > _BUFFER_CAP:
+        raise ConfigError("replicates", f"a run's draw buffer and state take {size} "
+                                        f"bytes, over the cap of {_BUFFER_CAP}")
     w0 = np.zeros(d) if f["w0"] is None else np.asarray(f["w0"])
     if w0.shape != (d,):
         raise ConfigError("w0", f"shape {w0.shape} incompatible with d={d}")

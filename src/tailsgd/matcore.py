@@ -45,12 +45,6 @@ def sym(m) -> np.ndarray:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
-    return _sym_part(a)
-
-
-def _sym_part(a: np.ndarray) -> np.ndarray:
-    """(A + A^T)/2 of a matrix already known to be square and finite; the
-    arithmetic of ``sym`` without its checks."""
     return 0.5 * (a + a.T)
 
 

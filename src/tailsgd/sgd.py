@@ -24,6 +24,7 @@ drawn.  Every row of a replicate sees the same draws.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,7 @@ from .distributions import (
     DistributionSpec,
     Moments,
     SampleStream,
-    _pairs,
+    draw_block,
     exact_moments,
     sample_moments,
 )
@@ -50,6 +51,10 @@ from .stationary import FourthMomentOperator
 BLOCK = 512
 
 PROCESSES = ("standard", "bias", "variance")
+
+# (replicates, len(PROCESSES), d) arrays a run holds beside its draw buffer:
+# the state and its update, the four of the Kahan sum, and two for outputs
+_STATE_ARRAYS = 8
 
 # Fallback moment estimate for models without closed forms: sample count and
 # the fixed internal seed that keeps repeated resolutions identical.
@@ -150,6 +155,13 @@ def draw_buffer_shape(replicates: int, T: int, d: int) -> tuple[int, int, int]:
     return replicates, min(BLOCK, T), d + 1
 
 
+def run_bytes(replicates: int, T: int, d: int) -> int:
+    """Bytes of the arrays of a run that grow with its replicates: the draw
+    buffer and the state arrays of every process, snapshots aside."""
+    state = _STATE_ARRAYS * replicates * len(PROCESSES) * d
+    return 8 * (math.prod(draw_buffer_shape(replicates, T, d)) + state)
+
+
 def run_replicates(spec: DistributionSpec, config: SgdConfig, seeds, *,
                    process: str | tuple[str, ...] = "standard",
                    moments: Moments | None = None, snapshot_steps=()) -> BatchResult:
@@ -194,20 +206,16 @@ def run_replicates(spec: DistributionSpec, config: SgdConfig, seeds, *,
     w[:] = np.stack([start[p] for p in names])
     shift = np.stack([w_star if p == "bias" else np.zeros(d) for p in names])
     mask = np.array([0.0 if p == "bias" else 1.0 for p in names])
-    labels = bool(mask.any())
 
     tail = _KahanSum(w.shape)
-    buf = np.empty(draw_buffer_shape(n_rep, big_t, d)).reshape(-1)
+    buf = np.empty(math.prod(draw_buffer_shape(n_rep, big_t, d)))
     dot, r, upd = np.empty(w.shape[:2]), np.empty(w.shape[:2]), np.empty(w.shape)
     done = 0
     while done < big_t:
         b = min(BLOCK, big_t - done)
         # contiguous, a short last block too: a strided one makes numpy
         # buffer its broadcast products
-        block = buf[:n_rep * b * (d + 1)].reshape(n_rep, b, d + 1)
-        for stream, rows in zip(streams, block):
-            stream._fill(rows)
-        xb, yb = _pairs(spec, block, labels)
+        xb, yb = draw_block(streams, buf[:n_rep * b * (d + 1)].reshape(n_rep, b, d + 1))
         for j in range(b):
             state = done + j
             if state >= t0:
@@ -218,11 +226,8 @@ def run_replicates(spec: DistributionSpec, config: SgdConfig, seeds, *,
             x = xb[:, j]
             # r = gamma * (y * mask - w.x), the dot's summation order fixed by einsum
             np.einsum("rpd,rd->rp", w, x, out=dot)
-            if labels:
-                np.multiply(yb[:, j, None], mask, out=r)
-                r -= dot
-            else:
-                np.subtract(0.0, dot, out=r)
+            np.multiply(yb[:, j, None], mask, out=r)
+            r -= dot
             r *= gamma
             w += np.einsum("rp,rd->rpd", r, x, out=upd)
         done += b

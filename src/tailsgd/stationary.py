@@ -63,7 +63,6 @@ from .matcore import (
     _BUFFER_CAP,
     _ROW_BLOCK,
     _quad_forms,
-    _sym_part,
     _weighted_gram,
     matrix_norm_under,
     spd,
@@ -111,7 +110,7 @@ class FourthMomentOperator:
         """Backing from n covariate draws of a model (no labels are formed)."""
         if n < 1:
             raise ValueError(f"need at least one sample, got {n}")
-        return cls.sampled(SampleStream(spec, seed)._draw(n, labels=False)[0])
+        return cls.sampled(SampleStream(spec, seed).draw_covariates(n))
 
     @classmethod
     def sampled(cls, x) -> "FourthMomentOperator":
@@ -122,13 +121,12 @@ class FourthMomentOperator:
     @classmethod
     def from_spec(cls, spec: DistributionSpec) -> "FourthMomentOperator":
         """Exact backing for a model's covariate distribution.  Available for
-        every kind: the Gaussian families share the same x marginal, whose
-        H the spec has already checked."""
+        every kind: the Gaussian families share the same x marginal."""
         if spec.kind == DISCRETE:
             xs = np.stack([a.x for a in spec.support])
             probs = np.array([a.prob for a in spec.support])
             return cls.discrete(xs, probs)
-        return cls("gaussian", h=spec.H_spec, exact=True)
+        return cls.gaussian(spec.H_spec)
 
     @property
     def d(self) -> int:
@@ -139,14 +137,10 @@ class FourthMomentOperator:
         mm = sym(m)
         if mm.shape[0] != self.d:
             raise DimensionError(f"matrix has shape {mm.shape}, expected ({self.d}, {self.d})")
-        return sym(self._unsymmetrized(mm))
-
-    def _unsymmetrized(self, mm: np.ndarray) -> np.ndarray:
-        # the map on a checked symmetric M, before its result is symmetrised
         if self.kind == "gaussian":
             hm = self._h @ mm
-            return 2.0 * (hm @ self._h) + np.trace(hm) * self._h
-        return _weighted_gram(self._xs, self._probs, mm)
+            return sym(2.0 * (hm @ self._h) + np.trace(hm) * self._h)
+        return sym(_weighted_gram(self._xs, self._probs, mm))
 
     def apply_with_stderr(self, m):
         """Monte-Carlo mean and entrywise standard error of (x^T M x) x x^T.
@@ -198,18 +192,10 @@ def damped_anticommutator(m, h, gamma: float) -> np.ndarray:
 
 
 def covariance_step(c, h, s_op: FourthMomentOperator, sigma, gamma: float) -> np.ndarray:
-    """One application of the covariance recursion.
-
-    C, H and Sigma are validated once, on entry, and the result on exit; the
-    terms in between are symmetrised without checking them again.
-    """
-    cc, hh, ss = sym(c), sym(h), sym(sigma)
-    if not cc.shape == hh.shape == ss.shape == (s_op.d, s_op.d):
-        raise DimensionError(f"shape mismatch: C {cc.shape}, H {hh.shape}, "
-                             f"Sigma {ss.shape}, operator dimension {s_op.d}")
-    hm = hh @ cc
-    return sym(cc - gamma * (hm + hm.T)
-               + gamma ** 2 * (_sym_part(s_op._unsymmetrized(cc)) + ss))
+    """One application of the covariance recursion."""
+    cc = sym(c)
+    return sym(cc - gamma * anticommutator(cc, h)
+               + gamma ** 2 * (s_op.apply(cc) + sym(sigma)))
 
 
 def stationary_residual(c, h, s_op: FourthMomentOperator, sigma, gamma: float) -> float:

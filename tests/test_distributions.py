@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import gaussian_spec, random_spd
+from helpers import discrete_spec, gaussian_spec, random_spd
 from tailsgd.distributions import (
     DistributionSpec,
     Moments,
@@ -232,6 +232,32 @@ def test_misspecified_draw_squares_one_row_block_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < n * 11 * 8 + 4 * n * 8 + 2 * _ROW_BLOCK * 10 * 8
+
+
+def test_discrete_draw_gathers_x_beside_its_raw_variates():
+    # a discrete draw holds n uniforms, n normals, the atom indices and the
+    # gathered (n, d) x, with no (n, d + 1) block for the raw variates
+    spec = discrete_spec(50, 3)
+    n = 4096
+    tracemalloc.start()
+    try:
+        SampleStream(spec, 1).draw(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 50 * 8 + 8 * n * 8
+
+
+def test_draw_covariates_is_the_x_of_draw():
+    # the same covariates, layout and stream position, with no labels formed
+    for spec in (gaussian_spec(3, h=np.diag([2.0, 1.0, 0.5])),
+                 gaussian_spec(3, h=random_spd(3, 1), kind="gaussian_misspecified"),
+                 discrete_spec(3, 2)):
+        paired, bare = SampleStream(spec, 4), SampleStream(spec, 4)
+        for n in (30, 7):
+            x = bare.draw_covariates(n)
+            assert np.array_equal(x, paired.draw(n)[0])
+            assert x.flags.c_contiguous is (spec.kind == "discrete" or spec._chol.ndim == 2)
 
 
 def test_draw_layouts():

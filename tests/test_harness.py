@@ -2,6 +2,7 @@ import ast
 import inspect
 import json
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -93,7 +94,7 @@ def test_parse_h_spec_forms():
      "distribution.support[0].prob"),
     ({"distribution": {"kind": "gaussian_well_specified", "d": 1001}}, "distribution.d"),
     ({"distribution": {"kind": "gaussian_well_specified", "d": 3}, "T": 10**9 + 1}, "T"),
-    # the draw buffer (replicates x min(BLOCK, T) x (d + 1) floats) would exceed its cap
+    # the draw buffer and state of the run would exceed their cap
     ({"distribution": {"kind": "gaussian_well_specified", "d": 100}, "replicates": 10**6},
      "replicates"),
 ])
@@ -104,10 +105,25 @@ def test_parse_config_rejects_bad_documents(doc, field):
 
 
 def test_parse_config_sizes_the_draw_buffer_by_horizon():
-    # 300 replicates x min(512, 10) rows x 1001 floats: a 24 MB buffer
+    # 300 replicates x min(512, 10) rows x 1001 floats: a 24 MB buffer,
+    # beside 58 MB of state
     cfg = config_from_dict({"distribution": {"kind": "gaussian_well_specified", "d": 1000},
                             "T": 10, "replicates": 300})
     assert (cfg.distribution.d, cfg.T, cfg.replicates) == (1000, 10, 300)
+
+
+def test_parse_config_counts_the_state_of_short_runs():
+    # one row of 101 floats per replicate is an 808 MB buffer, but the
+    # (replicates, 3, 100) state arrays of the run take 2.4 GB each
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({"distribution": {"kind": "gaussian_well_specified", "d": 100},
+                              "T": 1, "replicates": 10 ** 6})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.field == "replicates" and peak < 2 ** 20
 
 
 def test_parse_config_rejects_invalid_json():
@@ -360,15 +376,16 @@ def test_cli_solve_cov_operator_matches_moments(tmp_path, capsys):
 def test_cli_estimate_only_model_draws_once(argv, tmp_path, monkeypatch, capsys):
     # moments and operator of an estimate-only model come from one draw
     rows = []
-    real = SampleStream._fill
-    monkeypatch.setattr(SampleStream, "_fill",
-                        lambda self, out: (rows.append(len(out)), real(self, out))[1])
+    for name in ("draw", "draw_covariates"):
+        real = getattr(SampleStream, name)
+        monkeypatch.setattr(SampleStream, name, lambda self, n, name=name, real=real:
+                            (rows.append((name, n)), real(self, n))[1])
     path = tmp_path / "exp.json"
     path.write_text(json.dumps({"distribution": {
         "kind": "gaussian_misspecified", "d": 2, "noise_sigma": 1.0,
         "misspec_fn": "one_plus_norm_x"}}))
     assert main([*argv, "--config", str(path)]) == 0
-    assert rows == [32768]
+    assert rows == [("draw", 32768)]
     capsys.readouterr()
 
 

@@ -219,13 +219,13 @@ def _blocks_seen(monkeypatch, spec, seeds, big_t, process="standard"):
     """Copies of the (x, y) blocks a run of run_replicates steps through."""
     seen = []
 
-    def recording(spec_, block, labels):
-        x, y = real(spec_, block, labels)
-        seen.append((x.copy(), None if y is None else y.copy()))
+    def recording(streams, block):
+        x, y = real(streams, block)
+        seen.append((x.copy(), y.copy()))
         return x, y
 
-    real = sgd_mod._pairs
-    monkeypatch.setattr(sgd_mod, "_pairs", recording)
+    real = sgd_mod.draw_block
+    monkeypatch.setattr(sgd_mod, "draw_block", recording)
     m = resolve_moments(spec)
     cfg = SgdConfig(gamma=0.1 / m.R2, w0=np.zeros(spec.d), t_avg_start=0, T=big_t)
     run_replicates(spec, cfg, seeds, process=process, moments=m)
@@ -237,7 +237,8 @@ def _blocks_seen(monkeypatch, spec, seeds, big_t, process="standard"):
 @pytest.mark.parametrize("kind", sorted(BLOCK_KINDS))
 def test_block_pairs_equal_lone_draws(monkeypatch, kind, big_t):
     # each replicate's rows of every block are its own stream's draw of that
-    # block, bit for bit, however the seeds are batched and with labels off
+    # block, bit for bit, however the seeds are batched and whichever
+    # processes the run advances
     spec = BLOCK_KINDS[kind]()
     seeds = [(6, r) for r in range(5)]
     joint = _blocks_seen(monkeypatch, spec, seeds, big_t)
@@ -253,9 +254,9 @@ def test_block_pairs_equal_lone_draws(monkeypatch, kind, big_t):
     for k, (x, y) in enumerate(joint):
         assert np.array_equal(x, np.concatenate([h[k][0] for h in halves]))
         assert np.array_equal(y, np.concatenate([h[k][1] for h in halves]))
-    unlabelled = _blocks_seen(monkeypatch, spec, seeds, big_t, process="bias")
-    for (x, _), (bx, by) in zip(joint, unlabelled):
-        assert by is None and np.array_equal(x, bx)
+    bias_only = _blocks_seen(monkeypatch, spec, seeds, big_t, process="bias")
+    for (x, y), (bx, by) in zip(joint, bias_only):
+        assert np.array_equal(x, bx) and np.array_equal(y, by)
 
 
 @pytest.mark.parametrize("kind, allowance", [

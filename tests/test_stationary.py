@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import discrete_spec, gaussian_spec, random_psd, random_spd
+from helpers import discrete_spec, gaussian_spec, random_spd
 from tailsgd.cli import main
 from tailsgd.distributions import SampleStream, estimate_moments, exact_moments
 from tailsgd.errors import (
@@ -20,7 +20,6 @@ from tailsgd.matcore import (
     _quad_forms,
     matrix_norm_under,
     psd_order_leq,
-    sym,
     sym_to_vec,
     sym_vec_len,
 )
@@ -150,29 +149,6 @@ def test_covariance_step_base_cases():
                        0.01 * sigma)
     assert np.allclose(covariance_step(np.zeros((2, 2)), h, op, np.zeros((2, 2)), 0.1),
                        np.zeros((2, 2)))
-
-
-def test_covariance_step_validates_operands_once(monkeypatch):
-    # bit for bit the recursion composed from the public maps, with four
-    # validations: C, H and Sigma on entry, the result on exit
-    import tailsgd.stationary as stationary_mod
-
-    spec = gaussian_spec(3, h=random_spd(3, 2), sigma=1.0, kind="gaussian_misspecified")
-    m = exact_moments(spec)
-    c = random_psd(3, 4)
-    ops = (FourthMomentOperator.from_spec(spec), FourthMomentOperator.monte_carlo(spec, 500, 1),
-           FourthMomentOperator.from_spec(discrete_spec(3, 3)))
-    for op in ops:
-        cc = sym(c)
-        composed = sym(cc - 0.1 * anticommutator(cc, m.H)
-                       + 0.1 ** 2 * (op.apply(cc) + sym(m.Sigma)))
-        calls = []
-        monkeypatch.setattr(stationary_mod, "sym", lambda a: calls.append(1) or sym(a))
-        step = covariance_step(c, m.H, op, m.Sigma, 0.1)
-        monkeypatch.undo()
-        assert np.array_equal(step, composed) and len(calls) == 4
-    with pytest.raises(DimensionError):
-        covariance_step(c, m.H, op, np.eye(2), 0.1)
 
 
 def test_one_dimensional_closed_form_both_solvers():
