@@ -11,11 +11,18 @@ Three families of (x, y) pairs:
 * ``discrete``: x drawn from a finite support {x_i with probability p_i}, and
   y | x_i ~ N(y_mean_i, y_std_i^2).  The support must span R^d.
 
-Streams use numpy's counter-based Philox bit generator, seeded through a
-SeedSequence of the seed, an int or a tuple of ints.  Equal (spec, seed) and
-equal draw patterns reproduce bit-identical samples; distinct seeds give
+Streams use numpy's counter-based Philox bit generator, keyed by the
+SeedSequence hash of the seed, an int or a tuple of ints.  Equal (spec, seed)
+and equal draw patterns reproduce bit-identical samples; distinct seeds give
 independent streams.  For the Gaussian families the draw pattern does not
 matter: one draw of 2n pairs equals two consecutive draws of n.
+
+A Philox stream is fully defined by its key, so ``sample_streams`` derives
+the keys of many seeds in one vectorized pass of numpy's SeedSequence hash
+and keys each stream directly; ``SampleStream(spec, seed)`` hashes its one
+seed through numpy's SeedSequence, which is faster for a single seed and is
+the reference the batched hash is tested against.  numpy.random is imported
+by the first stream built, not by importing this module.
 
 Sampling has two steps with one path.  A stream fills the raw variates of
 its pairs into its rows of an array, and one transform turns the rows of
@@ -34,6 +41,7 @@ exact zeros.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +63,14 @@ MISSPEC_FNS = ("norm_x", "one_plus_norm_x")
 
 # Relative eigenvalue floor below which a second-moment matrix counts as singular.
 _SING_TOL = 1e-12
+
+# Constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx):
+# a pool of four uint32 words, filled by hashmix and stirred by mix
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
 
 def _frozen_array(x, dtype=float) -> np.ndarray:
@@ -254,13 +270,16 @@ class SampleStream:
 
     ``seed`` is an int or a tuple of ints, the SeedSequence entropy, so
     ``SampleStream(spec, (s, k))`` for distinct k are independent streams of
-    the same model.
+    the same model.  As with numpy's bit generators, ``seed`` may instead be
+    an ``ISeedSequence``, which Philox asks for its key.
     """
 
     def __init__(self, spec: DistributionSpec, seed):
         self.spec = spec
-        entropy = list(seed) if isinstance(seed, (tuple, list)) else [int(seed)]
-        self._gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+        random = np.random  # imported here on the first stream
+        if not isinstance(seed, random.bit_generator.ISeedSequence):
+            seed = random.SeedSequence(_entropy(seed))
+        self._gen = random.Generator(random.Philox(seed))
 
     def _fill(self, out: np.ndarray):
         """Write the raw variates of n = len(out) pairs into ``out``, a
@@ -294,6 +313,112 @@ class SampleStream:
         raw = np.empty((1, n, 2 if self.spec.kind == DISCRETE else self.spec.d + 1))
         self._fill(raw[0])
         return raw
+
+
+def sample_streams(spec: DistributionSpec, seeds) -> list[SampleStream]:
+    """One stream per seed, each drawing exactly as ``SampleStream(spec, seed)``
+    does, with the Philox keys of all seeds hashed in one vectorized pass."""
+    key_seed = _key_seed_type()
+    return [SampleStream(spec, key_seed(key)) for key in _philox_keys(seeds)]
+
+
+def _entropy(seed) -> list:
+    return list(seed) if isinstance(seed, (tuple, list)) else [int(seed)]
+
+
+def _seed_words(seed) -> tuple[int, ...]:
+    """The uint32 words SeedSequence reads from a seed: each entry's 32-bit
+    words, least significant first, one word for 0."""
+    words = []
+    for v in _entropy(seed):
+        if not isinstance(v, (int, np.integer)):
+            raise TypeError(f"seed entries must be integers, got {v!r}")
+        v = int(v)
+        if v < 0:
+            raise ValueError(f"seed entries must be nonnegative, got {v}")
+        words.append(v & _MASK32)
+        while v > _MASK32:
+            v >>= 32
+            words.append(v & _MASK32)
+    return tuple(words)
+
+
+def _philox_keys(seeds) -> np.ndarray:
+    """(len(seeds), 2) uint64 array whose row i equals
+    ``SeedSequence(entropy of seeds[i]).generate_state(2, np.uint64)``.
+
+    Seeds are hashed in groups of equal word count, each group as columns of
+    uint32 arrays; the hash constants evolve the same way for every seed of
+    a group, so they stay Python ints."""
+    words = [_seed_words(s) for s in seeds]
+    by_length: dict[int, list[int]] = {}
+    for i, w in enumerate(words):
+        by_length.setdefault(len(w), []).append(i)
+    keys = np.empty((len(words), 2), dtype=np.uint64)
+    for rows in by_length.values():
+        entropy = np.array([words[i] for i in rows], dtype=np.uint32)
+        keys[rows] = _key_words(entropy).view("<u8")
+    return keys
+
+
+def _key_words(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence's pool of each row of a (seeds, words) uint32 array, then
+    the four words of its ``generate_state(2, np.uint64)``: (seeds, 4)."""
+    n, length = entropy.shape
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value *= hash_const
+        value ^= value >> 16
+        return value
+
+    def mix(x, y):
+        out = x * _MIX_MULT_L
+        out -= y * _MIX_MULT_R
+        out ^= out >> 16
+        return out
+
+    # add the entropy up to the pool size, running the hash out on zeros
+    zero = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < length else zero) for i in range(_POOL_SIZE)]
+    # mix all bits together so late bits can affect earlier bits
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    # mix each remaining entropy word into every pool word
+    for src in range(_POOL_SIZE, length):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+
+    state = np.empty((n, 4), dtype="<u4")
+    hash_const = _INIT_B
+    for i in range(4):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value *= hash_const
+        value ^= value >> 16
+        state[:, i] = value
+    return state
+
+
+@functools.cache
+def _key_seed_type():
+    """An ISeedSequence holding a precomputed Philox key, which Philox reads
+    as ``generate_state(2, np.uint64)``.  Defined on first use, so importing
+    this module does not import numpy.random."""
+
+    class KeySeed(np.random.bit_generator.ISeedSequence):
+        def __init__(self, key):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key
+
+    return KeySeed
 
 
 def draw_block(streams, block: np.ndarray):

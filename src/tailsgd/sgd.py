@@ -6,8 +6,9 @@ is ``(1/(T-t)) * sum_{s=t}^{T-1} w_s``, so w_0 contributes when t = 0 and
 the final state w_T never does.
 
 ``run_replicates`` runs one replicate per seed with the update vectorized
-across replicates.  Each replicate owns an independent sample stream, drawn
-in fixed-size blocks: per block, every stream fills its raw variates into
+across replicates.  Each replicate owns an independent sample stream, keyed
+together with the others in one pass (``sample_streams``) and drawn in
+fixed-size blocks: per block, every stream fills its raw variates into
 its rows of one shared buffer, and one transform turns the whole buffer into
 covariates and labels.  A replicate's draws, and so its trajectory, depend
 only on its own seed: splitting a seed list across calls (or worker
@@ -36,6 +37,7 @@ from .distributions import (
     draw_block,
     exact_moments,
     sample_moments,
+    sample_streams,
 )
 from .errors import (
     DimensionError,
@@ -195,7 +197,7 @@ def run_replicates(spec: DistributionSpec, config: SgdConfig, seeds, *,
     snap_idx = {s: i for i, s in enumerate(snap_steps)}
     snaps = np.empty((len(snap_steps), n_rep, len(names), d))
 
-    streams = [SampleStream(spec, s) for s in seeds]
+    streams = sample_streams(spec, seeds)
     # Rows differ only in start point and label mask.  The noise-free (bias)
     # row is integrated in deviation coordinates with labels masked to zero:
     # forming y - w.x near the minimizer cancels catastrophically and floors

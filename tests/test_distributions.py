@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import discrete_spec, gaussian_spec, random_spd
 from tailsgd.distributions import (
@@ -9,6 +11,7 @@ from tailsgd.distributions import (
     Moments,
     SampleStream,
     SupportAtom,
+    _philox_keys,
     estimate_moments,
     exact_moments,
     weighted_fourth_moment,
@@ -185,6 +188,46 @@ def test_streams_reproducible_and_independent():
     x3, _ = SampleStream(spec, (42, 1)).draw(100)
     assert not np.array_equal(x1, x3)
     assert np.array_equal(x1, SampleStream(spec, (42,)).draw(100)[0])
+
+
+def seed_sequence_key(seed):
+    entropy = list(seed) if isinstance(seed, tuple) else [seed]
+    return np.random.SeedSequence(entropy).generate_state(2, np.uint64)
+
+
+SEED_ENTRY = st.integers(0, 2 ** 64 - 1)
+SEED = st.one_of(SEED_ENTRY, st.lists(SEED_ENTRY, min_size=1, max_size=6).map(tuple))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(SEED, min_size=1, max_size=8))
+def test_batched_keys_equal_seed_sequence(seeds):
+    assert np.array_equal(_philox_keys(seeds), [seed_sequence_key(s) for s in seeds])
+
+
+def test_batched_keys_mix_word_layouts_in_one_batch():
+    # one to twelve words per seed, hashed in groups of equal word count
+    edges = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
+    seeds = edges + [(e,) for e in edges] + [
+        (2 ** 40, 3, 7), (5, 0, 2), (2 ** 64 - 1, 2 ** 32, 0),
+        (0, 0, 0, 0, 0, 0), (1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 9, 0),
+        (2 ** 64 - 1,) * 6, (2 ** 33 + 5, 904, 1999),
+    ]
+    keys = _philox_keys(seeds)
+    assert keys.shape == (len(seeds), 2) and keys.dtype == np.uint64
+    for seed, key in zip(seeds, keys):
+        assert np.array_equal(key, seed_sequence_key(seed)), seed
+
+
+@pytest.mark.parametrize("seed, error", [
+    (-1, ValueError), ((3, -2), ValueError), ((1, 2.5), TypeError), ((1, None), TypeError),
+])
+def test_batched_keys_reject_entries_seed_sequence_rejects(seed, error):
+    entropy = list(seed) if isinstance(seed, tuple) else [seed]
+    with pytest.raises(error):
+        np.random.SeedSequence(entropy)
+    with pytest.raises(error):
+        _philox_keys([(0, 1), seed])
 
 
 def test_gaussian_draws_split_invariant():

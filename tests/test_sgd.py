@@ -238,9 +238,10 @@ def _blocks_seen(monkeypatch, spec, seeds, big_t, process="standard"):
 def test_block_pairs_equal_lone_draws(monkeypatch, kind, big_t):
     # each replicate's rows of every block are its own stream's draw of that
     # block, bit for bit, however the seeds are batched and whichever
-    # processes the run advances
+    # processes the run advances; the seeds' Philox keys are hashed in one
+    # batch, over seeds of one to four 32-bit words
     spec = BLOCK_KINDS[kind]()
-    seeds = [(6, r) for r in range(5)]
+    seeds = [(6, 0), 6, (2 ** 32, 1), (6, 2 ** 64 - 1, 3), (6, 4)]
     joint = _blocks_seen(monkeypatch, spec, seeds, big_t)
     streams = [SampleStream(spec, s) for s in seeds]
     sizes = [min(BLOCK, big_t - done) for done in range(0, big_t, BLOCK)]
