@@ -34,7 +34,8 @@ y over the noise column, with the same numbers as lone draws.
 Gaussian covariates are x = L z with L the Cholesky factor of H, computed once
 per spec.  When L is diagonal (every H the sweep grid builds) the spec keeps
 only its diagonal, and the transform scales the block of normals in place
-with no BLAS call; otherwise it keeps the dense factor and multiplies.  Both
+with no BLAS call; otherwise it keeps the dense factor and multiplies, at
+one BLAS thread so that a draw does not depend on the thread count.  Both
 give the same numbers, since each entry of the dense product is z_j L_jj plus
 exact zeros.
 """
@@ -52,7 +53,7 @@ from .errors import (
     NotSpdError,
     SingularMomentsError,
 )
-from .matcore import _ROW_BLOCK, _weighted_gram, matrix_norm_under, spd, sym
+from .matcore import _ROW_BLOCK, _weighted_gram, blas_threads, matrix_norm_under, spd, sym
 
 GAUSSIAN_WELL_SPECIFIED = "gaussian_well_specified"
 GAUSSIAN_MISSPECIFIED = "gaussian_misspecified"
@@ -300,11 +301,6 @@ class SampleStream:
         x, y = _pairs(self.spec, self._raw(n))
         return x[0], y[0]
 
-    def draw_covariates(self, n: int) -> np.ndarray:
-        """X of ``draw(n)``, shape (n, d), without forming the labels; the
-        stream advances as ``draw(n)`` advances it."""
-        return _pairs(self.spec, self._raw(n), labels=False)[0][0]
-
     def _raw(self, n: int) -> np.ndarray:
         if n < 1:
             raise ValueError(f"draw size must be positive, got {n}")
@@ -447,16 +443,16 @@ def draw_block(streams, block: np.ndarray):
     return block[..., :d], block[..., d]
 
 
-def _pairs(spec: DistributionSpec, raw: np.ndarray, labels: bool = True):
+def _pairs(spec: DistributionSpec, raw: np.ndarray):
     """The pairs (x, y) of a (streams, n, k) array of raw variates, each
     stream's rows filled by ``SampleStream._fill``.
 
     x has shape (streams, n, d): where the Cholesky factor is diagonal, the
     normals scaled in place and returned as a view of ``raw``, otherwise a
-    fresh array.  y is a fresh (streams, n) array, or None without
-    ``labels``.  Results computed from a draw depend on these layouts (BLAS
-    dots over rows, x.T @ y or any product at d = 1, sum in an order set by
-    the row stride), so they are the layouts draws have always had.
+    fresh array.  y is a fresh (streams, n) array.  Results computed from a
+    draw depend on these layouts (BLAS dots over rows, x.T @ y or any product
+    at d = 1, sum in an order set by the row stride), so they are the layouts
+    draws have always had.
     """
     n, d = raw.shape[1], spec.d
     if spec.kind == DISCRETE:
@@ -464,16 +460,17 @@ def _pairs(spec: DistributionSpec, raw: np.ndarray, labels: bool = True):
         # each stream's n uniforms, then its n normals, from its row start
         flat = raw.reshape(raw.shape[0], -1)
         idx = np.minimum(np.searchsorted(cum, flat[:, :n], side="right"), len(cum) - 1)
-        y = y_mean[idx] + y_std[idx] * flat[:, n:2 * n] if labels else None
+        y = y_mean[idx] + y_std[idx] * flat[:, n:2 * n]
         return np.take(xs, idx, axis=0), y
     if spec._chol.ndim == 1:
         # in place over the contiguous rows; eta's factor is an exact 1.0
         raw *= spec._chol
         x = raw[..., :d]
     else:
-        x = raw[..., :d] @ spec._chol.T
-    if not labels:
-        return x, None
+        # OpenBLAS splits this product across its threads, which changes its
+        # bits; at one thread a draw is the same on every machine
+        with blas_threads(1):
+            x = raw[..., :d] @ spec._chol.T
     eta = raw[..., d]
     y = x @ spec.w_star
     if spec.kind == GAUSSIAN_WELL_SPECIFIED:

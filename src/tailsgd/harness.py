@@ -79,7 +79,7 @@ from .distributions import (
     exact_moments,
 )
 from .errors import ConfigError, NonFiniteResultError, TailSgdError
-from .matcore import _BUFFER_CAP, _quad_forms, psd_order_leq, sym_to_vec, vec_to_sym
+from .matcore import _BUFFER_CAP, _quad_forms, blas_threads, psd_order_leq, sym_to_vec, vec_to_sym
 from .sgd import PROCESSES, SgdConfig, resolve_model, run_bytes, run_replicates
 from .stationary import (
     FourthMomentOperator,
@@ -495,10 +495,15 @@ def _entrywise_margin(diff, se, atol: float) -> float:
     return float(1.0 - ratio.max())
 
 
+@blas_threads(1)
 def _sampled_checks(spec: DistributionSpec, m: Moments, op: FourthMomentOperator,
                     seed: int) -> list[CheckResult]:
     """The three Monte-Carlo checks of the model's moments, all on one draw
-    of 200,000 pairs from the stream (seed, 903), freed on return."""
+    of 200,000 pairs from the stream (seed, 903), freed on return.
+
+    The pass runs at one BLAS thread: OpenBLAS splits its 200,000-row
+    products across threads, which changes their bits, and its idle threads
+    then spin through the numpy work between them."""
     n = 200_000
     x, y = SampleStream(spec, (seed, 903)).draw(n)
     resid = y - x @ m.w_star

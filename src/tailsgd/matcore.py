@@ -13,11 +13,22 @@ symmetric) matrices in this basis.
 
 ``_quad_forms`` and ``_weighted_gram`` contract an (n, d) array of sample
 rows in fixed row blocks, so their temporaries do not grow with n.
+
+``blas_threads(n)`` runs a block with numpy's bundled OpenBLAS at n threads.
+OpenBLAS splits a large product across its threads, and the split changes
+the order of its sums, so ``matrix_norm_under`` (R^2, and through it gamma
+and every bound) runs at one thread and its bits do not depend on the
+machine's CPU count; so do the dense draw transform and the Monte-Carlo
+passes that call it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import os
 
 import numpy as np
 
@@ -88,18 +99,67 @@ def _inv_sqrt(a: np.ndarray) -> np.ndarray:
     return (q / np.sqrt(w)) @ q.T
 
 
+@functools.cache
+def _openblas():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or
+    None where numpy ships no such library (MKL, a system BLAS)."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        name = next(n for n in os.listdir(libs) if n.startswith("libscipy_openblas"))
+        lib = ctypes.CDLL(os.path.join(libs, name))
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (OSError, StopIteration, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextlib.contextmanager
+def blas_threads(n: int):
+    """Run the block with numpy's bundled OpenBLAS at n threads, then restore
+    the previous count, also on an exception.  Does nothing where that library
+    is not found, and makes no call to set a count already in force.
+
+    The count is process-wide.  In a process that has forked, a call to set
+    it restarts OpenBLAS's threads, so callers pin only blocks whose BLAS
+    calls would otherwise be split across threads.
+    """
+    lib = _openblas()
+    previous = lib[0]() if lib is not None else n
+    if previous == n:
+        yield
+        return
+    lib[1](n)
+    try:
+        yield
+    finally:
+        lib[1](previous)
+
+
+# Smallest d at which OpenBLAS splits a call of matrix_norm_under across
+# threads (its eigh, with numpy 2.4's OpenBLAS 0.3.31).  Below it the norm
+# needs no pin, and skips one: a thread-count call in a process that has
+# forked restarts OpenBLAS's threads, and the new one spins for up to 0.13 s.
+_THREADED_D = 26
+
+
 def matrix_norm_under(m, a) -> float:
     """Spectral norm of M measured in the geometry of an SPD matrix A.
 
     Returns ``|| A^{-1/2} M A^{-1/2} ||_2``, the smallest c such that
-    -c A <= M <= c A in the semidefinite order.
+    -c A <= M <= c A in the semidefinite order.  Runs at one BLAS thread
+    (pinned from d = ``_THREADED_D`` up), so its bits do not depend on the
+    thread count.
     """
     mm = sym(m)
-    aa = spd(a)
-    if mm.shape != aa.shape:
-        raise DimensionError(f"shape mismatch: {mm.shape} vs {aa.shape}")
-    r = _inv_sqrt(aa)
-    return spectral_norm(r @ mm @ r)
+    with blas_threads(1) if mm.shape[0] >= _THREADED_D else contextlib.nullcontext():
+        aa = spd(a)
+        if mm.shape != aa.shape:
+            raise DimensionError(f"shape mismatch: {mm.shape} vs {aa.shape}")
+        r = _inv_sqrt(aa)
+        return spectral_norm(r @ mm @ r)
 
 
 def psd_order_leq(a, b, tol: float = 0.0) -> bool:

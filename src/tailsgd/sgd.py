@@ -45,6 +45,7 @@ from .errors import (
     IntractableMomentsError,
     StepSizeError,
 )
+from .matcore import blas_threads
 from .stationary import FourthMomentOperator
 
 # Samples buffered per replicate between vectorized sweeps (see
@@ -138,12 +139,15 @@ def check_stepsize(gamma: float, r2: float):
 def resolve_model(spec: DistributionSpec) -> tuple[Moments, FourthMomentOperator]:
     """The model's moments and fourth-moment operator, with one backing:
     closed forms when available, otherwise both from one Monte-Carlo draw
-    with a fixed internal seed, so repeated resolutions agree exactly."""
+    with a fixed internal seed, so repeated resolutions agree exactly.  The
+    estimates are formed at one BLAS thread, as ``verify``'s sampled checks
+    are."""
     try:
         return exact_moments(spec), FourthMomentOperator.from_spec(spec)
     except IntractableMomentsError:
-        x, y = SampleStream(spec, _EST_SEED).draw(_EST_SAMPLES)
-        return sample_moments(spec, x, y), FourthMomentOperator.sampled(x)
+        with blas_threads(1):
+            x, y = SampleStream(spec, _EST_SEED).draw(_EST_SAMPLES)
+            return sample_moments(spec, x, y), FourthMomentOperator.sampled(x)
 
 
 def resolve_moments(spec: DistributionSpec) -> Moments:

@@ -107,10 +107,10 @@ class FourthMomentOperator:
 
     @classmethod
     def monte_carlo(cls, spec: DistributionSpec, n: int, seed) -> "FourthMomentOperator":
-        """Backing from n covariate draws of a model (no labels are formed)."""
+        """Backing from the covariates of n draws of a model."""
         if n < 1:
             raise ValueError(f"need at least one sample, got {n}")
-        return cls.sampled(SampleStream(spec, seed).draw_covariates(n))
+        return cls.sampled(SampleStream(spec, seed).draw(n)[0])
 
     @classmethod
     def sampled(cls, x) -> "FourthMomentOperator":

@@ -291,18 +291,6 @@ def test_discrete_draw_gathers_x_beside_its_raw_variates():
     assert peak < n * 50 * 8 + 8 * n * 8
 
 
-def test_draw_covariates_is_the_x_of_draw():
-    # the same covariates, layout and stream position, with no labels formed
-    for spec in (gaussian_spec(3, h=np.diag([2.0, 1.0, 0.5])),
-                 gaussian_spec(3, h=random_spd(3, 1), kind="gaussian_misspecified"),
-                 discrete_spec(3, 2)):
-        paired, bare = SampleStream(spec, 4), SampleStream(spec, 4)
-        for n in (30, 7):
-            x = bare.draw_covariates(n)
-            assert np.array_equal(x, paired.draw(n)[0])
-            assert x.flags.c_contiguous is (spec.kind == "discrete" or spec._chol.ndim == 2)
-
-
 def test_draw_layouts():
     # BLAS dots over rows sum in an order set by the row stride, so results
     # computed from a draw keep their bits only if its layout stays: y and a

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import tailsgd
+from tailsgd import matcore
 from tailsgd.bounds import rate_constants
 from tailsgd.cli import main
 from tailsgd.distributions import SampleStream, exact_moments
@@ -21,6 +22,7 @@ from tailsgd.harness import (
     CheckResult,
     _chunk_ranges,
     _sampled_checks,
+    _tail_averages,
     config_from_dict,
     family_distribution,
     parse_config,
@@ -30,6 +32,7 @@ from tailsgd.harness import (
     sweep,
     sweep_csv,
 )
+from tailsgd.sgd import SgdConfig
 
 WELL3 = {
     "distribution": {"kind": "gaussian_well_specified", "d": 3, "noise_sigma": 1.0,
@@ -184,10 +187,14 @@ def test_verification_all_pass_on_gaussian_and_discrete():
         assert not failing, failing
 
 
-def misspec_d10(seed):
+def misspec_d10_doc(seed):
     """The misspecified d = 10 verify config of the benchmark."""
-    return config_from_dict({"distribution": family_distribution("misspecified", 10, 1.0),
-                             "T": 1000, "replicates": 100, "seed": seed})
+    return {"distribution": family_distribution("misspecified", 10, 1.0),
+            "T": 1000, "replicates": 100, "seed": seed}
+
+
+def misspec_d10(seed):
+    return config_from_dict(misspec_d10_doc(seed))
 
 
 SAMPLED_CHECKS = ["fourth-moment-sampled", "noise-mean-zero", "sigma2-mle-quadratic-form"]
@@ -195,10 +202,9 @@ SAMPLED_CHECKS = ["fourth-moment-sampled", "noise-mean-zero", "sigma2-mle-quadra
 
 def test_verification_samples_one_shared_draw(monkeypatch):
     rows = []
-    for name in ("draw", "draw_covariates"):
-        real = getattr(SampleStream, name)
-        monkeypatch.setattr(SampleStream, name, lambda self, n, name=name, real=real:
-                            (rows.append((name, n)), real(self, n))[1])
+    real = SampleStream.draw
+    monkeypatch.setattr(SampleStream, "draw",
+                        lambda self, n: (rows.append(("draw", n)), real(self, n))[1])
     results = run_verification(misspec_d10(0))
     assert rows == [("draw", 200_000)]
     assert [r.name for r in results][3:6] == SAMPLED_CHECKS
@@ -246,6 +252,49 @@ def test_setup_does_not_import_numpy_random():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def dense_h_experiment(d=100):
+    a = np.random.default_rng(11).standard_normal((d, d))
+    return {"distribution": {"kind": "gaussian_well_specified", "d": d, "noise_sigma": 1.0,
+                             "w_star": [1.0] * d,
+                             "H_spec": (a @ a.T / d + 0.1 * np.eye(d)).tolist()},
+            "T": 64, "replicates": 8, "seed": 0}
+
+
+def test_output_does_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS splits a d = 100 eigh, the draws' Cholesky product and the
+    # sampled checks' 200,000-row products across threads; that once moved
+    # R^2 (and with it gamma, the bound and every trajectory), the draws, and
+    # the noise-mean-zero margin at seed 2 in their last bits
+    runs = [("simulate", dense_h_experiment(), []),
+            ("simulate", dense_h_experiment(), ["--workers", "2"]),
+            ("verify", misspec_d10_doc(2), ["--format", "json"])]
+    for k, (command, doc, flags) in enumerate(runs):
+        path = tmp_path / f"{k}.json"
+        path.write_text(json.dumps(doc))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=str(Path(tailsgd.__file__).parents[1]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "tailsgd.cli", command, "--config", str(path), *flags],
+                env=env, capture_output=True)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1], command
+
+
+def test_tail_averages_sets_no_blas_thread_count(monkeypatch):
+    # a thread-count call in a forked pool worker restarts OpenBLAS's threads,
+    # and the new one spins; the simulation path must make none
+    cfg = misspec_d10(0)
+    sgd_cfg = SgdConfig(gamma=cfg.gamma, w0=cfg.w0, t_avg_start=cfg.t, T=cfg.T)
+    calls = []
+    monkeypatch.setattr(matcore, "_openblas",
+                        lambda: (lambda: calls.append("get") or 2, calls.append))
+    _tail_averages(cfg.distribution, sgd_cfg, cfg.moments, cfg.seed, 0, 4, 1)
+    assert calls == []
 
 
 def test_verification_requires_closed_form_moments():
@@ -445,10 +494,9 @@ def test_cli_solve_cov_operator_matches_moments(tmp_path, capsys):
 def test_cli_estimate_only_model_draws_once(argv, tmp_path, monkeypatch, capsys):
     # moments and operator of an estimate-only model come from one draw
     rows = []
-    for name in ("draw", "draw_covariates"):
-        real = getattr(SampleStream, name)
-        monkeypatch.setattr(SampleStream, name, lambda self, n, name=name, real=real:
-                            (rows.append((name, n)), real(self, n))[1])
+    real = SampleStream.draw
+    monkeypatch.setattr(SampleStream, "draw",
+                        lambda self, n: (rows.append(("draw", n)), real(self, n))[1])
     path = tmp_path / "exp.json"
     path.write_text(json.dumps({"distribution": {
         "kind": "gaussian_misspecified", "d": 2, "noise_sigma": 1.0,

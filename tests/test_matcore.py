@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tailsgd import matcore
 from tailsgd.errors import DimensionError, NotSpdError
 from tailsgd.matcore import (
+    blas_threads,
     matrix_norm_under,
     psd_order_leq,
     spd,
@@ -162,3 +169,72 @@ def test_sym_vec_is_trace_isometry(seed, d):
 def test_spectral_norm_matches_eigenvalues():
     m = np.diag([3.0, -5.0, 1.0])
     assert spectral_norm(m) == 5.0
+
+
+def test_blas_threads_restores_the_previous_count():
+    lib = matcore._openblas()
+    if lib is None:
+        pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+    get = lib[0]
+    before = get()
+    with blas_threads(1):
+        assert get() == 1
+        with blas_threads(2):
+            assert get() == 2
+            with blas_threads(2):
+                assert get() == 2
+            assert get() == 2
+        assert get() == 1
+    assert get() == before
+    with pytest.raises(KeyError):
+        with blas_threads(1):
+            assert get() == 1
+            raise KeyError("body")
+    assert get() == before
+
+
+def test_blas_threads_sets_only_a_new_count(monkeypatch):
+    calls = []
+    monkeypatch.setattr(matcore, "_openblas", lambda: (lambda: 2, calls.append))
+    with blas_threads(2):
+        pass
+    with blas_threads(1):
+        calls.append("body")
+    assert calls == [1, "body", 2]
+
+
+def test_blas_threads_is_a_no_op_without_the_library(monkeypatch):
+    monkeypatch.setattr(matcore, "_openblas", lambda: None)
+    d = matcore._THREADED_D
+    with blas_threads(1):
+        assert matrix_norm_under(np.diag(np.arange(1.0, d + 1)), np.eye(d)) == d
+
+
+def test_small_norms_start_no_blas_thread():
+    # matrix_norm_under skips its pin below _THREADED_D, on the ground that
+    # OpenBLAS runs all of it on one thread there.  After a fork OpenBLAS's
+    # threads are down, and any threaded call would start one.
+    if matcore._openblas() is None or not os.path.isdir("/proc/self/task"):
+        pytest.skip("needs numpy's bundled OpenBLAS and /proc")
+    code = (
+        "import os\n"
+        "import numpy as np\n"
+        "from tailsgd.matcore import _THREADED_D, matrix_norm_under\n"
+        "d = _THREADED_D - 1\n"
+        "a = np.random.default_rng(11).standard_normal((d, d))\n"
+        "h = a @ a.T / d + 0.1 * np.eye(d)\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    os._exit(0)\n"
+        "os.waitpid(pid, 0)\n"
+        "before = len(os.listdir('/proc/self/task'))\n"
+        "matrix_norm_under(h @ h, h)\n"
+        "print(before, len(os.listdir('/proc/self/task')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(matcore.__file__).parents[1]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert before == after

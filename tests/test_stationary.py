@@ -112,6 +112,19 @@ def test_monte_carlo_operator_stderr():
         exact.apply_with_stderr(probe)
 
 
+def test_monte_carlo_is_sampled_of_draw():
+    # the covariates of draw(n), in its layout, which the sums' bits depend on
+    probe = np.diag([1.0, 2.0, 3.0])
+    for spec in (gaussian_spec(3, h=np.diag([2.0, 1.0, 0.5])),
+                 gaussian_spec(3, h=random_spd(3, 1), kind="gaussian_misspecified"),
+                 discrete_spec(3, 2)):
+        op = FourthMomentOperator.monte_carlo(spec, 3000, 4)
+        ref = FourthMomentOperator.sampled(SampleStream(spec, 4).draw(3000)[0])
+        assert np.array_equal(op.apply(probe), ref.apply(probe))
+        for got, want in zip(op.apply_with_stderr(probe), ref.apply_with_stderr(probe)):
+            assert np.array_equal(got, want)
+
+
 def test_operator_validation():
     with pytest.raises(DimensionError):
         FourthMomentOperator.gaussian(np.eye(2)).apply(np.eye(3))
