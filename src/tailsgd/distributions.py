@@ -35,13 +35,15 @@ Gaussian covariates are x = L z with L the Cholesky factor of H, computed once
 per spec.  When L is diagonal (every H the sweep grid builds) the spec keeps
 only its diagonal, and the transform scales the block of normals in place
 with no BLAS call; otherwise it keeps the dense factor and multiplies, at
-one BLAS thread so that a draw does not depend on the thread count.  Both
+one BLAS thread wherever OpenBLAS would split the product across threads,
+so that a draw does not depend on the thread count.  Both
 give the same numbers, since each entry of the dense product is z_j L_jj plus
 exact zeros.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import dataclass, field
 
@@ -53,7 +55,15 @@ from .errors import (
     NotSpdError,
     SingularMomentsError,
 )
-from .matcore import _ROW_BLOCK, _weighted_gram, blas_threads, matrix_norm_under, spd, sym
+from .matcore import (
+    _ROW_BLOCK,
+    _THREADED_GEMM,
+    _weighted_gram,
+    blas_threads,
+    matrix_norm_under,
+    spd,
+    sym,
+)
 
 GAUSSIAN_WELL_SPECIFIED = "gaussian_well_specified"
 GAUSSIAN_MISSPECIFIED = "gaussian_misspecified"
@@ -467,9 +477,12 @@ def _pairs(spec: DistributionSpec, raw: np.ndarray):
         raw *= spec._chol
         x = raw[..., :d]
     else:
-        # OpenBLAS splits this product across its threads, which changes its
-        # bits; at one thread a draw is the same on every machine
-        with blas_threads(1):
+        # OpenBLAS splits a large product across its threads, which changes
+        # its bits; at one thread a draw is the same on every machine.  A
+        # product too small to be split skips the pin, which in a forked pool
+        # worker would restart OpenBLAS's threads.
+        pin = n * d * d >= _THREADED_GEMM
+        with blas_threads(1) if pin else contextlib.nullcontext():
             x = raw[..., :d] @ spec._chol.T
     eta = raw[..., d]
     y = x @ spec.w_star

@@ -79,10 +79,19 @@ from .distributions import (
     exact_moments,
 )
 from .errors import ConfigError, NonFiniteResultError, TailSgdError
-from .matcore import _BUFFER_CAP, _quad_forms, blas_threads, psd_order_leq, sym_to_vec, vec_to_sym
+from .matcore import (
+    _BUFFER_CAP,
+    _ROW_BLOCK,
+    _quad_forms,
+    blas_threads,
+    psd_order_leq,
+    sym_to_vec,
+    vec_to_sym,
+)
 from .sgd import PROCESSES, SgdConfig, resolve_model, run_bytes, run_replicates
 from .stationary import (
     FourthMomentOperator,
+    _FourthMomentSums,
     covariance_step,
     crude_bound,
     damped_anticommutator,
@@ -499,28 +508,40 @@ def _entrywise_margin(diff, se, atol: float) -> float:
 def _sampled_checks(spec: DistributionSpec, m: Moments, op: FourthMomentOperator,
                     seed: int) -> list[CheckResult]:
     """The three Monte-Carlo checks of the model's moments, all on one draw
-    of 200,000 pairs from the stream (seed, 903), freed on return.
+    of 200,000 pairs from the stream (seed, 903).
 
-    The pass runs at one BLAS thread: OpenBLAS splits its 200,000-row
-    products across threads, which changes their bits, and its idle threads
-    then spin through the numpy work between them."""
+    The pairs are drawn in consecutive blocks of ``_ROW_BLOCK`` rows, and
+    each block is folded into the three checks' sums before the next is
+    drawn, so the pass holds one block of pairs and the 200,000 quadratic
+    forms of the last check, not the whole draw.  It runs at one BLAS
+    thread: OpenBLAS splits products across threads, which changes their
+    bits, and its idle threads then spin through the numpy work between
+    them."""
     n = 200_000
-    x, y = SampleStream(spec, (seed, 903)).draw(n)
-    resid = y - x @ m.w_star
-    del y
+    stream = SampleStream(spec, (seed, 903))
+    fourth_sums = _FourthMomentSums(m.H)
+    grad = np.zeros(m.d)
+    h_inv = np.linalg.inv(m.H)
+    q = np.empty(n)
+    for i in range(0, n, _ROW_BLOCK):
+        x, y = stream.draw(min(_ROW_BLOCK, n - i))
+        resid = y - x @ m.w_star
+        fourth_sums.add(x)
+        grad += x.T @ resid
+        q[i:i + _ROW_BLOCK] = 0.5 * resid ** 2 * _quad_forms(x, h_inv)
 
-    mean, se = FourthMomentOperator.sampled(x).apply_with_stderr(m.H)
+    mean, se = fourth_sums.mean_and_stderr()
     margin = _entrywise_margin(mean - op.apply(m.H), se, 1e-12 * (1.0 + m.R2))
     fourth = CheckResult("fourth-moment-sampled", margin >= 0.0, margin,
                          f"closed form within 4 standard errors of {n} draws")
 
-    # the gradient noise at w* is -(y - x.w*) x: its mean without the (n, d) terms
-    norm = float(np.linalg.norm(x.T @ resid)) / n
+    # the gradient noise at w* is -(y - x.w*) x: its mean is the summed
+    # x^T (y - x.w*) over n
+    norm = float(np.linalg.norm(grad)) / n
     cap = 4.0 * math.sqrt(float(np.trace(m.Sigma)) / n) + 1e-12
     noise = CheckResult("noise-mean-zero", norm <= cap, cap - norm,
                         f"|mean|={norm:.3e} cap={cap:.3e}")
 
-    q = 0.5 * resid ** 2 * _quad_forms(x, np.linalg.inv(m.H))
     est, se = float(q.mean()), float(q.std(ddof=1) / math.sqrt(n))
     target = sigma2_mle(m)
     cap = 4.0 * se + 1e-12
@@ -538,8 +559,9 @@ def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckRe
     offsets of the config seed and four-standard-error slack, so a pass is
     reproducible and a failure means a real discrepancy at that seed.  The
     three sampled moment checks share one draw of 200,000 pairs at offset
-    903; offsets 901 and 902, which the fourth-moment and noise-mean checks
-    once drew from, are retired.
+    903, taken and folded in blocks of ``_ROW_BLOCK`` pairs, so it is never
+    held whole; offsets 901 and 902, which the fourth-moment and noise-mean
+    checks once drew from, are retired.
     """
     spec = cfg.distribution
     m = _closed_form(cfg)

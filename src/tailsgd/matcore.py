@@ -18,8 +18,8 @@ rows in fixed row blocks, so their temporaries do not grow with n.
 OpenBLAS splits a large product across its threads, and the split changes
 the order of its sums, so ``matrix_norm_under`` (R^2, and through it gamma
 and every bound) runs at one thread and its bits do not depend on the
-machine's CPU count; so do the dense draw transform and the Monte-Carlo
-passes that call it.
+machine's CPU count; so do the Monte-Carlo passes that call it, and the
+dense draw transform wherever OpenBLAS would split it (``_THREADED_GEMM``).
 """
 
 from __future__ import annotations
@@ -43,9 +43,11 @@ SPD_TOL = 1e-12
 # at once: a draw buffer or a dense operator matrix.
 _BUFFER_CAP = 2 ** 30
 
-# Rows per block of the sample contractions below.  Their temporaries are a
-# few (block, d) arrays, about 640 KB each at d = 10, however many rows there
-# are; unblocked, 200,000 draws at d = 10 make 16 MB ones.
+# Rows per block of the sample contractions below, and of the draws of
+# verify's sampled pass, which folds each block into its sums before drawing
+# the next.  Their temporaries are a few (block, d) arrays, about 640 KB each
+# at d = 10, however many rows there are; the whole 200,000-pair draw is
+# 17.6 MB at d = 10.
 _ROW_BLOCK = 8192
 
 
@@ -143,6 +145,12 @@ def blas_threads(n: int):
 # needs no pin, and skips one: a thread-count call in a process that has
 # forked restarts OpenBLAS's threads, and the new one spins for up to 0.13 s.
 _THREADED_D = 26
+
+# Smallest m * n * k at which OpenBLAS splits an (m, k) @ (k, n) product
+# across threads (numpy 2.4's OpenBLAS 0.3.31): a (512, d) @ (d, d) draw
+# transform, a run's largest per stream, from d = 32 up, and a lone draw of
+# 8,192 rows from d = 8.  Smaller products run on one thread unpinned.
+_THREADED_GEMM = 2 ** 19
 
 
 def matrix_norm_under(m, a) -> float:

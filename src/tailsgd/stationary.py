@@ -149,25 +149,43 @@ class FourthMomentOperator:
         """
         if self.kind != "monte_carlo":
             raise ValueError("standard errors only exist for the monte_carlo backing")
-        mm = sym(m)
-        n, d = self._xs.shape
-        # one pass over row blocks: with u_k = (x_k^T M x_k) x_k, the first
-        # moment is sum_k u_k x_k^T and the entrywise second moment is
-        # (u o u)^T (x o x)
-        mean, m2 = np.zeros((d, d)), np.zeros((d, d))
-        for i in range(0, n, _ROW_BLOCK):
-            xb = self._xs[i:i + _ROW_BLOCK]
-            u = xb * _quad_forms(xb, mm)[:, None]
-            mean += u.T @ xb
-            u *= u
-            m2 += u.T @ (xb * xb)
-        mean = sym(mean / n)
-        var = np.maximum(m2 / n - mean ** 2, 0.0)
-        return mean, np.sqrt(var / n)
+        sums = _FourthMomentSums(m)
+        for i in range(0, self._xs.shape[0], _ROW_BLOCK):
+            sums.add(self._xs[i:i + _ROW_BLOCK])
+        return sums.mean_and_stderr()
 
     def r_squared_under(self, h) -> float:
         """Smallest c with E[||x||^2 x x^T] <= c * H for the given SPD H."""
         return matrix_norm_under(self.apply(np.eye(self.d)), h)
+
+
+class _FourthMomentSums:
+    """Running sums over row blocks of samples for the Monte-Carlo mean and
+    entrywise standard error of (x^T M x) x x^T.  Blocks are added in row
+    order, so the rows need never be held at once; ``apply_with_stderr`` and
+    ``verify``'s sampled check both estimate S(M) through it."""
+
+    def __init__(self, m):
+        self._m = sym(m)
+        d = self._m.shape[0]
+        self._n = 0
+        self._first, self._second = np.zeros((d, d)), np.zeros((d, d))
+
+    def add(self, xb: np.ndarray):
+        """Add the rows of one (at most ``_ROW_BLOCK``, d) block."""
+        # with u_k = (x_k^T M x_k) x_k, the first moment is sum_k u_k x_k^T
+        # and the entrywise second moment is (u o u)^T (x o x)
+        u = xb * _quad_forms(xb, self._m)[:, None]
+        self._first += u.T @ xb
+        u *= u
+        self._second += u.T @ (xb * xb)
+        self._n += xb.shape[0]
+
+    def mean_and_stderr(self):
+        n = self._n
+        mean = sym(self._first / n)
+        var = np.maximum(self._second / n - mean ** 2, 0.0)
+        return mean, np.sqrt(var / n)
 
 
 def anticommutator(m, h) -> np.ndarray:

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 
 import tailsgd
 from tailsgd import matcore
-from tailsgd.bounds import rate_constants
+from tailsgd.bounds import rate_constants, sigma2_mle
 from tailsgd.cli import main
 from tailsgd.distributions import SampleStream, exact_moments
 from tailsgd.errors import ConfigError, ConvergenceError, IntractableMomentsError
@@ -21,6 +22,7 @@ from tailsgd.harness import (
     SWEEP_COLUMNS,
     CheckResult,
     _chunk_ranges,
+    _entrywise_margin,
     _sampled_checks,
     _tail_averages,
     config_from_dict,
@@ -32,7 +34,9 @@ from tailsgd.harness import (
     sweep,
     sweep_csv,
 )
+from tailsgd.matcore import _ROW_BLOCK, _quad_forms, blas_threads
 from tailsgd.sgd import SgdConfig
+from tailsgd.stationary import FourthMomentOperator
 
 WELL3 = {
     "distribution": {"kind": "gaussian_well_specified", "d": 3, "noise_sigma": 1.0,
@@ -201,14 +205,57 @@ SAMPLED_CHECKS = ["fourth-moment-sampled", "noise-mean-zero", "sigma2-mle-quadra
 
 
 def test_verification_samples_one_shared_draw(monkeypatch):
+    # every pair verify draws comes from the one stream (seed, 903), in
+    # consecutive blocks of at most _ROW_BLOCK pairs that add up to 200,000
     rows = []
-    real = SampleStream.draw
+    real_init, real_draw = SampleStream.__init__, SampleStream.draw
+
+    def init(self, spec, seed):
+        self.seed_for_test = seed
+        real_init(self, spec, seed)
+
+    monkeypatch.setattr(SampleStream, "__init__", init)
     monkeypatch.setattr(SampleStream, "draw",
-                        lambda self, n: (rows.append(("draw", n)), real(self, n))[1])
+                        lambda self, n: (rows.append((self, n)), real_draw(self, n))[1])
     results = run_verification(misspec_d10(0))
-    assert rows == [("draw", 200_000)]
+    streams = {stream for stream, _ in rows}
+    assert [stream.seed_for_test for stream in streams] == [(0, 903)]
+    assert all(1 <= n <= _ROW_BLOCK for _, n in rows)
+    assert sum(n for _, n in rows) == 200_000
     assert [r.name for r in results][3:6] == SAMPLED_CHECKS
     assert all(r.passed for r in results), [r for r in results if not r.passed]
+
+
+def _unblocked_sampled_margins(cfg):
+    """The three sampled checks' margins from one whole draw of 200,000
+    pairs: the reference the blocked pass is compared against."""
+    m, n = cfg.moments, 200_000
+    with blas_threads(1):
+        x, y = SampleStream(cfg.distribution, (cfg.seed, 903)).draw(n)
+        resid = y - x @ m.w_star
+        mean, se = FourthMomentOperator.sampled(x).apply_with_stderr(m.H)
+        fourth = _entrywise_margin(mean - cfg.operator.apply(m.H), se, 1e-12 * (1.0 + m.R2))
+        norm = float(np.linalg.norm(x.T @ resid)) / n
+        noise = 4.0 * math.sqrt(float(np.trace(m.Sigma)) / n) + 1e-12 - norm
+        q = 0.5 * resid ** 2 * _quad_forms(x, np.linalg.inv(m.H))
+        est, se = float(q.mean()), float(q.std(ddof=1) / math.sqrt(n))
+        quadratic = 4.0 * se + 1e-12 - abs(est - sigma2_mle(m))
+    return fourth, noise, quadratic
+
+
+def test_blocked_sampled_checks_match_one_whole_draw():
+    # The row blocks of the draw fall where those of _quad_forms and
+    # apply_with_stderr do, so two margins keep their bits; the noise mean's
+    # one 200,000-row product becomes a sum of 25 block products
+    cfgs = [misspec_d10(seed) for seed in range(3)]
+    cfgs.append(config_from_dict({"distribution": family_distribution("well_specified", 10, 1.0),
+                                  "T": 1000, "replicates": 100, "seed": 4}))
+    for cfg in cfgs:
+        fourth, noise, quadratic = _unblocked_sampled_margins(cfg)
+        results = _sampled_checks(cfg.distribution, cfg.moments, cfg.operator, cfg.seed)
+        assert results[0].margin == fourth
+        assert results[1].margin == pytest.approx(noise, rel=1e-12, abs=0.0)
+        assert results[2].margin == quadratic
 
 
 def test_sampled_checks_pass_over_seeds():
@@ -222,19 +269,21 @@ def test_sampled_checks_pass_over_seeds():
 
 
 def test_sampled_checks_memory_is_the_shared_draw():
-    # Drawn separately (200k, 100k and 200k pairs), the three checks peaked at
-    # 23,059,112 traced bytes on this model under numpy 2.4, set by the draw
-    # of the last one.  Holding the shared draw across all three may not add
-    # to that: an (n, d) noise temporary beside it would add 16 MB.
-    cfg = misspec_d10(0)
-    SampleStream(cfg.distribution, 0).draw(1)  # numpy.random loaded untraced
-    tracemalloc.start()
-    try:
-        _sampled_checks(cfg.distribution, cfg.moments, cfg.operator, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.01 * 23_059_112
+    # The pass holds a block of pairs at a time and the 200,000 quadratic
+    # forms (1.6 MB): it peaked at 4.1 MB of traced bytes at d = 10 and
+    # 10.0 MB at d = 40 under numpy 2.4.  Holding the whole draw, 17.6 MB at
+    # d = 10 and 65.6 MB at d = 40, peaked at 23.1 and 74.3 MB.
+    for d, cap in ((10, 6e6), (40, 14e6)):
+        cfg = config_from_dict({"distribution": family_distribution("misspecified", d, 1.0),
+                                "T": 1000, "replicates": 100, "seed": 0})
+        SampleStream(cfg.distribution, 0).draw(1)  # numpy.random loaded untraced
+        tracemalloc.start()
+        try:
+            _sampled_checks(cfg.distribution, cfg.moments, cfg.operator, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cap, d
 
 
 def test_setup_does_not_import_numpy_random():
@@ -287,13 +336,14 @@ def test_output_does_not_depend_on_blas_threads(tmp_path):
 
 def test_tail_averages_sets_no_blas_thread_count(monkeypatch):
     # a thread-count call in a forked pool worker restarts OpenBLAS's threads,
-    # and the new one spins; the simulation path must make none
-    cfg = misspec_d10(0)
-    sgd_cfg = SgdConfig(gamma=cfg.gamma, w0=cfg.w0, t_avg_start=cfg.t, T=cfg.T)
+    # and the new one spins; the simulation path must make none, also on a
+    # dense H_spec whose draw products are too small for OpenBLAS to split
     calls = []
     monkeypatch.setattr(matcore, "_openblas",
                         lambda: (lambda: calls.append("get") or 2, calls.append))
-    _tail_averages(cfg.distribution, sgd_cfg, cfg.moments, cfg.seed, 0, 4, 1)
+    for cfg in (misspec_d10(0), config_from_dict({**dense_h_experiment(3), "T": 1024})):
+        sgd_cfg = SgdConfig(gamma=cfg.gamma, w0=cfg.w0, t_avg_start=cfg.t, T=cfg.T)
+        _tail_averages(cfg.distribution, sgd_cfg, cfg.moments, cfg.seed, 0, 4, 1)
     assert calls == []
 
 
