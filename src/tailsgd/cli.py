@@ -14,8 +14,8 @@
 Exit codes: 0 success, 2 configuration error naming its field, 3 verification
 failure, 4 numerical failure, a NaN or infinite result included.
 
-This module parses flags, prints and maps errors to exit codes; ``harness``
-builds each command's result.
+This module sets BLAS to one thread, parses flags, prints and maps errors to
+exit codes; ``harness`` builds each command's result.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .harness import (
     sweep,
     sweep_csv,
     sweep_row,
+    use_one_blas_thread,
 )
 
 _CONFIG_ERRORS = (
@@ -196,6 +197,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    use_one_blas_thread()
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "workers", 1) < 1:

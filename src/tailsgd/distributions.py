@@ -34,16 +34,14 @@ y over the noise column, with the same numbers as lone draws.
 Gaussian covariates are x = L z with L the Cholesky factor of H, computed once
 per spec.  When L is diagonal (every H the sweep grid builds) the spec keeps
 only its diagonal, and the transform scales the block of normals in place
-with no BLAS call; otherwise it keeps the dense factor and multiplies, at
-one BLAS thread wherever OpenBLAS would split the product across threads,
-so that a draw does not depend on the thread count.  Both
+with no BLAS call; otherwise it keeps the dense factor and multiplies.  Both
 give the same numbers, since each entry of the dense product is z_j L_jj plus
-exact zeros.
+exact zeros.  A dense draw's bits depend on the BLAS thread count: a CLI call
+makes it at one thread, and a library caller who wants that sets it first.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 from dataclasses import dataclass, field
 
@@ -57,9 +55,7 @@ from .errors import (
 )
 from .matcore import (
     _ROW_BLOCK,
-    _THREADED_GEMM,
     _weighted_gram,
-    blas_threads,
     matrix_norm_under,
     spd,
     sym,
@@ -477,13 +473,7 @@ def _pairs(spec: DistributionSpec, raw: np.ndarray):
         raw *= spec._chol
         x = raw[..., :d]
     else:
-        # OpenBLAS splits a large product across its threads, which changes
-        # its bits; at one thread a draw is the same on every machine.  A
-        # product too small to be split skips the pin, which in a forked pool
-        # worker would restart OpenBLAS's threads.
-        pin = n * d * d >= _THREADED_GEMM
-        with blas_threads(1) if pin else contextlib.nullcontext():
-            x = raw[..., :d] @ spec._chol.T
+        x = raw[..., :d] @ spec._chol.T
     eta = raw[..., d]
     y = x @ spec.w_star
     if spec.kind == GAUSSIAN_WELL_SPECIFIED:

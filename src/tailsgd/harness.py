@@ -78,12 +78,12 @@ from .distributions import (
     estimate_moments,
     exact_moments,
 )
+from . import matcore
 from .errors import ConfigError, NonFiniteResultError, TailSgdError
 from .matcore import (
     _BUFFER_CAP,
     _ROW_BLOCK,
     _quad_forms,
-    blas_threads,
     psd_order_leq,
     sym_to_vec,
     vec_to_sym,
@@ -317,6 +317,17 @@ def _closed_form(cfg: ExperimentConfig) -> Moments:
     return cfg.moments if cfg.moments.exact else exact_moments(cfg.distribution)
 
 
+def use_one_blas_thread() -> None:
+    """Set numpy's bundled OpenBLAS to one thread for the rest of the process,
+    where a product's bits do not depend on the machine; a CLI call starts
+    here.  Sets nothing where one thread is in force.  Pool workers forked
+    later inherit the one thread and make no call: in a forked process any
+    thread-count call restarts a spinning OpenBLAS thread."""
+    lib = matcore._openblas()
+    if lib is not None and lib[0]() != 1:
+        lib[1](1)
+
+
 def moments_report(cfg: ExperimentConfig, estimate: int | None = None) -> dict:
     """The model's closed-form moments or, given ``estimate`` (the
     ``--estimate`` flag), moments from that many fresh draws; with sigma2_mle
@@ -504,7 +515,6 @@ def _entrywise_margin(diff, se, atol: float) -> float:
     return float(1.0 - ratio.max())
 
 
-@blas_threads(1)
 def _sampled_checks(spec: DistributionSpec, m: Moments, op: FourthMomentOperator,
                     seed: int) -> list[CheckResult]:
     """The three Monte-Carlo checks of the model's moments, all on one draw
@@ -513,10 +523,9 @@ def _sampled_checks(spec: DistributionSpec, m: Moments, op: FourthMomentOperator
     The pairs are drawn in consecutive blocks of ``_ROW_BLOCK`` rows, and
     each block is folded into the three checks' sums before the next is
     drawn, so the pass holds one block of pairs and the 200,000 quadratic
-    forms of the last check, not the whole draw.  It runs at one BLAS
-    thread: OpenBLAS splits products across threads, which changes their
-    bits, and its idle threads then spin through the numpy work between
-    them."""
+    forms of the last check, not the whole draw.  Its margins' bits depend
+    on the BLAS thread count; a CLI call runs it at one thread, where they
+    do not."""
     n = 200_000
     stream = SampleStream(spec, (seed, 903))
     fourth_sums = _FourthMomentSums(m.H)

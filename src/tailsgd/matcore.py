@@ -16,10 +16,11 @@ rows in fixed row blocks, so their temporaries do not grow with n.
 
 ``blas_threads(n)`` runs a block with numpy's bundled OpenBLAS at n threads.
 OpenBLAS splits a large product across its threads, and the split changes
-the order of its sums, so ``matrix_norm_under`` (R^2, and through it gamma
-and every bound) runs at one thread and its bits do not depend on the
-machine's CPU count; so do the Monte-Carlo passes that call it, and the
-dense draw transform wherever OpenBLAS would split it (``_THREADED_GEMM``).
+the order of its sums; at one thread a product's bits do not depend on the
+machine.  A CLI call runs at one thread (``harness.use_one_blas_thread``),
+except the stationary solvers, which run at the count OpenBLAS started with
+(``OPENBLAS_NUM_THREADS`` or the CPU count).  A library caller who wants
+thread-independent bits sets one thread first.
 """
 
 from __future__ import annotations
@@ -103,8 +104,9 @@ def _inv_sqrt(a: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _openblas():
-    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or
-    None where numpy ships no such library (MKL, a system BLAS)."""
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS and
+    the count in force at this first lookup, or None where numpy ships no
+    such library (MKL, a system BLAS)."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     try:
         name = next(n for n in os.listdir(libs) if n.startswith("libscipy_openblas"))
@@ -115,7 +117,14 @@ def _openblas():
         return None
     get.argtypes, get.restype = [], ctypes.c_int
     set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
+    return get, set_, get()
+
+
+def _start_threads() -> int:
+    """The thread count that the first lookup of numpy's bundled OpenBLAS
+    found in force (1 where that library is not found)."""
+    lib = _openblas()
+    return lib[2] if lib is not None else 1
 
 
 @contextlib.contextmanager
@@ -123,11 +132,8 @@ def blas_threads(n: int):
     """Run the block with numpy's bundled OpenBLAS at n threads, then restore
     the previous count, also on an exception.  Does nothing where that library
     is not found, and makes no call to set a count already in force.
-
-    The count is process-wide.  In a process that has forked, a call to set
-    it restarts OpenBLAS's threads, so callers pin only blocks whose BLAS
-    calls would otherwise be split across threads.
-    """
+    The count is process-wide and forks inherit it; in a forked process any
+    call to set it restarts OpenBLAS's threads."""
     lib = _openblas()
     previous = lib[0]() if lib is not None else n
     if previous == n:
@@ -140,34 +146,18 @@ def blas_threads(n: int):
         lib[1](previous)
 
 
-# Smallest d at which OpenBLAS splits a call of matrix_norm_under across
-# threads (its eigh, with numpy 2.4's OpenBLAS 0.3.31).  Below it the norm
-# needs no pin, and skips one: a thread-count call in a process that has
-# forked restarts OpenBLAS's threads, and the new one spins for up to 0.13 s.
-_THREADED_D = 26
-
-# Smallest m * n * k at which OpenBLAS splits an (m, k) @ (k, n) product
-# across threads (numpy 2.4's OpenBLAS 0.3.31): a (512, d) @ (d, d) draw
-# transform, a run's largest per stream, from d = 32 up, and a lone draw of
-# 8,192 rows from d = 8.  Smaller products run on one thread unpinned.
-_THREADED_GEMM = 2 ** 19
-
-
 def matrix_norm_under(m, a) -> float:
     """Spectral norm of M measured in the geometry of an SPD matrix A.
 
     Returns ``|| A^{-1/2} M A^{-1/2} ||_2``, the smallest c such that
-    -c A <= M <= c A in the semidefinite order.  Runs at one BLAS thread
-    (pinned from d = ``_THREADED_D`` up), so its bits do not depend on the
-    thread count.
+    -c A <= M <= c A in the semidefinite order.
     """
     mm = sym(m)
-    with blas_threads(1) if mm.shape[0] >= _THREADED_D else contextlib.nullcontext():
-        aa = spd(a)
-        if mm.shape != aa.shape:
-            raise DimensionError(f"shape mismatch: {mm.shape} vs {aa.shape}")
-        r = _inv_sqrt(aa)
-        return spectral_norm(r @ mm @ r)
+    aa = spd(a)
+    if mm.shape != aa.shape:
+        raise DimensionError(f"shape mismatch: {mm.shape} vs {aa.shape}")
+    r = _inv_sqrt(aa)
+    return spectral_norm(r @ mm @ r)
 
 
 def psd_order_leq(a, b, tol: float = 0.0) -> bool:

@@ -45,7 +45,6 @@ from .errors import (
     IntractableMomentsError,
     StepSizeError,
 )
-from .matcore import blas_threads
 from .stationary import FourthMomentOperator
 
 # Samples buffered per replicate between vectorized sweeps (see
@@ -140,14 +139,13 @@ def resolve_model(spec: DistributionSpec) -> tuple[Moments, FourthMomentOperator
     """The model's moments and fourth-moment operator, with one backing:
     closed forms when available, otherwise both from one Monte-Carlo draw
     with a fixed internal seed, so repeated resolutions agree exactly.  The
-    estimates are formed at one BLAS thread, as ``verify``'s sampled checks
-    are."""
+    estimates' bits depend on the BLAS thread count; a CLI call forms them at
+    one thread, where they do not."""
     try:
         return exact_moments(spec), FourthMomentOperator.from_spec(spec)
     except IntractableMomentsError:
-        with blas_threads(1):
-            x, y = SampleStream(spec, _EST_SEED).draw(_EST_SAMPLES)
-            return sample_moments(spec, x, y), FourthMomentOperator.sampled(x)
+        x, y = SampleStream(spec, _EST_SEED).draw(_EST_SAMPLES)
+        return sample_moments(spec, x, y), FourthMomentOperator.sampled(x)
 
 
 def resolve_moments(spec: DistributionSpec) -> Moments:

@@ -41,7 +41,8 @@ Both bounds are computable from Tr(H D_k) alone, and the solver stops when
 both are small.  ``solve_stationary_direct`` solves the same equation as a
 dense linear system in the flattened symmetric basis of ``matcore``; it is
 the independent small-d oracle.  Two a-priori bounds on the fixed point (a
-spectral-norm cap and a sharper trace cap) are provided alongside.
+spectral-norm cap and a sharper trace cap) are provided alongside.  Both
+solvers run at the BLAS thread count OpenBLAS started with (``matcore``).
 """
 
 from __future__ import annotations
@@ -63,7 +64,9 @@ from .matcore import (
     _BUFFER_CAP,
     _ROW_BLOCK,
     _quad_forms,
+    _start_threads,
     _weighted_gram,
+    blas_threads,
     matrix_norm_under,
     spd,
     sym,
@@ -291,42 +294,43 @@ def solve_stationary_fixed_point(h, s_op: FourthMomentOperator, sigma, gamma: fl
     the space of finite matrices.
     """
     hh, r2 = _gate(gamma, h, s_op)
-    lam, v = np.linalg.eigh(hh)
-    mu = float(lam[0])
-    # L0^{-1}(A) = V ((V^T A V) / (lam_i + lam_j)) V^T
-    denom = lam[:, None] + lam[None, :]
-    q = 0.5 * gamma * r2
-    ss = sym(sigma)
-    # both stopping bounds are multiples of step = Tr(H D); gamma cancels from
-    # the defect test gamma R^2 step <= resid_rtol gamma ||Sigma||_F
-    resid_cap = resid_rtol * float(np.linalg.norm(ss, "fro"))
-    c = np.zeros_like(hh)
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        rhs = gamma * (s_op.apply(c) + ss)
-        nxt = v @ ((v.T @ rhs @ v) / denom) @ v.T
-        nxt = 0.5 * (nxt + nxt.T)
-        # any non-finite entry of nxt makes step non-finite
-        step = float(np.sum(hh * (nxt - c)))
-        if not np.isfinite(step):
-            raise ConvergenceError(
-                f"iteration diverged after {iterations} steps (gamma too large "
-                "for this backing?)"
-            )
-        c = nxt
-        if (q / (1.0 - q) * step / mu <= tol * np.linalg.norm(c, "fro")
-                and r2 * step <= resid_cap):
-            break
-    else:
-        raise ConvergenceError(f"no convergence within {max_iter} iterations")
-    c = ensure_psd_solution(c)
-    return StationarySolution(
-        cov=c,
-        method="fixed-point",
-        residual=stationary_residual(c, hh, s_op, ss, gamma),
-        exact=s_op.exact,
-        iterations=iterations,
-    )
+    with blas_threads(_start_threads()):
+        lam, v = np.linalg.eigh(hh)
+        mu = float(lam[0])
+        # L0^{-1}(A) = V ((V^T A V) / (lam_i + lam_j)) V^T
+        denom = lam[:, None] + lam[None, :]
+        q = 0.5 * gamma * r2
+        ss = sym(sigma)
+        # both stopping bounds are multiples of step = Tr(H D); gamma cancels from
+        # the defect test gamma R^2 step <= resid_rtol gamma ||Sigma||_F
+        resid_cap = resid_rtol * float(np.linalg.norm(ss, "fro"))
+        c = np.zeros_like(hh)
+        iterations = 0
+        for iterations in range(1, max_iter + 1):
+            rhs = gamma * (s_op.apply(c) + ss)
+            nxt = v @ ((v.T @ rhs @ v) / denom) @ v.T
+            nxt = 0.5 * (nxt + nxt.T)
+            # any non-finite entry of nxt makes step non-finite
+            step = float(np.sum(hh * (nxt - c)))
+            if not np.isfinite(step):
+                raise ConvergenceError(
+                    f"iteration diverged after {iterations} steps (gamma too large "
+                    "for this backing?)"
+                )
+            c = nxt
+            if (q / (1.0 - q) * step / mu <= tol * np.linalg.norm(c, "fro")
+                    and r2 * step <= resid_cap):
+                break
+        else:
+            raise ConvergenceError(f"no convergence within {max_iter} iterations")
+        c = ensure_psd_solution(c)
+        return StationarySolution(
+            cov=c,
+            method="fixed-point",
+            residual=stationary_residual(c, hh, s_op, ss, gamma),
+            exact=s_op.exact,
+            iterations=iterations,
+        )
 
 
 def operator_matrix(apply_fn, d: int) -> np.ndarray:
@@ -353,28 +357,30 @@ def solve_stationary_direct(h, s_op: FourthMomentOperator, sigma, gamma: float, 
     """Solve the fixed-point equation as a dense linear system in the
     flattened symmetric basis."""
     hh, _ = _gate(gamma, h, s_op)
-    ss = sym(sigma)
-    d = hh.shape[0]
-    a = operator_matrix(lambda m: anticommutator(m, hh) - gamma * s_op.apply(m), d)
-    # L0 - gamma S is self-adjoint, so its matrix in the sqrt(2)-scaled basis
-    # is symmetric and the condition number comes from its eigenvalues
-    evals = np.abs(np.linalg.eigvalsh(a))
-    lo, hi = float(evals.min()), float(evals.max())
-    cond = hi / lo if lo > 0.0 else np.inf
-    if not np.isfinite(cond) or cond > cond_max:
-        raise SingularSystemError(f"system condition number {cond:.3e} exceeds {cond_max:.1e}")
-    try:
-        cvec = np.linalg.solve(a, gamma * sym_to_vec(ss))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"stationary system is singular: {exc}") from exc
-    c = ensure_psd_solution(vec_to_sym(cvec))
-    return StationarySolution(
-        cov=c,
-        method="direct",
-        residual=stationary_residual(c, hh, s_op, ss, gamma),
-        exact=s_op.exact,
-        condition=cond,
-    )
+    with blas_threads(_start_threads()):
+        ss = sym(sigma)
+        d = hh.shape[0]
+        a = operator_matrix(lambda m: anticommutator(m, hh) - gamma * s_op.apply(m), d)
+        # L0 - gamma S is self-adjoint, so its matrix in the sqrt(2)-scaled basis
+        # is symmetric and the condition number comes from its eigenvalues
+        evals = np.abs(np.linalg.eigvalsh(a))
+        lo, hi = float(evals.min()), float(evals.max())
+        cond = hi / lo if lo > 0.0 else np.inf
+        if not np.isfinite(cond) or cond > cond_max:
+            raise SingularSystemError(
+                f"system condition number {cond:.3e} exceeds {cond_max:.1e}")
+        try:
+            cvec = np.linalg.solve(a, gamma * sym_to_vec(ss))
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"stationary system is singular: {exc}") from exc
+        c = ensure_psd_solution(vec_to_sym(cvec))
+        return StationarySolution(
+            cov=c,
+            method="direct",
+            residual=stationary_residual(c, hh, s_op, ss, gamma),
+            exact=s_op.exact,
+            condition=cond,
+        )
 
 
 def crude_bound(sigma, h, gamma: float, r2: float) -> float:

@@ -318,7 +318,10 @@ def test_output_does_not_depend_on_blas_threads(tmp_path):
     # the noise-mean-zero margin at seed 2 in their last bits
     runs = [("simulate", dense_h_experiment(), []),
             ("simulate", dense_h_experiment(), ["--workers", "2"]),
-            ("verify", misspec_d10_doc(2), ["--format", "json"])]
+            ("verify", misspec_d10_doc(2), ["--format", "json"]),
+            ("moments", {"distribution": family_distribution("misspecified", 10, 1.0)},
+             ["--estimate", "200000"]),
+            ("bound", dense_h_experiment(), [])]
     for k, (command, doc, flags) in enumerate(runs):
         path = tmp_path / f"{k}.json"
         path.write_text(json.dumps(doc))
@@ -332,6 +335,67 @@ def test_output_does_not_depend_on_blas_threads(tmp_path):
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1], command
+
+
+def test_cli_sets_one_blas_thread_once(monkeypatch, tmp_path):
+    # a CLI call sets one thread first and never restores it, so a second call
+    # in the process sets nothing; only the stationary solvers run at the
+    # count OpenBLAS started with, and put one thread back after
+    threads, calls = [2], []
+
+    def set_threads(n):
+        calls.append(n)
+        threads[0] = n
+
+    monkeypatch.setattr(matcore, "_openblas", lambda: (lambda: threads[0], set_threads, 2))
+    dense = tmp_path / "dense.json"
+    dense.write_text(json.dumps(dense_h_experiment(40)))
+    well = tmp_path / "well.json"
+    well.write_text(json.dumps({**WELL3, "T": 200, "replicates": 10}))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"d": [2], "families": ["well_specified"],
+                                "gamma_rules": ["half_inv_R2"], "T": [64],
+                                "replicates": 4}))
+    out = str(tmp_path / "out")
+    runs = [(["moments", "--config", str(dense)], 0),
+            (["moments", "--config", str(dense), "--estimate", "1000"], 0),
+            (["bound", "--config", str(dense)], 0),
+            (["simulate", "--config", str(dense)], 0),
+            (["solve-cov", "--config", str(dense), "--method", "fixed-point"], 1),
+            (["solve-cov", "--config", str(dense), "--method", "direct"], 1),
+            (["verify", "--config", str(well)], 2),
+            (["sweep", "--config", str(grid)], 0)]
+    for argv, solves in runs:
+        threads[0] = 2
+        for first in (True, False):
+            calls.clear()
+            assert main([*argv, "--out", out]) == 0, argv
+            assert calls == [1] * first + [2, 1] * solves, (argv, first)
+
+
+def test_blas_thread_count_is_set_only_in_its_places():
+    # the thread-count policy lives in matcore, the CLI's one entry and the
+    # two solvers' scope at the start count; nothing else may set a count
+    allowed = {("harness", "use_one_blas_thread"),
+               ("stationary", "solve_stationary_fixed_point"),
+               ("stationary", "solve_stationary_direct"),
+               ("stationary", None)}
+    names = {"blas_threads", "_openblas"}
+    found = set()
+    for path in Path(tailsgd.__file__).parent.glob("*.py"):
+        if path.stem == "matcore":
+            continue
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            scope = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            for node in ast.walk(top):
+                used = ({a.name for a in node.names} if isinstance(node, ast.ImportFrom)
+                        else {node.id} if isinstance(node, ast.Name)
+                        else {node.attr} if isinstance(node, ast.Attribute) else set())
+                if used & names:
+                    found.add((path.stem, scope))
+    assert found <= allowed, found - allowed
+    assert {("harness", "use_one_blas_thread")} <= found
 
 
 def test_tail_averages_sets_no_blas_thread_count(monkeypatch):

@@ -1,8 +1,3 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,66 +200,6 @@ def test_blas_threads_sets_only_a_new_count(monkeypatch):
 
 def test_blas_threads_is_a_no_op_without_the_library(monkeypatch):
     monkeypatch.setattr(matcore, "_openblas", lambda: None)
-    d = matcore._THREADED_D
+    d = 30
     with blas_threads(1):
         assert matrix_norm_under(np.diag(np.arange(1.0, d + 1)), np.eye(d)) == d
-
-
-def _threads_started(setup: str, call: str) -> tuple[str, str]:
-    """This process's thread count before and after ``call``, run in a fresh
-    interpreter after ``setup`` and one fork.  After a fork OpenBLAS's threads
-    are down, and any threaded call would start one."""
-    if matcore._openblas() is None or not os.path.isdir("/proc/self/task"):
-        pytest.skip("needs numpy's bundled OpenBLAS and /proc")
-    code = (
-        "import os\n"
-        f"{setup}"
-        "pid = os.fork()\n"
-        "if pid == 0:\n"
-        "    os._exit(0)\n"
-        "os.waitpid(pid, 0)\n"
-        "before = len(os.listdir('/proc/self/task'))\n"
-        f"{call}\n"
-        "print(before, len(os.listdir('/proc/self/task')))\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(matcore.__file__).parents[1]))
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    before, after = proc.stdout.split()
-    return before, after
-
-
-def test_small_norms_start_no_blas_thread():
-    # matrix_norm_under skips its pin below _THREADED_D, on the ground that
-    # OpenBLAS runs all of it on one thread there
-    before, after = _threads_started(
-        "import numpy as np\n"
-        "from tailsgd.matcore import _THREADED_D, matrix_norm_under\n"
-        "d = _THREADED_D - 1\n"
-        "a = np.random.default_rng(11).standard_normal((d, d))\n"
-        "h = a @ a.T / d + 0.1 * np.eye(d)\n",
-        "matrix_norm_under(h @ h, h)")
-    assert before == after
-
-
-def test_small_draw_products_start_no_blas_thread():
-    # the dense draw transform skips its pin below _THREADED_GEMM, on the
-    # ground that OpenBLAS runs a smaller product on one thread: here a run's
-    # largest per-stream product, 512 rows, at the largest d below the cutoff
-    before, after = _threads_started(
-        "import math\n"
-        "import numpy as np\n"
-        "from tailsgd.distributions import DistributionSpec, draw_block, sample_streams\n"
-        "from tailsgd.matcore import _THREADED_GEMM\n"
-        "n = 512\n"
-        "d = math.isqrt((_THREADED_GEMM - 1) // n)\n"
-        "a = np.random.default_rng(11).standard_normal((d, d))\n"
-        "spec = DistributionSpec(kind='gaussian_well_specified', d=d,\n"
-        "                        H_spec=a @ a.T / d + 0.1 * np.eye(d),\n"
-        "                        w_star=np.ones(d), noise_sigma=1.0)\n"
-        "streams = sample_streams(spec, [(0, 0, r) for r in range(4)])\n"
-        "block = np.empty((4, n, d + 1))\n",
-        "draw_block(streams, block)")
-    assert before == after
