@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,3 +208,69 @@ def test_blas_threads_is_a_no_op_without_the_library(monkeypatch):
     d = 30
     with blas_threads(1):
         assert matrix_norm_under(np.diag(np.arange(1.0, d + 1)), np.eye(d)) == d
+
+
+def _threads_started(setup: str, call: str) -> tuple[str, str]:
+    """This process's thread count before and after ``call``, run in a fresh
+    interpreter after ``setup`` and one fork.  After a fork OpenBLAS's threads
+    are down, and any threaded call would start one."""
+    if matcore._openblas() is None or not os.path.isdir("/proc/self/task"):
+        pytest.skip("needs numpy's bundled OpenBLAS and /proc")
+    code = (
+        "import os\n"
+        f"{setup}"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    os._exit(0)\n"
+        "os.waitpid(pid, 0)\n"
+        "before = len(os.listdir('/proc/self/task'))\n"
+        f"{call}\n"
+        "print(before, len(os.listdir('/proc/self/task')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(matcore.__file__).parents[1]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    return before, after
+
+
+def test_small_norms_start_no_blas_thread():
+    # a pool worker inherits the one thread the CLI's entry sets before the
+    # fork, so its R^2 starts no OpenBLAS thread: at d = 25, which OpenBLAS
+    # runs on one thread anyway, and at d = 60, which it would split
+    before, after = _threads_started(
+        "import numpy as np\n"
+        "from tailsgd.harness import use_one_blas_thread\n"
+        "from tailsgd.matcore import matrix_norm_under\n"
+        "use_one_blas_thread()\n"
+        "hs = []\n"
+        "for d in (25, 60):\n"
+        "    a = np.random.default_rng(11).standard_normal((d, d))\n"
+        "    hs.append(a @ a.T / d + 0.1 * np.eye(d))\n",
+        "for h in hs:\n"
+        "    matrix_norm_under(h @ h, h)")
+    assert before == after
+
+
+def test_small_draw_products_start_no_blas_thread():
+    # as above for the dense draw transform on a run's 512-row per-stream
+    # chunks: at d = 31, which OpenBLAS runs on one thread anyway, and at
+    # d = 64, which it would split
+    before, after = _threads_started(
+        "import numpy as np\n"
+        "from tailsgd.distributions import DistributionSpec, draw_block, sample_streams\n"
+        "from tailsgd.harness import use_one_blas_thread\n"
+        "use_one_blas_thread()\n"
+        "runs = []\n"
+        "for d in (31, 64):\n"
+        "    a = np.random.default_rng(11).standard_normal((d, d))\n"
+        "    spec = DistributionSpec(kind='gaussian_well_specified', d=d,\n"
+        "                            H_spec=a @ a.T / d + 0.1 * np.eye(d),\n"
+        "                            w_star=np.ones(d), noise_sigma=1.0)\n"
+        "    runs.append((sample_streams(spec, [(0, 0, r) for r in range(4)]),\n"
+        "                 np.empty((4, 512, d + 1))))\n",
+        "for streams, block in runs:\n"
+        "    draw_block(streams, block)")
+    assert before == after
