@@ -15,7 +15,10 @@ Streams use numpy's counter-based Philox bit generator, keyed by the
 SeedSequence hash of the seed, an int or a tuple of ints.  Equal (spec, seed)
 and equal draw patterns reproduce bit-identical samples; distinct seeds give
 independent streams.  For the Gaussian families the draw pattern does not
-matter: one draw of 2n pairs equals two consecutive draws of n.
+matter to the raw normals: one draw of 2n equals two consecutive draws of n.
+The pairs made from them can differ in their last bits: BLAS forms the
+labels' products with w* over groups of a draw's rows, so a label depends on
+where its row sits in its draw, and numpy forms a one-row draw's with dot.
 
 A Philox stream is fully defined by its key, so ``sample_streams`` derives
 the keys of many seeds in one vectorized pass of numpy's SeedSequence hash

@@ -26,12 +26,13 @@ rejected, and a malformed document raises ConfigError naming its field.  ::
       "seed": 0               # default 0, 0 <= seed < 2^64
     }
 
-A run's draw buffer and state, replicates * (min(BLOCK, T) * (d + 1) +
-24 * d) * 8 bytes, may not exceed 1 GiB.  A sweep reads gamma, replicates,
-seed, noise_sigma (default 1.0) and t_rule (half_T only) through the same
-entries, and checks its axes d (default [1, 3, 10]), gamma_rules (default
-both derived rules), T (default [1000, 10000]) and families (default both)
-against the entries they vary.
+A run's draw buffer and state may not exceed 1 GiB, counted before the model
+is built at their largest, replicates * (min(BLOCK, T) * (d + 1) + 24 * d) *
+8 bytes (a diagonal H fills fewer rows at a time: sgd.draw_rows).  A sweep
+reads gamma, replicates, seed, noise_sigma (default 1.0) and t_rule (half_T
+only) through the same entries, and checks its axes d (default [1, 3, 10]),
+gamma_rules (default both derived rules), T (default [1000, 10000]) and
+families (default both) against the entries they vary.
 
 Stepsize rules resolve against the model's moments: ``half_inv_R2`` gives
 gamma = 1 / (2 R^2) and ``half_inv_rho_R2`` gives gamma = 1 / (2 rho R^2),

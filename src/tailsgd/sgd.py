@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
+    DISCRETE,
     DistributionSpec,
     Moments,
     SampleStream,
@@ -47,10 +48,22 @@ from .errors import (
 )
 from .stationary import FourthMomentOperator
 
-# Samples buffered per replicate between vectorized sweeps (see
-# draw_buffer_shape).  The draw pattern is a function of T alone, which is
-# what keeps trajectories independent of how seeds are batched.
+# Most samples buffered per replicate between vectorized sweeps (see
+# draw_rows).  The draw pattern is a function of the spec and T alone, never
+# of the replicates, which is what keeps trajectories independent of how
+# seeds are batched.
 BLOCK = 512
+
+# A spec with a diagonal Cholesky factor fills each BLOCK in sub-blocks of
+# rows * (d + 1) <= _FILL_VALUES values (64 KiB per replicate), rows a power
+# of two no lower than _MIN_ROWS.  Its Philox normals split freely, its
+# transform is elementwise plus per-row products, and sub-blocks that start
+# at multiples of 64 rows keep every row's place in the BLAS kernel's row
+# grouping, so the pairs are those of whole blocks bit for bit.  A dense
+# factor's product groups rows in panels of its own, and a discrete fill
+# draws all its uniforms before its normals: those specs fill whole blocks.
+_FILL_VALUES = 8192
+_MIN_ROWS = 64
 
 PROCESSES = ("standard", "bias", "variance")
 
@@ -153,15 +166,30 @@ def resolve_moments(spec: DistributionSpec) -> Moments:
     return resolve_model(spec)[0]
 
 
+def draw_rows(spec: DistributionSpec) -> int:
+    """Rows of draws a run of ``spec`` fills per replicate at a time: the
+    largest power of two in [64, BLOCK] with rows * (d + 1) <= 8192 values
+    when the Cholesky factor is diagonal, and BLOCK otherwise."""
+    rows = BLOCK
+    if spec.kind != DISCRETE and spec._chol.ndim == 1:
+        while rows > _MIN_ROWS and rows * (spec.d + 1) > _FILL_VALUES:
+            rows //= 2
+    return rows
+
+
 def draw_buffer_shape(replicates: int, T: int, d: int) -> tuple[int, int, int]:
-    """Shape of the draw buffer of a run: one block of min(BLOCK, T) rows of
-    d + 1 raw variates per replicate, the last column holding the labels."""
+    """Largest shape the draw buffer of a run can take, whatever its model:
+    one block of min(BLOCK, T) rows of d + 1 raw variates per replicate, the
+    last column holding the labels.  A run whose spec fills fewer rows at a
+    time (draw_rows) holds fewer."""
     return replicates, min(BLOCK, T), d + 1
 
 
 def run_bytes(replicates: int, T: int, d: int) -> int:
-    """Bytes of the arrays of a run that grow with its replicates: the draw
-    buffer and the state arrays of every process, snapshots aside."""
+    """Upper bound on the bytes of the arrays of a run that grow with its
+    replicates: the largest draw buffer and the state arrays of every
+    process, snapshots aside.  It needs no model, so a config can be checked
+    against it before its model is built."""
     state = _STATE_ARRAYS * replicates * len(PROCESSES) * d
     return 8 * (math.prod(draw_buffer_shape(replicates, T, d)) + state)
 
@@ -212,11 +240,17 @@ def run_replicates(spec: DistributionSpec, config: SgdConfig, seeds, *,
     mask = np.array([0.0 if p == "bias" else 1.0 for p in names])
 
     tail = _KahanSum(w.shape)
-    buf = np.empty(math.prod(draw_buffer_shape(n_rep, big_t, d)))
+    rows = draw_rows(spec)
+    # a sub-blocked run may fill one row more at its end (below)
+    buf = np.empty(n_rep * min(rows + (rows < BLOCK), big_t) * (d + 1))
     dot, r, upd = np.empty(w.shape[:2]), np.empty(w.shape[:2]), np.empty(w.shape)
     done = 0
     while done < big_t:
-        b = min(BLOCK, big_t - done)
+        b = min(rows, big_t - done)
+        if big_t - done - b == 1 and (done + b) % BLOCK:
+            # numpy forms a one-row product with dot, not gemv, so the last
+            # row is filled alone only where a whole-block fill does so too
+            b += 1
         # contiguous, a short last block too: a strided one makes numpy
         # buffer its broadcast products
         xb, yb = draw_block(streams, buf[:n_rep * b * (d + 1)].reshape(n_rep, b, d + 1))

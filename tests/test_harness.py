@@ -705,3 +705,20 @@ def test_cli_sweep_writes_file(tmp_path):
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
     lines = out.read_text().strip().split("\n")
     assert len(lines) == 2 and lines[0].startswith("cell_id,")
+
+
+def test_cli_sweep_of_a_sub_blocked_cell_does_not_depend_on_workers(tmp_path):
+    # at d=100 each replicate's draws are filled 64 rows at a time; T=600
+    # ends in a 24-row sub-block of an 88-row block
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "d": [100], "families": ["well_specified"], "gamma_rules": ["half_inv_R2"],
+        "T": [600], "replicates": 5, "seed": 2,
+    }))
+    texts = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"rows{workers}.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--workers", workers]) == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1] and texts[0].count(b"\n") == 2

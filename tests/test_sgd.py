@@ -1,5 +1,5 @@
-import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from tailsgd.sgd import (
     BLOCK,
     PROCESSES,
     SgdConfig,
-    draw_buffer_shape,
+    draw_rows,
     resolve_moments,
     run_replicates,
 )
@@ -212,7 +212,13 @@ BLOCK_KINDS = {
                                              kind="gaussian_misspecified",
                                              misspec_fn="one_plus_norm_x"),
     "discrete": lambda: discrete_spec(3, 8),
+    # filled in sub-blocks of 128 rows
+    "diagonal_d40": lambda: gaussian_spec(40, h=np.diag(np.linspace(2.0, 0.1, 40)),
+                                          sigma=0.7),
+    "norm_x_d40": lambda: gaussian_spec(40, h=np.diag(np.linspace(2.0, 0.1, 40)),
+                                        sigma=0.7, kind="gaussian_misspecified"),
 }
+SUB_BLOCKED_KINDS = ("diagonal_d40", "norm_x_d40")
 
 
 def _blocks_seen(monkeypatch, spec, seeds, big_t, process="standard"):
@@ -233,24 +239,36 @@ def _blocks_seen(monkeypatch, spec, seeds, big_t, process="standard"):
     return seen
 
 
-@pytest.mark.parametrize("big_t", [1, BLOCK - 1, BLOCK + 17])
-@pytest.mark.parametrize("kind", sorted(BLOCK_KINDS))
+@pytest.mark.parametrize("kind, big_t", [
+    (kind, big_t) for kind in sorted(BLOCK_KINDS)
+    for big_t in ((1, 63, 129, 513, 552, 1100) if kind in SUB_BLOCKED_KINDS
+                  else (1, BLOCK - 1, BLOCK + 17))
+])
 def test_block_pairs_equal_lone_draws(monkeypatch, kind, big_t):
-    # each replicate's rows of every block are its own stream's draw of that
-    # block, bit for bit, however the seeds are batched and whichever
-    # processes the run advances; the seeds' Philox keys are hashed in one
-    # batch, over seeds of one to four 32-bit words
+    # each replicate's rows of every BLOCK, joined from its sub-blocks, are
+    # its own stream's draw of that block, bit for bit, however the seeds are
+    # batched and whichever processes the run advances; the seeds' Philox
+    # keys are hashed in one batch, over seeds of one to four 32-bit words
     spec = BLOCK_KINDS[kind]()
+    rows = draw_rows(spec)
+    assert (rows < BLOCK) == (kind in SUB_BLOCKED_KINDS)
     seeds = [(6, 0), 6, (2 ** 32, 1), (6, 2 ** 64 - 1, 3), (6, 4)]
     joint = _blocks_seen(monkeypatch, spec, seeds, big_t)
+    sizes = [y.shape[1] for _, y in joint]
+    assert sum(sizes) == big_t and sizes[:-1] == [rows] * (len(sizes) - 1)
+    # numpy forms a one-row product with dot: a lone last row joins the
+    # sub-block before it, except where a whole-block fill draws it alone too
+    assert sizes[-1] <= rows + 1 and (sizes[-1] > 1 or big_t % BLOCK == 1)
+    x = np.concatenate([x for x, _ in joint], axis=1)
+    y = np.concatenate([y for _, y in joint], axis=1)
+    assert x.shape == (len(seeds), big_t, spec.d)
     streams = [SampleStream(spec, s) for s in seeds]
-    sizes = [min(BLOCK, big_t - done) for done in range(0, big_t, BLOCK)]
-    assert len(joint) == len(sizes)
-    for (x, y), b in zip(joint, sizes):
-        assert x.shape == (len(seeds), b, spec.d) and y.shape == (len(seeds), b)
+    for done in range(0, big_t, BLOCK):
+        b = min(BLOCK, big_t - done)
         for i, stream in enumerate(streams):
             xi, yi = stream.draw(b)
-            assert np.array_equal(x[i], xi) and np.array_equal(y[i], yi)
+            assert np.array_equal(x[i, done:done + b], xi)
+            assert np.array_equal(y[i, done:done + b], yi)
     halves = [_blocks_seen(monkeypatch, spec, part, big_t) for part in (seeds[:2], seeds[2:])]
     for k, (x, y) in enumerate(joint):
         assert np.array_equal(x, np.concatenate([h[k][0] for h in halves]))
@@ -260,22 +278,45 @@ def test_block_pairs_equal_lone_draws(monkeypatch, kind, big_t):
         assert np.array_equal(x, bx) and np.array_equal(y, by)
 
 
+@pytest.mark.parametrize("d, rows", [(1, 512), (15, 512), (16, 256), (20, 256),
+                                     (40, 128), (63, 128), (64, 64), (100, 64),
+                                     (1000, 64)])
+def test_draw_rows_fill_at_most_8192_values_per_replicate(d, rows):
+    # a diagonal Gaussian spec fills the largest power of two in [64, 512]
+    # rows with rows * (d + 1) <= 8192; discrete and dense specs whole blocks
+    diag = np.linspace(1.0, 0.5, d)
+    for kind in ("gaussian_well_specified", "gaussian_misspecified"):
+        assert draw_rows(gaussian_spec(d, h=np.diag(diag), kind=kind)) == rows
+    if d <= 100:
+        assert draw_rows(gaussian_spec(d, h=random_spd(d, 1))) == BLOCK
+        assert draw_rows(discrete_spec(d, 8)) == BLOCK
+
+
+def test_draw_rows_floor_is_64():
+    # d = 10,000 is past the config range, and its H would take 800 MB: the
+    # rule reads only the kind, d and the factor's shape
+    spec = SimpleNamespace(kind="gaussian_well_specified", d=10_000, _chol=np.ones(10_001))
+    assert draw_rows(spec) == 64
+
+
 @pytest.mark.parametrize("kind, allowance", [
     ("gaussian_well_specified", 0),
     # the noise scale ||x|| squares one row block of x at a time
     ("gaussian_misspecified", _ROW_BLOCK * 100 * 8),
 ])
 def test_run_memory_is_the_draw_buffer_plus_a_small_working_set(kind, allowance):
-    # the sweep's d=100 cell.  Beside the draw buffer a run holds about ten
-    # (R, P, d) arrays (state, Kahan sum, update, outputs) and the label
-    # temporaries of one chunk of streams; an (R, rows, P) label buffer would
-    # add five more units, an unblocked ||x|| temporary a whole buffer
+    # the sweep's d=100 cell, filled 64 rows at a time.  Beside the draw
+    # buffer (room for 65 rows) a run holds about ten (R, P, d) arrays (state,
+    # Kahan sum, update, outputs) and the label temporaries of one chunk of
+    # streams; an (R, rows, P) label buffer would add five more units, an
+    # unblocked ||x|| temporary a whole buffer.  Whole 512-row fills took
+    # 83.6 MiB; sub-blocked, the run takes under 24 MiB
     r, p, d = 200, len(PROCESSES), 100
     spec = gaussian_spec(d, sigma=1.0, kind=kind)
     m = exact_moments(spec)
     cfg = SgdConfig(gamma=0.5 / m.R2, w0=np.zeros(d), t_avg_start=512, T=1024)
     seeds = [(0, 1, i) for i in range(r)]
-    buffer = math.prod(draw_buffer_shape(r, 1024, d)) * 8
+    buffer = r * (draw_rows(spec) + 1) * (d + 1) * 8
     tracemalloc.start()
     try:
         run_replicates(spec, cfg, seeds, process=PROCESSES, moments=m)
@@ -283,3 +324,4 @@ def test_run_memory_is_the_draw_buffer_plus_a_small_working_set(kind, allowance)
     finally:
         tracemalloc.stop()
     assert peak - buffer < 12 * r * p * d * 8 + allowance
+    assert peak < 24 * 2 ** 20
