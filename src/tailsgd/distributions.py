@@ -57,6 +57,7 @@ from .errors import (
     SingularMomentsError,
 )
 from .matcore import (
+    _DRAW_BUDGET,
     _ROW_BLOCK,
     _weighted_gram,
     matrix_norm_under,
@@ -482,11 +483,16 @@ def _pairs(spec: DistributionSpec, raw: np.ndarray):
     if spec.kind == GAUSSIAN_WELL_SPECIFIED:
         y += spec.noise_sigma * eta
     else:
-        # ||x|| over row blocks, with no temporary of squares past _ROW_BLOCK rows
+        # ||x|| over blocks of the rows of all streams, with no temporary of
+        # squares past a quarter of the draw budget (512 KiB), so they add
+        # little to a run that holds the budget; a row's sum does not depend
+        # on its block
         g = np.empty(y.shape)
-        for j in range(0, n, _ROW_BLOCK):
-            xc = x[:, j:j + _ROW_BLOCK]
-            g[:, j:j + _ROW_BLOCK] = np.sqrt(np.add.reduce(xc * xc, axis=-1))
+        xs, gs = x.reshape(-1, d), g.reshape(-1)
+        step = max(1, min(_ROW_BLOCK, _DRAW_BUDGET // (4 * d)))
+        for j in range(0, len(gs), step):
+            xc = xs[j:j + step]
+            gs[j:j + step] = np.sqrt(np.add.reduce(xc * xc, axis=-1))
         if spec.misspec_fn != "norm_x":
             g += 1.0
         g *= spec.noise_sigma

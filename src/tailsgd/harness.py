@@ -26,9 +26,11 @@ rejected, and a malformed document raises ConfigError naming its field.  ::
       "seed": 0               # default 0, 0 <= seed < 2^64
     }
 
-A run's draw buffer and state may not exceed 1 GiB, counted before the model
-is built at their largest, replicates * (min(BLOCK, T) * (d + 1) + 24 * d) *
-8 bytes (a diagonal H fills fewer rows at a time: sgd.draw_rows).  A sweep
+A run's draw buffer and state may not exceed 1 GiB.  The cap is a
+conservative upper bound, checked before the model is built: it counts them
+at their largest, replicates * (min(BLOCK, T) * (d + 1) + 24 * d) * 8 bytes,
+while a run holds at most 2 MiB of draws wherever the floors of
+sgd.draw_plan allow.  A sweep
 reads gamma, replicates, seed, noise_sigma (default 1.0) and t_rule (half_T
 only) through the same entries, and checks its axes d (default [1, 3, 10]),
 gamma_rules (default both derived rules), T (default [1000, 10000]) and

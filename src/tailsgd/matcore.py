@@ -51,6 +51,11 @@ _BUFFER_CAP = 2 ** 30
 # 17.6 MB at d = 10.
 _ROW_BLOCK = 8192
 
+# Float64 values a simulation run holds as draws at once where it can, 2 MiB
+# (sgd.draw_plan); the squares of ||x|| formed from them take a quarter
+# (distributions._pairs).
+_DRAW_BUDGET = 2 ** 18
+
 
 def sym(m) -> np.ndarray:
     """Validate a square real matrix and return its symmetric part (M + M^T)/2."""

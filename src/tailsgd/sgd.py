@@ -7,13 +7,16 @@ the final state w_T never does.
 
 ``run_replicates`` runs one replicate per seed with the update vectorized
 across replicates.  Each replicate owns an independent sample stream, keyed
-together with the others in one pass (``sample_streams``) and drawn in
-fixed-size blocks: per block, every stream fills its raw variates into
-its rows of one shared buffer, and one transform turns the whole buffer into
-covariates and labels.  A replicate's draws, and so its trajectory, depend
-only on its own seed: splitting a seed list across calls (or worker
-processes) reproduces bit-identical trajectories.  The step loop reads the
-buffer in place and allocates nothing per step.  Iterate sums use
+together with the others of its group in one pass (``sample_streams``) and
+drawn in blocks: per block, every stream fills its raw variates into its
+rows of one shared buffer, and one transform turns the whole buffer into
+covariates and labels.  How many rows a block has, and how many replicates
+advance together in a group, depend on the spec, T and the number of
+replicates (``draw_plan``), so that a run's draw buffer stays within 2 MiB
+where it can.  A replicate's draws, and so its trajectory, depend only on its
+own seed: grouping the seeds, or splitting a seed list across calls (or
+worker processes), reproduces bit-identical trajectories.  The step loop
+reads the buffer in place and allocates nothing per step.  Iterate sums use
 compensated (Kahan) summation so long tail averages do not lose precision.
 
 A run advances any of three processes as rows of one pass over each
@@ -46,24 +49,28 @@ from .errors import (
     IntractableMomentsError,
     StepSizeError,
 )
+from .matcore import _DRAW_BUDGET
 from .stationary import FourthMomentOperator
 
 # Most samples buffered per replicate between vectorized sweeps (see
-# draw_rows).  The draw pattern is a function of the spec and T alone, never
-# of the replicates, which is what keeps trajectories independent of how
-# seeds are batched.
+# draw_plan).  A replicate's draws are those of its own stream in blocks of
+# BLOCK rows, whatever the rows of a fill and however the seeds are grouped,
+# which is what keeps trajectories independent of how seeds are batched.
 BLOCK = 512
 
-# A spec with a diagonal Cholesky factor fills each BLOCK in sub-blocks of
-# rows * (d + 1) <= _FILL_VALUES values (64 KiB per replicate), rows a power
-# of two no lower than _MIN_ROWS.  Its Philox normals split freely, its
-# transform is elementwise plus per-row products, and sub-blocks that start
-# at multiples of 64 rows keep every row's place in the BLAS kernel's row
-# grouping, so the pairs are those of whole blocks bit for bit.  A dense
-# factor's product groups rows in panels of its own, and a discrete fill
-# draws all its uniforms before its normals: those specs fill whole blocks.
-_FILL_VALUES = 8192
+# A spec with a diagonal Cholesky factor fills each BLOCK in sub-blocks of a
+# power of two rows, no fewer than _MIN_ROWS.  Its Philox normals split
+# freely, its transform is elementwise plus per-row products, and sub-blocks
+# that start at multiples of 64 rows keep every row's place in the BLAS
+# kernel's row grouping, so the pairs are those of whole blocks bit for bit.
+# A dense factor's product groups rows in panels of its own, and a discrete
+# fill draws all its uniforms before its normals: those specs fill whole
+# blocks.  Where the fill alone cannot bring the buffer within _DRAW_BUDGET,
+# the seeds advance in groups of no fewer than _MIN_GROUP replicates: each
+# group pays the step loop's per-call numpy overhead again, so a run pays it
+# at most once per 256 replicates.
 _MIN_ROWS = 64
+_MIN_GROUP = 256
 
 PROCESSES = ("standard", "bias", "variance")
 
@@ -135,7 +142,8 @@ class _KahanSum:
         self._s, self._t = t, self._s
 
     def total(self) -> np.ndarray:
-        return self._s.copy()
+        """The running total, overwritten by the next add."""
+        return self._s
 
 
 def check_stepsize(gamma: float, r2: float):
@@ -166,30 +174,50 @@ def resolve_moments(spec: DistributionSpec) -> Moments:
     return resolve_model(spec)[0]
 
 
-def draw_rows(spec: DistributionSpec) -> int:
-    """Rows of draws a run of ``spec`` fills per replicate at a time: the
-    largest power of two in [64, BLOCK] with rows * (d + 1) <= 8192 values
-    when the Cholesky factor is diagonal, and BLOCK otherwise."""
+def _fill_rows(rows: int, T: int) -> int:
+    # a sub-blocked run may fill one row more at its end (_advance)
+    return min(rows + (rows < BLOCK), T)
+
+
+def draw_plan(spec: DistributionSpec, replicates: int, T: int) -> tuple[int, int]:
+    """(rows, group) for a run of ``replicates`` seeds of ``spec`` over T
+    steps: it fills ``rows`` rows of draws per replicate at a time and
+    advances its seeds in groups of ``group``, the last group taking the
+    rest.
+
+    rows is BLOCK unless the Cholesky factor is diagonal; then it is the
+    largest power of two in [64, BLOCK] whose buffer of replicates *
+    min(rows + 1, T) * (d + 1) values (min(BLOCK, T) rows at BLOCK) fits
+    the 2 MiB draw budget, or 64.
+    group is every replicate if their buffer fits the budget, and otherwise
+    as many as fit, but no fewer than 256 or all of them.  Neither changes a
+    bit of the run's results."""
+    width = spec.d + 1
     rows = BLOCK
     if spec.kind != DISCRETE and spec._chol.ndim == 1:
-        while rows > _MIN_ROWS and rows * (spec.d + 1) > _FILL_VALUES:
+        while rows > _MIN_ROWS and replicates * _fill_rows(rows, T) * width > _DRAW_BUDGET:
             rows //= 2
-    return rows
+    group = max(_MIN_GROUP, _DRAW_BUDGET // (_fill_rows(rows, T) * width))
+    return rows, min(group, replicates)
 
 
 def draw_buffer_shape(replicates: int, T: int, d: int) -> tuple[int, int, int]:
-    """Largest shape the draw buffer of a run can take, whatever its model:
+    """Shape that no run's draw buffer can exceed, whatever its model:
     one block of min(BLOCK, T) rows of d + 1 raw variates per replicate, the
-    last column holding the labels.  A run whose spec fills fewer rows at a
-    time (draw_rows) holds fewer."""
+    last column holding the labels.  It is a conservative bound: a run fills
+    fewer rows, or advances its seeds in groups (draw_plan), so that its
+    buffer holds at most the 2 MiB draw budget wherever the plan's floors
+    allow."""
     return replicates, min(BLOCK, T), d + 1
 
 
 def run_bytes(replicates: int, T: int, d: int) -> int:
-    """Upper bound on the bytes of the arrays of a run that grow with its
-    replicates: the largest draw buffer and the state arrays of every
-    process, snapshots aside.  It needs no model, so a config can be checked
-    against it before its model is built."""
+    """Conservative upper bound on the bytes of the arrays of a run that grow
+    with its replicates: the largest draw buffer (draw_buffer_shape) and the
+    state arrays of every process, snapshots aside.  It needs no model, so a
+    config can be checked against it before its model is built; the run
+    itself holds at most the 2 MiB draw budget of draws wherever its floors
+    allow (draw_plan)."""
     state = _STATE_ARRAYS * replicates * len(PROCESSES) * d
     return 8 * (math.prod(draw_buffer_shape(replicates, T, d)) + state)
 
@@ -218,7 +246,7 @@ def run_replicates(spec: DistributionSpec, config: SgdConfig, seeds, *,
     if n_rep < 1:
         raise ValueError("need at least one seed")
 
-    gamma, big_t, t0 = config.gamma, config.T, config.t_avg_start
+    big_t = config.T
     w_star = np.asarray(m.w_star, dtype=float)
 
     snap_steps = sorted({int(s) for s in snapshot_steps})
@@ -227,22 +255,50 @@ def run_replicates(spec: DistributionSpec, config: SgdConfig, seeds, *,
     snap_idx = {s: i for i, s in enumerate(snap_steps)}
     snaps = np.empty((len(snap_steps), n_rep, len(names), d))
 
-    streams = sample_streams(spec, seeds)
     # Rows differ only in start point and label mask.  The noise-free (bias)
     # row is integrated in deviation coordinates with labels masked to zero:
     # forming y - w.x near the minimizer cancels catastrophically and floors
     # the decay at ulp(w*)^2, while the equivalent update dev -= gamma*(dev.x)x
     # decays geometrically to underflow.  Its outputs are shifted back by w*.
     start = {"standard": config.w0, "bias": config.w0 - w_star, "variance": w_star}
-    w = np.empty((n_rep, len(names), d))
-    w[:] = np.stack([start[p] for p in names])
+    starts = np.stack([start[p] for p in names])
     shift = np.stack([w_star if p == "bias" else np.zeros(d) for p in names])
     mask = np.array([0.0 if p == "bias" else 1.0 for p in names])
 
+    tails = np.empty((n_rep, len(names), d))
+    finals = np.empty_like(tails)
+    rows, group = draw_plan(spec, n_rep, big_t)
+    for lo in range(0, n_rep, group):
+        part = slice(lo, lo + group)
+        _advance(spec, config, seeds[part], rows, starts, mask, snap_idx,
+                 tails[part], finals[part], snaps[:, part])
+    tails += shift
+    finals += shift
+    snaps += shift
+    if isinstance(process, str):
+        tails, finals, snaps = tails[:, 0], finals[:, 0], snaps[:, :, 0]
+    return BatchResult(
+        tail_averages=tails,
+        finals=finals,
+        snapshot_steps=tuple(snap_steps),
+        snapshots=snaps,
+        samples_per_replicate=big_t,
+    )
+
+
+def _advance(spec, config, seeds, rows, starts, mask, snap_idx, tails, finals, snaps):
+    """Run one group of seeds from the (processes, d) ``starts``, writing its
+    unshifted tail averages, final states and snapshots into ``tails``,
+    ``finals`` and ``snaps``, the group's slices of the run's outputs;
+    ``finals`` holds the state as it advances.  The group keys its own
+    streams and holds its own draw buffer and the rest of its state."""
+    gamma, big_t, t0 = config.gamma, config.T, config.t_avg_start
+    n_rep, d = len(seeds), spec.d
+    streams = sample_streams(spec, seeds)
+    w = finals
+    w[:] = starts
     tail = _KahanSum(w.shape)
-    rows = draw_rows(spec)
-    # a sub-blocked run may fill one row more at its end (below)
-    buf = np.empty(n_rep * min(rows + (rows < BLOCK), big_t) * (d + 1))
+    buf = np.empty(n_rep * _fill_rows(rows, big_t) * (d + 1))
     dot, r, upd = np.empty(w.shape[:2]), np.empty(w.shape[:2]), np.empty(w.shape)
     done = 0
     while done < big_t:
@@ -272,14 +328,4 @@ def run_replicates(spec: DistributionSpec, config: SgdConfig, seeds, *,
     k = snap_idx.get(big_t)
     if k is not None:
         snaps[k] = w
-
-    tails, finals, snaps = tail.total() / (big_t - t0) + shift, w + shift, snaps + shift
-    if isinstance(process, str):
-        tails, finals, snaps = tails[:, 0], finals[:, 0], snaps[:, :, 0]
-    return BatchResult(
-        tail_averages=tails,
-        finals=finals,
-        snapshot_steps=tuple(snap_steps),
-        snapshots=snaps,
-        samples_per_replicate=big_t,
-    )
+    np.divide(tail.total(), big_t - t0, out=tails)

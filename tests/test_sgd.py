@@ -8,12 +8,15 @@ import tailsgd.sgd as sgd_mod
 from helpers import discrete_spec, gaussian_spec, random_spd
 from tailsgd.distributions import DistributionSpec, SampleStream, SupportAtom, exact_moments
 from tailsgd.errors import DimensionError, EmptyWindowError, StepSizeError
-from tailsgd.matcore import _ROW_BLOCK
+from tailsgd.distributions import sample_streams
+from tailsgd.matcore import _DRAW_BUDGET
 from tailsgd.sgd import (
+    _MIN_GROUP,
+    _STATE_ARRAYS,
     BLOCK,
     PROCESSES,
     SgdConfig,
-    draw_rows,
+    draw_plan,
     resolve_moments,
     run_replicates,
 )
@@ -212,7 +215,7 @@ BLOCK_KINDS = {
                                              kind="gaussian_misspecified",
                                              misspec_fn="one_plus_norm_x"),
     "discrete": lambda: discrete_spec(3, 8),
-    # filled in sub-blocks of 128 rows
+    # filled in sub-blocks under a small budget
     "diagonal_d40": lambda: gaussian_spec(40, h=np.diag(np.linspace(2.0, 0.1, 40)),
                                           sigma=0.7),
     "norm_x_d40": lambda: gaussian_spec(40, h=np.diag(np.linspace(2.0, 0.1, 40)),
@@ -231,11 +234,11 @@ def _blocks_seen(monkeypatch, spec, seeds, big_t, process="standard"):
         return x, y
 
     real = sgd_mod.draw_block
-    monkeypatch.setattr(sgd_mod, "draw_block", recording)
     m = resolve_moments(spec)
     cfg = SgdConfig(gamma=0.1 / m.R2, w0=np.zeros(spec.d), t_avg_start=0, T=big_t)
-    run_replicates(spec, cfg, seeds, process=process, moments=m)
-    monkeypatch.undo()
+    with monkeypatch.context() as patch:
+        patch.setattr(sgd_mod, "draw_block", recording)
+        run_replicates(spec, cfg, seeds, process=process, moments=m)
     return seen
 
 
@@ -247,12 +250,16 @@ def _blocks_seen(monkeypatch, spec, seeds, big_t, process="standard"):
 def test_block_pairs_equal_lone_draws(monkeypatch, kind, big_t):
     # each replicate's rows of every BLOCK, joined from its sub-blocks, are
     # its own stream's draw of that block, bit for bit, however the seeds are
-    # batched and whichever processes the run advances; the seeds' Philox
-    # keys are hashed in one batch, over seeds of one to four 32-bit words
-    spec = BLOCK_KINDS[kind]()
-    rows = draw_rows(spec)
-    assert (rows < BLOCK) == (kind in SUB_BLOCKED_KINDS)
+    # batched, whatever rows they are filled in and whichever processes the
+    # run advances; the seeds' Philox keys are hashed in one batch, over
+    # seeds of one to four 32-bit words.  A budget of 4,096 values per seed
+    # makes the five seeds at d = 40 fill 64 rows at a time from T = 100 on,
+    # and two or three of them 128
     seeds = [(6, 0), 6, (2 ** 32, 1), (6, 2 ** 64 - 1, 3), (6, 4)]
+    monkeypatch.setattr(sgd_mod, "_DRAW_BUDGET", 4096 * len(seeds))
+    spec = BLOCK_KINDS[kind]()
+    rows = draw_plan(spec, len(seeds), big_t)[0]
+    assert (rows < BLOCK) == (kind in SUB_BLOCKED_KINDS and big_t > 64)
     joint = _blocks_seen(monkeypatch, spec, seeds, big_t)
     sizes = [y.shape[1] for _, y in joint]
     assert sum(sizes) == big_t and sizes[:-1] == [rows] * (len(sizes) - 1)
@@ -269,59 +276,183 @@ def test_block_pairs_equal_lone_draws(monkeypatch, kind, big_t):
             xi, yi = stream.draw(b)
             assert np.array_equal(x[i, done:done + b], xi)
             assert np.array_equal(y[i, done:done + b], yi)
-    halves = [_blocks_seen(monkeypatch, spec, part, big_t) for part in (seeds[:2], seeds[2:])]
-    for k, (x, y) in enumerate(joint):
-        assert np.array_equal(x, np.concatenate([h[k][0] for h in halves]))
-        assert np.array_equal(y, np.concatenate([h[k][1] for h in halves]))
+    for part in (slice(0, 2), slice(2, None)):
+        alone = _blocks_seen(monkeypatch, spec, seeds[part], big_t)
+        assert np.array_equal(x[part], np.concatenate([x for x, _ in alone], axis=1))
+        assert np.array_equal(y[part], np.concatenate([y for _, y in alone], axis=1))
     bias_only = _blocks_seen(monkeypatch, spec, seeds, big_t, process="bias")
     for (x, y), (bx, by) in zip(joint, bias_only):
         assert np.array_equal(x, bx) and np.array_equal(y, by)
 
 
-@pytest.mark.parametrize("d, rows", [(1, 512), (15, 512), (16, 256), (20, 256),
-                                     (40, 128), (63, 128), (64, 64), (100, 64),
-                                     (1000, 64)])
-def test_draw_rows_fill_at_most_8192_values_per_replicate(d, rows):
-    # a diagonal Gaussian spec fills the largest power of two in [64, 512]
-    # rows with rows * (d + 1) <= 8192; discrete and dense specs whole blocks
-    diag = np.linspace(1.0, 0.5, d)
-    for kind in ("gaussian_well_specified", "gaussian_misspecified"):
-        assert draw_rows(gaussian_spec(d, h=np.diag(diag), kind=kind)) == rows
+def _diagonal(d):
+    # the plan reads only the kind, d and the Cholesky factor's shape, so a
+    # d past the config range needs no H
+    return SimpleNamespace(kind="gaussian_well_specified", d=d, _chol=np.ones(d + 1))
+
+
+def _misspecified_d10():
+    # the misspecified sweep family's spectrum at d = 10
+    return gaussian_spec(10, h=np.diag(2.0 ** -np.arange(10)), kind="gaussian_misspecified")
+
+
+def _buffer(rows, group, big_t, d):
+    return group * min(rows + (rows < BLOCK), big_t) * (d + 1)
+
+
+@pytest.mark.parametrize("d, r, big_t, plan", [
+    (10, 2000, 31, (64, 768)),   # verify's mean-recursion run
+    (10, 1000, 101, (64, 366)),  # verify's bias-decay run
+    (10, 100, 1000, (128, 100)),
+    (3, 200, 10_000, (256, 200)),  # the README config
+    (100, 200, 1024, (64, 200)),   # the sweep's d=100 cell: under the group floor
+    (1, 1, 1, (512, 1)),
+    (1, 10 ** 6, 10 ** 9, (64, 2016)),
+])
+def test_draw_plan_examples(d, r, big_t, plan):
+    assert draw_plan(_diagonal(d), r, big_t) == plan
+
+
+@pytest.mark.parametrize("d", [1, 3, 10, 40, 100, 1000])
+def test_draw_plan_fits_the_budget_where_the_floors_allow(d):
+    for r in (1, 7, 200, 255, 256, 257, 1000, 4000, 10 ** 6):
+        for big_t in (1, 31, 64, 65, 101, 129, 512, 513, 10 ** 4):
+            rows, group = draw_plan(_diagonal(d), r, big_t)
+            # rows a power of two in [64, 512], and the largest whose fill fits
+            assert rows in (64, 128, 256, 512)
+            assert rows == 64 or _buffer(rows, r, big_t, d) <= _DRAW_BUDGET
+            assert rows == BLOCK or _buffer(2 * rows, r, big_t, d) > _DRAW_BUDGET
+            # groups of at least 256 replicates, or all of them, and the
+            # largest that fit
+            assert group == r or group >= _MIN_GROUP
+            assert (_buffer(rows, group, big_t, d) <= _DRAW_BUDGET
+                    or group == min(r, _MIN_GROUP))
+            assert group == r or _buffer(rows, group + 1, big_t, d) > _DRAW_BUDGET
     if d <= 100:
-        assert draw_rows(gaussian_spec(d, h=random_spd(d, 1))) == BLOCK
-        assert draw_rows(discrete_spec(d, 8)) == BLOCK
+        # a dense factor and a discrete fill keep whole blocks
+        for spec in (gaussian_spec(d, h=random_spd(d, 1)), discrete_spec(d, 8)):
+            for r, big_t in ((1, 10 ** 4), (200, 1024), (2000, 31)):
+                rows, group = draw_plan(spec, r, big_t)
+                assert rows == BLOCK
+                assert group == r or group >= _MIN_GROUP
 
 
 def test_draw_rows_floor_is_64():
-    # d = 10,000 is past the config range, and its H would take 800 MB: the
-    # rule reads only the kind, d and the factor's shape
-    spec = SimpleNamespace(kind="gaussian_well_specified", d=10_000, _chol=np.ones(10_001))
-    assert draw_rows(spec) == 64
+    # at d = 10,000 a row of draws alone is 625 KiB: the plan keeps its
+    # floors, 64 rows and 256 replicates at a time
+    assert draw_plan(_diagonal(10_000), 1000, 10 ** 4) == (64, 256)
+    assert draw_plan(_diagonal(10_000), 100, 10 ** 4) == (64, 100)
 
 
-@pytest.mark.parametrize("kind, allowance", [
-    ("gaussian_well_specified", 0),
-    # the noise scale ||x|| squares one row block of x at a time
-    ("gaussian_misspecified", _ROW_BLOCK * 100 * 8),
+GROUPED_RUNS = {
+    # (spec, T, replicates): two or more groups, and each half of the seeds
+    # one group
+    "misspecified_d10_T31": (_misspecified_d10, 31, 1000),
+    "misspecified_d10_T101": (_misspecified_d10, 101, 600),
+    "misspecified_d10_T700": (_misspecified_d10, 700, 600),
+    "dense_d3": (lambda: gaussian_spec(3, h=random_spd(3, 5), sigma=0.7), 700, 500),
+    "discrete_d2": (lambda: discrete_spec(2, 8), 700, 500),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUPED_RUNS))
+def test_grouped_run_equals_single_group_halves(monkeypatch, name):
+    # the groups of one run give the tail averages, finals and snapshots of
+    # every process that the same seeds give run in other groupings, bit for
+    # bit; the run is one run_replicates call that keys each seed's stream once
+    make, big_t, r = GROUPED_RUNS[name]
+    spec = make()
+    m = resolve_moments(spec)
+    cfg = SgdConfig(gamma=0.3 / m.R2, w0=np.zeros(spec.d), t_avg_start=big_t // 2, T=big_t)
+    seeds = [(3, 7, i) for i in range(r)]
+    halves = (seeds[:r // 2], seeds[r // 2:])
+    group = draw_plan(spec, r, big_t)[1]
+    assert group < r
+    assert all(draw_plan(spec, len(h), big_t)[1] == len(h) for h in halves)
+
+    def run(part):
+        return sgd_mod.run_replicates(spec, cfg, part, process=PROCESSES, moments=m,
+                                      snapshot_steps=(0, big_t // 3, big_t))
+
+    calls, keyed = [], []
+    with monkeypatch.context() as patch:
+        real_run, real_streams = sgd_mod.run_replicates, sgd_mod.sample_streams
+        patch.setattr(sgd_mod, "run_replicates",
+                      lambda *a, **k: calls.append(1) or real_run(*a, **k))
+        patch.setattr(sgd_mod, "sample_streams",
+                      lambda spec, part: keyed.append(len(part)) or real_streams(spec, part))
+        grouped = run(seeds)
+    assert len(calls) == 1
+    assert keyed == [group] * (r // group) + [r % group] * (r % group > 0)
+    alone = [run(h) for h in halves]
+    assert np.array_equal(grouped.tail_averages,
+                          np.concatenate([a.tail_averages for a in alone]))
+    assert np.array_equal(grouped.finals, np.concatenate([a.finals for a in alone]))
+    assert np.array_equal(grouped.snapshots,
+                          np.concatenate([a.snapshots for a in alone], axis=1))
+
+
+@pytest.mark.parametrize("big_t, reps, process, snapshot_steps", [
+    (31, 2000, "standard", (30,)),    # verify's mean-recursion run
+    (101, 1000, "bias", (10, 100)),   # verify's bias-decay run
 ])
-def test_run_memory_is_the_draw_buffer_plus_a_small_working_set(kind, allowance):
-    # the sweep's d=100 cell, filled 64 rows at a time.  Beside the draw
-    # buffer (room for 65 rows) a run holds about ten (R, P, d) arrays (state,
-    # Kahan sum, update, outputs) and the label temporaries of one chunk of
-    # streams; an (R, rows, P) label buffer would add five more units, an
-    # unblocked ||x|| temporary a whole buffer.  Whole 512-row fills took
-    # 83.6 MiB; sub-blocked, the run takes under 24 MiB
+def test_large_runs_hold_the_draw_budget(big_t, reps, process, snapshot_steps):
+    # a run holds its draw buffer, at most the budget, the transform's
+    # temporaries of one chunk of rows, one group's streams and state, and
+    # the run's outputs: 4.9 and 3.9 MiB here.  In one group, with whole
+    # 512-row fills, these runs took 9.1 and 10.9 MiB
+    spec, p = _misspecified_d10(), 1
+    d = spec.d
+    m = exact_moments(spec)
+    cfg = SgdConfig(gamma=0.5 / m.R2, w0=np.zeros(d), t_avg_start=0, T=big_t)
+    seeds = [(0, 905, i) for i in range(reps)]
+    rows, group = draw_plan(spec, reps, big_t)
+    assert _buffer(rows, group, big_t, d) <= _DRAW_BUDGET
+    tracemalloc.start()
+    try:
+        sample_streams(spec, seeds[:group])
+        streams = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the transform's temporaries, the squares of ||x|| (a quarter of the
+    # budget) and the labels and norms of one chunk of 8,192 rows, take
+    # under half the budget
+    transform = _DRAW_BUDGET // 2
+    state = _STATE_ARRAYS * group * p * d
+    outputs = (2 + len(snapshot_steps)) * reps * p * d
+    bound = 8 * (_DRAW_BUDGET + transform + state + outputs) + streams
+    tracemalloc.start()
+    try:
+        run_replicates(spec, cfg, seeds, process=process, moments=m,
+                       snapshot_steps=snapshot_steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
+@pytest.mark.parametrize("kind", ["gaussian_well_specified", "gaussian_misspecified"])
+def test_run_memory_is_the_draw_buffer_plus_a_small_working_set(kind):
+    # the sweep's d=100 cell, filled 64 rows at a time, its 200 replicates
+    # in one group.  Beside the draw buffer (room for 65 rows) a run holds
+    # about ten (R, P, d) arrays (state, Kahan sum, update, outputs) and the
+    # label temporaries of one chunk of streams, the squares of ||x|| within
+    # the draw budget; an (R, rows, P) label buffer would add five more
+    # units, an unblocked ||x|| temporary a whole buffer.  Whole 512-row
+    # fills took 83.6 MiB; sub-blocked, the run takes under 24 MiB
     r, p, d = 200, len(PROCESSES), 100
     spec = gaussian_spec(d, sigma=1.0, kind=kind)
     m = exact_moments(spec)
     cfg = SgdConfig(gamma=0.5 / m.R2, w0=np.zeros(d), t_avg_start=512, T=1024)
     seeds = [(0, 1, i) for i in range(r)]
-    buffer = r * (draw_rows(spec) + 1) * (d + 1) * 8
+    rows, group = draw_plan(spec, r, cfg.T)
+    assert group == r
+    buffer = _buffer(rows, r, cfg.T, d) * 8
     tracemalloc.start()
     try:
         run_replicates(spec, cfg, seeds, process=PROCESSES, moments=m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - buffer < 12 * r * p * d * 8 + allowance
+    assert peak - buffer < 12 * r * p * d * 8
     assert peak < 24 * 2 ** 20
