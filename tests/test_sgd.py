@@ -431,7 +431,13 @@ def test_large_runs_hold_the_draw_budget(big_t, reps, process, snapshot_steps):
     assert peak < bound
 
 
-@pytest.mark.parametrize("kind", ["gaussian_well_specified", "gaussian_misspecified"])
+# the ids keep the names these cases had when the misspecified one carried
+# a 6,553,600-byte allowance for squaring a whole row block of x; both now
+# meet the same bound with no allowance
+@pytest.mark.parametrize("kind", [
+    pytest.param("gaussian_well_specified", id="gaussian_well_specified-0"),
+    pytest.param("gaussian_misspecified", id="gaussian_misspecified-6553600"),
+])
 def test_run_memory_is_the_draw_buffer_plus_a_small_working_set(kind):
     # the sweep's d=100 cell, filled 64 rows at a time, its 200 replicates
     # in one group.  Beside the draw buffer (room for 65 rows) a run holds
