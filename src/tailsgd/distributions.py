@@ -450,6 +450,8 @@ def draw_block(streams, block: np.ndarray):
         if spec.kind == DISCRETE or spec._chol.ndim == 2:
             chunk[..., :d] = x
         chunk[..., d] = y
+        # released before the next chunk's pairs are formed
+        del x, y
     return block[..., :d], block[..., d]
 
 
@@ -539,12 +541,15 @@ def exact_moments(spec: DistributionSpec) -> Moments:
         sigma = sym(np.einsum("k,ki,kj->ij", ps * resid_sq, xs, xs))
     else:
         h = spec.H_spec
-        if spec.kind == GAUSSIAN_WELL_SPECIFIED:
-            sigma = spec.noise_sigma ** 2 * h
-        else:
-            # residual std is noise_sigma * ||x||, so Sigma matches the
-            # weighted fourth moment up to the noise scale
-            sigma = spec.noise_sigma ** 2 * f
+        # residual std is noise_sigma, or noise_sigma * ||x|| when
+        # misspecified, so Sigma is H or the weighted fourth moment scaled
+        # by noise_sigma^2; a finite noise_sigma may overflow it
+        with np.errstate(over="ignore", invalid="ignore"):
+            sigma = np.float64(spec.noise_sigma) ** 2 * (
+                h if spec.kind == GAUSSIAN_WELL_SPECIFIED else f)
+        if not np.isfinite(sigma).all():
+            raise ValueError(f"noise_sigma={spec.noise_sigma!r} overflows: "
+                             f"Sigma = noise_sigma^2 times a second moment is not finite")
     r2 = matrix_norm_under(f, h)
     return Moments(H=h, Sigma=sigma, w_star=spec.w_star, R2=r2, exact=True)
 

@@ -26,11 +26,15 @@ rejected, and a malformed document raises ConfigError naming its field.  ::
       "seed": 0               # default 0, 0 <= seed < 2^64
     }
 
-A run's draw buffer and state may not exceed 1 GiB.  The cap is a
-conservative upper bound, checked before the model is built: it counts them
-at their largest, replicates * (min(BLOCK, T) * (d + 1) + 24 * d) * 8 bytes,
-while a run holds at most 2 MiB of draws wherever the floors of
-sgd.draw_plan allow.  A sweep
+A run may hold at most 1 GiB, counted before the model is built
+(sgd.run_bytes): the tail averages and final states of every replicate, and
+the draw buffer, state, transform temporaries and streams of one group of
+seeds as sgd.draw_plan sets them.  The plan needs only d and the form of the
+Cholesky factor, read from the document: an omitted, "identity" or
+{"diag": ...} H_spec factors diagonally, a full matrix is counted as
+whichever form holds more, and the discrete kind fills whole blocks.  The
+count is per process: a pool's parent holds the parts and their
+concatenation, within the count, and each worker less.  A sweep
 reads gamma, replicates, seed, noise_sigma (default 1.0) and t_rule (half_T
 only) through the same entries, and checks its axes d (default [1, 3, 10]),
 gamma_rules (default both derived rules), T (default [1000, 10000]) and
@@ -88,8 +92,6 @@ from .matcore import (
     _ROW_BLOCK,
     _quad_forms,
     psd_order_leq,
-    sym_to_vec,
-    vec_to_sym,
 )
 from .sgd import PROCESSES, SgdConfig, resolve_model, run_bytes, run_replicates
 from .stationary import (
@@ -97,8 +99,6 @@ from .stationary import (
     _FourthMomentSums,
     covariance_step,
     crude_bound,
-    damped_anticommutator,
-    operator_matrix,
     refined_trace_bound,
     solve_stationary_direct,
     solve_stationary_fixed_point,
@@ -112,6 +112,14 @@ SWEEP_COLUMNS = (
     "cell_id", "d", "gamma", "rho", "T", "t", "replicates", "seed",
     "emp_risk", "stderr", "bound", "bias_bound", "var_bound", "eff_ratio", "error",
 )
+
+# The efficiency window [0.5, 2] is a large-sample statement: it is checked
+# only on a tail window of at least this many relaxation times 1/(gamma mu)
+# of the slowest direction.  Before that the tail average's variance falls
+# short of its large-sample value: on the well-specified d=2 model (R=100,
+# seeds 0-9) eff_ratio read 0.47-0.66 at 1.5 relaxation times, 0.58-0.77
+# at 2, 0.80-0.97 at 3 and 0.78-1.15 at 4.
+_EFFICIENCY_RELAXATIONS = 4.0
 
 _REQUIRED = object()
 _INT, _NUM = (int,), (int, float)
@@ -269,11 +277,16 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     cross-field conditions, and resolve the model's moments and the
     derived rules."""
     f = _read(doc, _EXPERIMENT_FIELDS)
-    d, big_t = f["distribution"]["d"], f["T"]
-    size = run_bytes(f["replicates"], big_t, d)
+    dist, big_t = f["distribution"], f["T"]
+    d = dist["d"]
+    # the plan follows the form of the Cholesky factor, read from the
+    # document: a full H_spec matrix may factor either way
+    forms = ((False,) if dist["kind"] == DISCRETE
+             else (True, False) if isinstance(dist["H_spec"], tuple) else (True,))
+    size = max(run_bytes(d, f["replicates"], big_t, diagonal) for diagonal in forms)
     if size > _BUFFER_CAP:
-        raise ConfigError("replicates", f"a run's draw buffer and state take {size} "
-                                        f"bytes, over the cap of {_BUFFER_CAP}")
+        raise ConfigError("replicates", f"a run would hold {size} bytes, "
+                                        f"over the cap of {_BUFFER_CAP}")
     w0 = np.zeros(d) if f["w0"] is None else np.asarray(f["w0"])
     if w0.shape != (d,):
         raise ConfigError("w0", f"shape {w0.shape} incompatible with d={d}")
@@ -563,6 +576,26 @@ def _sampled_checks(spec: DistributionSpec, m: Moments, op: FourthMomentOperator
     return [fourth, noise, quadratic]
 
 
+def _damped_inverse(h: np.ndarray, p: np.ndarray, gamma: float) -> np.ndarray:
+    """The M with H M + M H - gamma H M H = P, for symmetric H and P: in the
+    eigenbasis H = V diag(l) V^T the operator scales V^T M V entrywise by
+    l_i + l_j - gamma l_i l_j."""
+    lam, v = np.linalg.eigh(h)
+    scale = lam[:, None] + lam[None, :] - gamma * np.outer(lam, lam)
+    return v @ ((v.T @ p @ v) / scale) @ v.T
+
+
+def _doubling_series(p: np.ndarray, a: np.ndarray, k: int) -> np.ndarray:
+    """sum_{i<k} A^i P A^i for k a power of two, in log2(k) doubling steps:
+    the first 2j terms are S_j + A^j S_j A^j."""
+    series, power, j = p, a, 1
+    while j < k:
+        series = series + power @ series @ power
+        power = power @ power
+        j *= 2
+    return series
+
+
 def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckResult]:
     """Check the closed-form identities, order relations, solver residuals,
     and Monte-Carlo agreements implied by one experiment's model.
@@ -692,23 +725,18 @@ def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckRe
 
     def c_damped_inverse():
         probe = h if noiseless else sigma
-        a = operator_matrix(lambda mm: damped_anticommutator(mm, h, gamma), d)
-        direct = vec_to_sym(np.linalg.solve(a, sym_to_vec(probe)))
+        direct = _damped_inverse(h, probe, gamma)
         shrink = eye - gamma * h
         rate = float(np.linalg.eigvalsh(shrink)[-1]) ** 2
         need = int(math.ceil(math.log(1e-12) / math.log(rate))) + 1
-        # sum_{i<2k} A^i P A^i = S_k + A^k S_k A^k: the first k = 2^m >= need
-        # terms in m doubling steps
-        series, power, k = gamma * probe, shrink, 1
-        while k < min(need, 2 ** 16):
-            series = series + power @ series @ power
-            power = power @ power
-            k *= 2
+        # the first power of two at least need, and at most 2^16
+        k = 1 << (min(need, 2 ** 16) - 1).bit_length()
+        series = _doubling_series(gamma * probe, shrink, k)
         envelope = (float(np.linalg.norm(probe, "fro")) * gamma * rate ** k / (1.0 - rate)
                     + 1e-10 * (1.0 + float(np.linalg.norm(direct, "fro"))))
         diff = float(np.linalg.norm(series - direct, "fro"))
         return CheckResult("damped-drift-inverse", diff <= envelope, envelope - diff,
-                           f"{k}-term series vs linear solve, diff={diff:.3e}")
+                           f"{k}-term series vs eigenbasis inverse, diff={diff:.3e}")
     run("damped-drift-inverse", c_damped_inverse)
 
     def c_mean_recursion():
@@ -773,6 +801,11 @@ def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckRe
         if noiseless or report.bound.bias > 0.1 * report.bound.variance:
             return CheckResult("efficiency-window", True, 0.0,
                                "skipped: not variance-dominated")
+        relaxations = gamma * m.mu * (cfg.T - cfg.t)
+        if relaxations < _EFFICIENCY_RELAXATIONS:
+            return CheckResult("efficiency-window", True, 0.0,
+                               f"skipped: window of {relaxations:.3g} < "
+                               f"{_EFFICIENCY_RELAXATIONS:g} relaxation times 1/(gamma mu)")
         margin = min(report.eff_ratio - 0.5, 2.0 - report.eff_ratio)
         return CheckResult("efficiency-window", margin >= 0.0, margin,
                            f"eff_ratio={report.eff_ratio:.4f} window [0.5, 2.0]")

@@ -40,8 +40,8 @@ _SQRT2 = math.sqrt(2.0)
 # Relative floor on the smallest eigenvalue accepted by spd().
 SPD_TOL = 1e-12
 
-# Largest float buffer, in bytes, that an input may make the package allocate
-# at once: a draw buffer or a dense operator matrix.
+# Most bytes that an input may make the package hold at once: a simulation
+# run (sgd.run_bytes), a draw of pairs or a dense operator matrix.
 _BUFFER_CAP = 2 ** 30
 
 # Rows per block of the sample contractions below, and of the draws of
@@ -75,10 +75,15 @@ def spd(m, tol: float = SPD_TOL) -> np.ndarray:
     """
     a = sym(m)
     evals = np.linalg.eigvalsh(a)
-    if evals[0] <= tol * max(evals[-1], 0.0) or evals[0] <= 0.0:
+    if evals[0] <= 0.0:
         raise NotSpdError(
             f"matrix is not positive definite: eigenvalue range "
             f"[{evals[0]:.6e}, {evals[-1]:.6e}]"
+        )
+    if evals[0] <= tol * evals[-1]:
+        raise NotSpdError(
+            f"matrix is numerically singular: its smallest eigenvalue {evals[0]:.6e} "
+            f"is not above {tol:g} times its largest {evals[-1]:.6e}"
         )
     return a
 

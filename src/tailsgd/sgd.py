@@ -28,7 +28,6 @@ drawn.  Every row of a replicate sees the same draws.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +48,7 @@ from .errors import (
     IntractableMomentsError,
     StepSizeError,
 )
-from .matcore import _DRAW_BUDGET
+from .matcore import _DRAW_BUDGET, _ROW_BLOCK
 from .stationary import FourthMomentOperator
 
 # Most samples buffered per replicate between vectorized sweeps (see
@@ -74,9 +73,18 @@ _MIN_GROUP = 256
 
 PROCESSES = ("standard", "bias", "variance")
 
-# (replicates, len(PROCESSES), d) arrays a run holds beside its draw buffer:
-# the state and its update, the four of the Kahan sum, and two for outputs
-_STATE_ARRAYS = 8
+# Bytes a run holds beside its arrays, with about a sixth to spare over
+# what tracemalloc measured: 1,100 for each keyed stream of a group (a
+# Philox generator and its key) and 111 for each seed of the run's seed
+# lists; and a fixed allowance for its Python objects and numpy's ufunc
+# buffers, which a reduction over ||x|| takes 128 KiB of
+_STREAM_BYTES = 1280
+_SEED_BYTES = 128
+_FIXED_BYTES = 2 ** 18
+
+# Per-row arrays of the pairs transform beside x or the squares of ||x||:
+# labels, norms and, for a discrete fill, atom indices and their gathers
+_ROW_ARRAYS = 8
 
 # Fallback moment estimate for models without closed forms: sample count and
 # the fixed internal seed that keeps repeated resolutions identical.
@@ -179,47 +187,55 @@ def _fill_rows(rows: int, T: int) -> int:
     return min(rows + (rows < BLOCK), T)
 
 
-def draw_plan(spec: DistributionSpec, replicates: int, T: int) -> tuple[int, int]:
-    """(rows, group) for a run of ``replicates`` seeds of ``spec`` over T
-    steps: it fills ``rows`` rows of draws per replicate at a time and
-    advances its seeds in groups of ``group``, the last group taking the
-    rest.
+def _diagonal(spec: DistributionSpec) -> bool:
+    """Whether ``spec`` draws through a diagonal Cholesky factor, the one
+    fill that splits into sub-blocks."""
+    return spec.kind != DISCRETE and spec._chol.ndim == 1
 
-    rows is BLOCK unless the Cholesky factor is diagonal; then it is the
-    largest power of two in [64, BLOCK] whose buffer of replicates *
+
+def draw_plan(d: int, replicates: int, T: int, diagonal: bool) -> tuple[int, int]:
+    """(rows, group) for a run of ``replicates`` seeds of a d-dimensional
+    model over T steps: it fills ``rows`` rows of draws per replicate at a
+    time and advances its seeds in groups of ``group``, the last group
+    taking the rest.  ``diagonal`` says whether the model draws through a
+    diagonal Cholesky factor (``_diagonal``).
+
+    rows is BLOCK unless the factor is diagonal; then it is the largest
+    power of two in [64, BLOCK] whose buffer of replicates *
     min(rows + 1, T) * (d + 1) values (min(BLOCK, T) rows at BLOCK) fits
     the 2 MiB draw budget, or 64.
     group is every replicate if their buffer fits the budget, and otherwise
     as many as fit, but no fewer than 256 or all of them.  Neither changes a
     bit of the run's results."""
-    width = spec.d + 1
+    width = d + 1
     rows = BLOCK
-    if spec.kind != DISCRETE and spec._chol.ndim == 1:
+    if diagonal:
         while rows > _MIN_ROWS and replicates * _fill_rows(rows, T) * width > _DRAW_BUDGET:
             rows //= 2
     group = max(_MIN_GROUP, _DRAW_BUDGET // (_fill_rows(rows, T) * width))
     return rows, min(group, replicates)
 
 
-def draw_buffer_shape(replicates: int, T: int, d: int) -> tuple[int, int, int]:
-    """Shape that no run's draw buffer can exceed, whatever its model:
-    one block of min(BLOCK, T) rows of d + 1 raw variates per replicate, the
-    last column holding the labels.  It is a conservative bound: a run fills
-    fewer rows, or advances its seeds in groups (draw_plan), so that its
-    buffer holds at most the 2 MiB draw budget wherever the plan's floors
-    allow."""
-    return replicates, min(BLOCK, T), d + 1
-
-
-def run_bytes(replicates: int, T: int, d: int) -> int:
-    """Conservative upper bound on the bytes of the arrays of a run that grow
-    with its replicates: the largest draw buffer (draw_buffer_shape) and the
-    state arrays of every process, snapshots aside.  It needs no model, so a
-    config can be checked against it before its model is built; the run
-    itself holds at most the 2 MiB draw budget of draws wherever its floors
-    allow (draw_plan)."""
-    state = _STATE_ARRAYS * replicates * len(PROCESSES) * d
-    return 8 * (math.prod(draw_buffer_shape(replicates, T, d)) + state)
+def run_bytes(d: int, replicates: int, T: int, diagonal: bool) -> int:
+    """Bytes that a run of ``replicates`` seeds advancing every process of
+    PROCESSES holds at most, snapshots aside, counted from its draw_plan:
+    its tail averages and final states over all replicates; one group's
+    draw buffer, floors included; that group's Kahan sum, update, dot and
+    residual arrays; the pairs transform's temporaries over one chunk of at
+    most _ROW_BLOCK rows; the group's streams, the seed lists and the run's
+    start points and shifts.  It needs only d and the form of the factor,
+    so a config is checked against it before its model is built."""
+    rows, group = draw_plan(d, replicates, T, diagonal)
+    fill = _fill_rows(rows, T)
+    chunk = min(group * fill, _ROW_BLOCK)
+    processes = len(PROCESSES)
+    values = (2 * replicates * processes * d
+              + group * fill * (d + 1)
+              + group * processes * (5 * d + 2)
+              + chunk * (d + _ROW_ARRAYS)
+              + 4 * processes * d)
+    return (8 * values + group * _STREAM_BYTES + replicates * _SEED_BYTES
+            + _FIXED_BYTES)
 
 
 def run_replicates(spec: DistributionSpec, config: SgdConfig, seeds, *,
@@ -267,7 +283,7 @@ def run_replicates(spec: DistributionSpec, config: SgdConfig, seeds, *,
 
     tails = np.empty((n_rep, len(names), d))
     finals = np.empty_like(tails)
-    rows, group = draw_plan(spec, n_rep, big_t)
+    rows, group = draw_plan(d, n_rep, big_t, _diagonal(spec))
     for lo in range(0, n_rep, group):
         part = slice(lo, lo + group)
         _advance(spec, config, seeds[part], rows, starts, mask, snap_idx,

@@ -7,12 +7,16 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # noqa: F401  imported before any trace, not by the first stream
 import pytest
 
 import tailsgd
+import tailsgd.harness as harness_mod
+from helpers import discrete_spec, gaussian_spec, random_psd, random_spd
 from tailsgd import matcore
 from tailsgd.bounds import rate_constants, sigma2_mle
 from tailsgd.cli import main
@@ -22,6 +26,7 @@ from tailsgd.harness import (
     SWEEP_COLUMNS,
     CheckResult,
     _chunk_ranges,
+    _damped_inverse,
     _entrywise_margin,
     _sampled_checks,
     _tail_averages,
@@ -34,9 +39,9 @@ from tailsgd.harness import (
     sweep,
     sweep_csv,
 )
-from tailsgd.matcore import _ROW_BLOCK, _quad_forms, blas_threads
-from tailsgd.sgd import SgdConfig
-from tailsgd.stationary import FourthMomentOperator
+from tailsgd.matcore import _ROW_BLOCK, _quad_forms, blas_threads, sym_to_vec, vec_to_sym
+from tailsgd.sgd import SgdConfig, _diagonal, draw_plan, resolve_moments, run_bytes
+from tailsgd.stationary import FourthMomentOperator, damped_anticommutator, operator_matrix
 
 WELL3 = {
     "distribution": {"kind": "gaussian_well_specified", "d": 3, "noise_sigma": 1.0,
@@ -106,7 +111,7 @@ def test_parse_h_spec_forms():
      "distribution.support[0].prob"),
     ({"distribution": {"kind": "gaussian_well_specified", "d": 1001}}, "distribution.d"),
     ({"distribution": {"kind": "gaussian_well_specified", "d": 3}, "T": 10**9 + 1}, "T"),
-    # the draw buffer and state of the run would exceed their cap
+    # the run would hold more than the cap: 4.8 GB of outputs alone
     ({"distribution": {"kind": "gaussian_well_specified", "d": 100}, "replicates": 10**6},
      "replicates"),
 ])
@@ -117,16 +122,18 @@ def test_parse_config_rejects_bad_documents(doc, field):
 
 
 def test_parse_config_sizes_the_draw_buffer_by_horizon():
-    # 300 replicates x min(512, 10) rows x 1001 floats: a 24 MB buffer,
-    # beside 58 MB of state
+    # groups of 256 replicates fill min(65, 10) rows of 1001 floats: a
+    # 20.5 MB buffer, beside 14.4 MB of outputs, 30.7 MB of group state and
+    # 20.6 MB of transform temporaries, 87 MB in all
     cfg = config_from_dict({"distribution": {"kind": "gaussian_well_specified", "d": 1000},
                             "T": 10, "replicates": 300})
     assert (cfg.distribution.d, cfg.T, cfg.replicates) == (1000, 10, 300)
 
 
 def test_parse_config_counts_the_state_of_short_runs():
-    # one row of 101 floats per replicate is an 808 MB buffer, but the
-    # (replicates, 3, 100) state arrays of the run take 2.4 GB each
+    # one row of 101 floats per replicate, in groups of 2,595, is a 2.1 MB
+    # buffer, but the tail averages and final states of 10^6 replicates
+    # take 4.8 GB; refused from the count, before any array is made
     tracemalloc.start()
     try:
         with pytest.raises(ConfigError) as err:
@@ -136,6 +143,62 @@ def test_parse_config_counts_the_state_of_short_runs():
     finally:
         tracemalloc.stop()
     assert err.value.field == "replicates" and peak < 2 ** 20
+
+
+def test_parse_config_accepts_what_a_run_holds_within_the_cap():
+    # 100,000 replicates of the misspecified family at d=10 over 1000 steps
+    # hold 65 MB: 48 MB of tail averages and final states, 12.8 MB of seeds,
+    # and one group of 366 replicates with its 2 MiB of draws.  Whole
+    # 512-row fills of every replicate at once came to 4.7 GB, refused
+    for reps, low, high in ((100_000, 48e6, 70e6), (10 ** 6, 480e6, 700e6)):
+        cfg = config_from_dict({"distribution": family_distribution("misspecified", 10, 1.0),
+                                "T": 1000, "replicates": reps})
+        assert cfg.replicates == reps
+        assert low < run_bytes(10, reps, 1000, True) < high
+    assert draw_plan(10, 100_000, 1000, True) == (64, 366)
+
+
+def _memory_spec(kind, d):
+    if kind == "discrete":
+        return discrete_spec(d, 3)
+    if kind == "misspecified":
+        return gaussian_spec(d, h=np.diag(np.linspace(1.0, 0.1, d)),
+                             kind="gaussian_misspecified")
+    return gaussian_spec(d, h=random_spd(d, 1) if kind == "dense" else None)
+
+
+# (replicates, T) runs at each d; the last advances its seeds in groups
+MEMORY_RUNS = {
+    1: ((1, 1), (7, 65), (300, 513), (3000, 100)),
+    10: ((1, 1), (7, 65), (300, 513), (1000, 101)),
+    100: ((1, 1), (7, 65), (300, 101)),
+    1000: ((1, 1), (7, 65), (300, 3)),
+}
+
+
+# a discrete spec at d=1000 takes about 11 s to build: its moments sum over
+# 1,002 atoms of 1000 x 1000 outer products
+@pytest.mark.parametrize("kind, d", [
+    (kind, d) for kind in ("well_specified", "misspecified", "dense", "discrete")
+    for d in MEMORY_RUNS if not (kind == "discrete" and d == 1000)
+])
+def test_run_bytes_bounds_what_a_run_holds(kind, d):
+    # a run's traced peak, seed list and final concatenation included, is at
+    # most run_bytes, and run_bytes at most twice the peak plus 512 KiB: the
+    # count made before the draw budget read up to 59 times the peak
+    spec = _memory_spec(kind, d)
+    m = resolve_moments(spec)
+    for reps, big_t in MEMORY_RUNS[d]:
+        cfg = SgdConfig(gamma=0.3 / m.R2, w0=np.zeros(d), t_avg_start=big_t // 2, T=big_t)
+        count = run_bytes(d, reps, big_t, _diagonal(spec))
+        tracemalloc.start()
+        try:
+            _tail_averages(spec, cfg, m, 0, 0, reps, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= count <= 2 * peak + 2 ** 19, (reps, big_t, peak, count)
+    assert draw_plan(d, reps, big_t, _diagonal(spec))[1] < reps
 
 
 def test_parse_config_rejects_invalid_json():
@@ -189,6 +252,65 @@ def test_verification_all_pass_on_gaussian_and_discrete():
         assert len(names) == len(set(names)) and len(names) >= 15
         failing = [r for r in results if not r.passed]
         assert not failing, failing
+
+
+WELL2 = {"distribution": {"kind": "gaussian_well_specified", "d": 2, "noise_sigma": 1.0},
+         "replicates": 100}
+
+
+def _check_named(results, name):
+    return next(r for r in results if r.name == name)
+
+
+def test_efficiency_window_waits_for_four_relaxation_times(monkeypatch):
+    # gamma mu (T - t) = T / 16 on this model.  At T=16 eff_ratio read
+    # 0.38-0.48 on seeds 0-9, short of the window, as the tail average's
+    # variance has not reached its large-sample value; the check is skipped
+    # there and runs from T=64
+    short = _check_named(run_verification(config_from_dict({**WELL2, "T": 16})),
+                         "efficiency-window")
+    assert short.passed and short.detail.startswith("skipped: window of 1 < 4 relaxation")
+    for big_t in (64, 1000):
+        check = _check_named(run_verification(config_from_dict({**WELL2, "T": big_t})),
+                             "efficiency-window")
+        assert check.passed and check.detail.startswith("eff_ratio=")
+    # a report whose risk is tripled fails it
+    real = harness_mod.run_experiment
+
+    def tripled(cfg, **kwargs):
+        report = real(cfg, **kwargs)
+        return replace(report, emp_risk=3 * report.emp_risk, eff_ratio=3 * report.eff_ratio)
+
+    monkeypatch.setattr(harness_mod, "run_experiment", tripled)
+    check = _check_named(run_verification(config_from_dict({**WELL2, "T": 1000})),
+                         "efficiency-window")
+    assert not check.passed and check.margin < 0.0
+
+
+@pytest.mark.parametrize("name", ["misspecified_d10", "dense_d30", "discrete_d5"])
+def test_damped_inverse_matches_the_dense_solve(name):
+    # the eigenbasis inverse of verify's damped-drift-inverse check equals
+    # the dense linear solve it replaced, on diagonal, dense and discrete H
+    spec = {"misspecified_d10": lambda: gaussian_spec(10, h=np.diag(2.0 ** -np.arange(10)),
+                                                      kind="gaussian_misspecified"),
+            "dense_d30": lambda: gaussian_spec(30, h=random_spd(30, 4)),
+            "discrete_d5": lambda: discrete_spec(5, 2)}[name]()
+    m, d = exact_moments(spec), spec.d
+    h, gamma, p = m.H, 0.5 / m.R2, random_psd(d, 9)
+    a = operator_matrix(lambda mm: damped_anticommutator(mm, h, gamma), d)
+    dense = vec_to_sym(np.linalg.solve(a, sym_to_vec(p)))
+    diff = np.linalg.norm(_damped_inverse(h, p, gamma) - dense)
+    assert diff <= 1e-13 * np.linalg.norm(dense)
+
+
+def test_damped_drift_inverse_fails_one_doubling_short(monkeypatch):
+    cfg = config_from_dict({**WELL2, "T": 64})
+    check = _check_named(run_verification(cfg), "damped-drift-inverse")
+    assert check.passed and "-term series vs eigenbasis inverse" in check.detail
+    real = harness_mod._doubling_series
+    monkeypatch.setattr(harness_mod, "_doubling_series", lambda p, a, k: real(p, a, k // 2))
+    check = _check_named(run_verification(cfg), "damped-drift-inverse")
+    assert not check.passed and check.margin < 0.0
 
 
 def misspec_d10_doc(seed):
@@ -677,6 +799,24 @@ def test_cli_config_error_exit_codes(tmp_path, capsys):
         capsys.readouterr()
         assert main([*argv, "--config", str(good)]) == 2
         assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("distribution, words", [
+    # every eigenvalue is positive: spd's relative floor rejects them
+    ({"H_spec": {"diag": [1e-300, 1.0]}}, ("numerically singular", "1e-12 times")),
+    ({"H_spec": {"diag": [1e300, 1.0]}}, ("numerically singular", "1e-12 times")),
+    # the noise covariance overflows, not the document
+    ({"noise_sigma": 1e200}, ("noise_sigma=1e+200 overflows",)),
+    ({"kind": "gaussian_misspecified", "noise_sigma": 1e160}, ("noise_sigma=1e+160 overflows",)),
+])
+def test_cli_config_errors_name_their_cause(tmp_path, capsys, distribution, words):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"distribution": {"kind": "gaussian_well_specified", "d": 2,
+                                                 **distribution}}))
+    assert main(["bound", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: distribution: ") and err.count("\n") == 1
+    assert all(w in err for w in words), err
 
 
 def test_cli_imports_only_public_harness_and_errors_names():

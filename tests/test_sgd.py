@@ -1,5 +1,4 @@
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,10 +11,10 @@ from tailsgd.distributions import sample_streams
 from tailsgd.matcore import _DRAW_BUDGET
 from tailsgd.sgd import (
     _MIN_GROUP,
-    _STATE_ARRAYS,
     BLOCK,
     PROCESSES,
     SgdConfig,
+    _diagonal,
     draw_plan,
     resolve_moments,
     run_replicates,
@@ -258,7 +257,7 @@ def test_block_pairs_equal_lone_draws(monkeypatch, kind, big_t):
     seeds = [(6, 0), 6, (2 ** 32, 1), (6, 2 ** 64 - 1, 3), (6, 4)]
     monkeypatch.setattr(sgd_mod, "_DRAW_BUDGET", 4096 * len(seeds))
     spec = BLOCK_KINDS[kind]()
-    rows = draw_plan(spec, len(seeds), big_t)[0]
+    rows = draw_plan(spec.d, len(seeds), big_t, _diagonal(spec))[0]
     assert (rows < BLOCK) == (kind in SUB_BLOCKED_KINDS and big_t > 64)
     joint = _blocks_seen(monkeypatch, spec, seeds, big_t)
     sizes = [y.shape[1] for _, y in joint]
@@ -285,12 +284,6 @@ def test_block_pairs_equal_lone_draws(monkeypatch, kind, big_t):
         assert np.array_equal(x, bx) and np.array_equal(y, by)
 
 
-def _diagonal(d):
-    # the plan reads only the kind, d and the Cholesky factor's shape, so a
-    # d past the config range needs no H
-    return SimpleNamespace(kind="gaussian_well_specified", d=d, _chol=np.ones(d + 1))
-
-
 def _misspecified_d10():
     # the misspecified sweep family's spectrum at d = 10
     return gaussian_spec(10, h=np.diag(2.0 ** -np.arange(10)), kind="gaussian_misspecified")
@@ -310,14 +303,14 @@ def _buffer(rows, group, big_t, d):
     (1, 10 ** 6, 10 ** 9, (64, 2016)),
 ])
 def test_draw_plan_examples(d, r, big_t, plan):
-    assert draw_plan(_diagonal(d), r, big_t) == plan
+    assert draw_plan(d, r, big_t, True) == plan
 
 
 @pytest.mark.parametrize("d", [1, 3, 10, 40, 100, 1000])
 def test_draw_plan_fits_the_budget_where_the_floors_allow(d):
     for r in (1, 7, 200, 255, 256, 257, 1000, 4000, 10 ** 6):
         for big_t in (1, 31, 64, 65, 101, 129, 512, 513, 10 ** 4):
-            rows, group = draw_plan(_diagonal(d), r, big_t)
+            rows, group = draw_plan(d, r, big_t, True)
             # rows a power of two in [64, 512], and the largest whose fill fits
             assert rows in (64, 128, 256, 512)
             assert rows == 64 or _buffer(rows, r, big_t, d) <= _DRAW_BUDGET
@@ -332,16 +325,16 @@ def test_draw_plan_fits_the_budget_where_the_floors_allow(d):
         # a dense factor and a discrete fill keep whole blocks
         for spec in (gaussian_spec(d, h=random_spd(d, 1)), discrete_spec(d, 8)):
             for r, big_t in ((1, 10 ** 4), (200, 1024), (2000, 31)):
-                rows, group = draw_plan(spec, r, big_t)
+                rows, group = draw_plan(d, r, big_t, _diagonal(spec))
                 assert rows == BLOCK
                 assert group == r or group >= _MIN_GROUP
 
 
 def test_draw_rows_floor_is_64():
-    # at d = 10,000 a row of draws alone is 625 KiB: the plan keeps its
-    # floors, 64 rows and 256 replicates at a time
-    assert draw_plan(_diagonal(10_000), 1000, 10 ** 4) == (64, 256)
-    assert draw_plan(_diagonal(10_000), 100, 10 ** 4) == (64, 100)
+    # at d = 10,000, past the config range, a row of draws alone is 625 KiB:
+    # the plan keeps its floors, 64 rows and 256 replicates at a time
+    assert draw_plan(10_000, 1000, 10 ** 4, True) == (64, 256)
+    assert draw_plan(10_000, 100, 10 ** 4, True) == (64, 100)
 
 
 GROUPED_RUNS = {
@@ -366,9 +359,9 @@ def test_grouped_run_equals_single_group_halves(monkeypatch, name):
     cfg = SgdConfig(gamma=0.3 / m.R2, w0=np.zeros(spec.d), t_avg_start=big_t // 2, T=big_t)
     seeds = [(3, 7, i) for i in range(r)]
     halves = (seeds[:r // 2], seeds[r // 2:])
-    group = draw_plan(spec, r, big_t)[1]
+    group = draw_plan(spec.d, r, big_t, _diagonal(spec))[1]
     assert group < r
-    assert all(draw_plan(spec, len(h), big_t)[1] == len(h) for h in halves)
+    assert all(draw_plan(spec.d, len(h), big_t, _diagonal(spec))[1] == len(h) for h in halves)
 
     def run(part):
         return sgd_mod.run_replicates(spec, cfg, part, process=PROCESSES, moments=m,
@@ -406,7 +399,7 @@ def test_large_runs_hold_the_draw_budget(big_t, reps, process, snapshot_steps):
     m = exact_moments(spec)
     cfg = SgdConfig(gamma=0.5 / m.R2, w0=np.zeros(d), t_avg_start=0, T=big_t)
     seeds = [(0, 905, i) for i in range(reps)]
-    rows, group = draw_plan(spec, reps, big_t)
+    rows, group = draw_plan(d, reps, big_t, True)
     assert _buffer(rows, group, big_t, d) <= _DRAW_BUDGET
     tracemalloc.start()
     try:
@@ -418,7 +411,9 @@ def test_large_runs_hold_the_draw_budget(big_t, reps, process, snapshot_steps):
     # budget) and the labels and norms of one chunk of 8,192 rows, take
     # under half the budget
     transform = _DRAW_BUDGET // 2
-    state = _STATE_ARRAYS * group * p * d
+    # eight (group, P, d) arrays: the state, its update, the four of the
+    # Kahan sum and two to spare
+    state = 8 * group * p * d
     outputs = (2 + len(snapshot_steps)) * reps * p * d
     bound = 8 * (_DRAW_BUDGET + transform + state + outputs) + streams
     tracemalloc.start()
@@ -451,7 +446,7 @@ def test_run_memory_is_the_draw_buffer_plus_a_small_working_set(kind):
     m = exact_moments(spec)
     cfg = SgdConfig(gamma=0.5 / m.R2, w0=np.zeros(d), t_avg_start=512, T=1024)
     seeds = [(0, 1, i) for i in range(r)]
-    rows, group = draw_plan(spec, r, cfg.T)
+    rows, group = draw_plan(d, r, cfg.T, True)
     assert group == r
     buffer = _buffer(rows, r, cfg.T, d) * 8
     tracemalloc.start()
