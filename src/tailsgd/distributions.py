@@ -114,16 +114,17 @@ class SupportAtom:
             raise ValueError(f"prob must be nonnegative, got {self.prob}")
 
 
-def _discrete_second_moment(support) -> np.ndarray:
-    xs = np.stack([a.x for a in support])
-    ps = np.array([a.prob for a in support])
-    return sym(np.einsum("k,ki,kj->ij", ps, xs, xs))
+@dataclass(frozen=True)
+class _Atoms:
+    """A discrete spec's support stacked once, one row or entry per atom, with
+    the cumulative probabilities its draws search and H = sum_k p_k x_k x_k^T."""
 
-
-def _discrete_argmin(support) -> np.ndarray:
-    h = _discrete_second_moment(support)
-    b = np.sum([a.prob * a.y_mean * a.x for a in support], axis=0)
-    return np.linalg.solve(h, b)
+    x: np.ndarray
+    prob: np.ndarray
+    y_mean: np.ndarray
+    y_std: np.ndarray
+    cum: np.ndarray
+    H: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -201,21 +202,20 @@ class DistributionSpec:
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"support probabilities sum to {total!r}, expected 1")
         object.__setattr__(self, "support", support)
-        # the stacked support every SampleStream of this spec draws from
-        object.__setattr__(self, "_atoms", (
-            _frozen_array([a.x for a in support]),
-            _frozen_array([a.y_mean for a in support]),
-            _frozen_array([a.y_std for a in support]),
-            _frozen_array(np.cumsum([a.prob for a in support])),
-        ))
-        h = _discrete_second_moment(support)
+        # the stacked support that the moments, the operator and every
+        # SampleStream of this spec read
+        xs, probs, y_mean, y_std = (_frozen_array([getattr(a, k) for a in support])
+                                    for k in ("x", "prob", "y_mean", "y_std"))
+        h = _frozen_array(sym(np.einsum("k,ki,kj->ij", probs, xs, xs)))
+        object.__setattr__(self, "_atoms", _Atoms(xs, probs, y_mean, y_std,
+                                                  _frozen_array(np.cumsum(probs)), h))
         evals = np.linalg.eigvalsh(h)
         if evals[0] <= _SING_TOL * max(evals[-1], 0.0):
             raise SingularMomentsError(
                 f"support does not span R^{self.d}: second-moment eigenvalue "
                 f"range [{evals[0]:.6e}, {evals[-1]:.6e}]"
             )
-        argmin = _discrete_argmin(support)
+        argmin = np.linalg.solve(h, np.sum((probs * y_mean)[:, None] * xs, axis=0))
         if self.w_star is not None:
             w = np.asarray(self.w_star, float)
             if w.shape != (self.d,):
@@ -468,12 +468,12 @@ def _pairs(spec: DistributionSpec, raw: np.ndarray):
     """
     n, d = raw.shape[1], spec.d
     if spec.kind == DISCRETE:
-        xs, y_mean, y_std, cum = spec._atoms
+        a = spec._atoms
         # each stream's n uniforms, then its n normals, from its row start
         flat = raw.reshape(raw.shape[0], -1)
-        idx = np.minimum(np.searchsorted(cum, flat[:, :n], side="right"), len(cum) - 1)
-        y = y_mean[idx] + y_std[idx] * flat[:, n:2 * n]
-        return np.take(xs, idx, axis=0), y
+        idx = np.minimum(np.searchsorted(a.cum, flat[:, :n], side="right"), len(a.cum) - 1)
+        y = a.y_mean[idx] + a.y_std[idx] * flat[:, n:2 * n]
+        return np.take(a.x, idx, axis=0), y
     if spec._chol.ndim == 1:
         # in place over the contiguous rows; eta's factor is an exact 1.0
         raw *= spec._chol
@@ -510,9 +510,8 @@ def weighted_fourth_moment(spec: DistributionSpec) -> np.ndarray:
     discrete design it is the weighted sum over the support.
     """
     if spec.kind == DISCRETE:
-        xs = np.stack([a.x for a in spec.support])
-        ps = np.array([a.prob for a in spec.support])
-        w = ps * np.einsum("ki,ki->k", xs, xs)
+        xs = spec._atoms.x
+        w = spec._atoms.prob * np.einsum("ki,ki->k", xs, xs)
         return sym(np.einsum("k,ki,kj->ij", w, xs, xs))
     h = spec.H_spec
     return sym(np.trace(h) * h + 2.0 * (h @ h))
@@ -531,25 +530,24 @@ def exact_moments(spec: DistributionSpec) -> Moments:
         )
     f = weighted_fourth_moment(spec)
     if spec.kind == DISCRETE:
-        h = _discrete_second_moment(spec.support)
-        xs = np.stack([a.x for a in spec.support])
-        ps = np.array([a.prob for a in spec.support])
+        a = spec._atoms
+        h = a.H
         # an overflow here becomes a non-finite Sigma, which Moments rejects
         with np.errstate(over="ignore"):
-            resid_sq = (np.array([a.y_mean for a in spec.support]) - xs @ spec.w_star) ** 2
-            resid_sq += np.array([a.y_std for a in spec.support]) ** 2
-        sigma = sym(np.einsum("k,ki,kj->ij", ps * resid_sq, xs, xs))
+            resid_sq = (a.y_mean - a.x @ spec.w_star) ** 2 + a.y_std ** 2
+        sigma = sym(np.einsum("k,ki,kj->ij", a.prob * resid_sq, a.x, a.x))
     else:
         h = spec.H_spec
         # residual std is noise_sigma, or noise_sigma * ||x|| when
         # misspecified, so Sigma is H or the weighted fourth moment scaled
-        # by noise_sigma^2; a finite noise_sigma may overflow it
+        # by noise_sigma^2; a finite noise_sigma may overflow it or Sigma + Sigma^T
         with np.errstate(over="ignore", invalid="ignore"):
             sigma = np.float64(spec.noise_sigma) ** 2 * (
                 h if spec.kind == GAUSSIAN_WELL_SPECIFIED else f)
+            sigma = 0.5 * (sigma + sigma.T)
         if not np.isfinite(sigma).all():
-            raise ValueError(f"noise_sigma={spec.noise_sigma!r} overflows: "
-                             f"Sigma = noise_sigma^2 times a second moment is not finite")
+            raise ValueError(f"noise_sigma={spec.noise_sigma!r} overflows: Sigma = "
+                             f"noise_sigma^2 times a second moment does not stay finite")
     r2 = matrix_norm_under(f, h)
     return Moments(H=h, Sigma=sigma, w_star=spec.w_star, R2=r2, exact=True)
 

@@ -27,11 +27,11 @@ rejected, and a malformed document raises ConfigError naming its field.  ::
     }
 
 A run may hold at most 1 GiB, counted before the model is built
-(sgd.run_bytes): the tail averages and final states of every replicate, and
-the draw buffer, state, transform temporaries and streams of one group of
-seeds as sgd.draw_plan sets them.  The plan needs only d and the form of the
-Cholesky factor, read from the document: an omitted, "identity" or
-{"diag": ...} H_spec factors diagonally, a full matrix is counted as
+(sgd.run_bytes): the outputs and seeds of every replicate, the transform's
+temporaries, and one group as sgd.draw_plan sizes it, at most 2 MiB (draws,
+state and streams) unless a floor binds.  The plan needs only d and the
+form of the Cholesky factor, read from the document: an omitted, "identity"
+or {"diag": ...} H_spec factors diagonally, a full matrix is counted as
 whichever form holds more, and the discrete kind fills whole blocks.  The
 count is per process: a pool's parent holds the parts and their
 concatenation, within the count, and each worker less.  A sweep
@@ -283,7 +283,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     # document: a full H_spec matrix may factor either way
     forms = ((False,) if dist["kind"] == DISCRETE
              else (True, False) if isinstance(dist["H_spec"], tuple) else (True,))
-    size = max(run_bytes(d, f["replicates"], big_t, diagonal) for diagonal in forms)
+    size = max(run_bytes(d, f["replicates"], big_t, diagonal, len(PROCESSES))
+               for diagonal in forms)
     if size > _BUFFER_CAP:
         raise ConfigError("replicates", f"a run would hold {size} bytes, "
                                         f"over the cap of {_BUFFER_CAP}")

@@ -11,11 +11,12 @@ together with the others of its group in one pass (``sample_streams``) and
 drawn in blocks: per block, every stream fills its raw variates into its
 rows of one shared buffer, and one transform turns the whole buffer into
 covariates and labels.  How many rows a block has, and how many replicates
-advance together in a group, depend on the spec, T and the number of
-replicates (``draw_plan``), so that a run's draw buffer stays within 2 MiB
-where it can.  A replicate's draws, and so its trajectory, depend only on its
-own seed: grouping the seeds, or splitting a seed list across calls (or
-worker processes), reproduces bit-identical trajectories.  The step loop
+advance together in a group, depend on the spec, T and the numbers of
+replicates and processes (``draw_plan``): a group holds at most 2 MiB
+(draws, state and streams) unless a floor binds.  A replicate's draws, and
+so its trajectory, depend only on its own seed: grouping the seeds, or
+splitting a seed list across calls (or worker processes), reproduces
+bit-identical trajectories.  The step loop
 reads the buffer in place and allocates nothing per step.  Iterate sums use
 compensated (Kahan) summation so long tail averages do not lose precision.
 
@@ -64,10 +65,9 @@ BLOCK = 512
 # kernel's row grouping, so the pairs are those of whole blocks bit for bit.
 # A dense factor's product groups rows in panels of its own, and a discrete
 # fill draws all its uniforms before its normals: those specs fill whole
-# blocks.  Where the fill alone cannot bring the buffer within _DRAW_BUDGET,
-# the seeds advance in groups of no fewer than _MIN_GROUP replicates: each
-# group pays the step loop's per-call numpy overhead again, so a run pays it
-# at most once per 256 replicates.
+# blocks.  Where the fill alone cannot bring all seeds within 2 MiB, they
+# advance in groups of no fewer than _MIN_GROUP: each group pays the step
+# loop's per-call numpy overhead again, at most once per 256 replicates.
 _MIN_ROWS = 64
 _MIN_GROUP = 256
 
@@ -76,8 +76,8 @@ PROCESSES = ("standard", "bias", "variance")
 # Bytes a run holds beside its arrays, with about a sixth to spare over
 # what tracemalloc measured: 1,100 for each keyed stream of a group (a
 # Philox generator and its key) and 111 for each seed of the run's seed
-# lists; and a fixed allowance for its Python objects and numpy's ufunc
-# buffers, which a reduction over ||x|| takes 128 KiB of
+# lists; and a fixed allowance for its Python objects, its start points and
+# numpy's ufunc buffers, which a reduction over ||x|| takes 128 KiB of
 _STREAM_BYTES = 1280
 _SEED_BYTES = 128
 _FIXED_BYTES = 2 ** 18
@@ -193,49 +193,50 @@ def _diagonal(spec: DistributionSpec) -> bool:
     return spec.kind != DISCRETE and spec._chol.ndim == 1
 
 
-def draw_plan(d: int, replicates: int, T: int, diagonal: bool) -> tuple[int, int]:
+def _replicate_bytes(d: int, rows: int, T: int, processes: int) -> int:
+    """Bytes one replicate holds in its group (draw_plan): its fill of the
+    draw buffer, its rows of the group's Kahan sum (four arrays), update,
+    dot and residual arrays for each process, and its keyed stream."""
+    values = _fill_rows(rows, T) * (d + 1) + processes * (5 * d + 2)
+    return 8 * values + _STREAM_BYTES
+
+
+def draw_plan(d: int, replicates: int, T: int, diagonal: bool, processes: int) -> tuple[int, int]:
     """(rows, group) for a run of ``replicates`` seeds of a d-dimensional
-    model over T steps: it fills ``rows`` rows of draws per replicate at a
-    time and advances its seeds in groups of ``group``, the last group
-    taking the rest.  ``diagonal`` says whether the model draws through a
-    diagonal Cholesky factor (``_diagonal``).
+    model over T steps that advances ``processes`` processes: it fills
+    ``rows`` rows of draws per replicate at a time and advances its seeds in
+    groups of ``group``, the last group taking the rest.  ``diagonal`` says
+    whether the model draws through a diagonal Cholesky factor
+    (``_diagonal``).  A group holds at most 2 MiB (draws, state and
+    streams, ``_replicate_bytes`` a replicate) unless a floor binds.
 
     rows is BLOCK unless the factor is diagonal; then it is the largest
-    power of two in [64, BLOCK] whose buffer of replicates *
-    min(rows + 1, T) * (d + 1) values (min(BLOCK, T) rows at BLOCK) fits
-    the 2 MiB draw budget, or 64.
-    group is every replicate if their buffer fits the budget, and otherwise
-    as many as fit, but no fewer than 256 or all of them.  Neither changes a
-    bit of the run's results."""
-    width = d + 1
+    power of two in [64, BLOCK] at which all replicates fit in one group, or
+    64.  group is all replicates if they fit, and otherwise as many as fit,
+    but no fewer than 256 or all of them.  Neither changes a bit of the
+    run's results."""
+    budget = 8 * _DRAW_BUDGET
     rows = BLOCK
     if diagonal:
-        while rows > _MIN_ROWS and replicates * _fill_rows(rows, T) * width > _DRAW_BUDGET:
+        while (rows > _MIN_ROWS
+               and replicates * _replicate_bytes(d, rows, T, processes) > budget):
             rows //= 2
-    group = max(_MIN_GROUP, _DRAW_BUDGET // (_fill_rows(rows, T) * width))
+    group = max(_MIN_GROUP, budget // _replicate_bytes(d, rows, T, processes))
     return rows, min(group, replicates)
 
 
-def run_bytes(d: int, replicates: int, T: int, diagonal: bool) -> int:
-    """Bytes that a run of ``replicates`` seeds advancing every process of
-    PROCESSES holds at most, snapshots aside, counted from its draw_plan:
-    its tail averages and final states over all replicates; one group's
-    draw buffer, floors included; that group's Kahan sum, update, dot and
-    residual arrays; the pairs transform's temporaries over one chunk of at
-    most _ROW_BLOCK rows; the group's streams, the seed lists and the run's
-    start points and shifts.  It needs only d and the form of the factor,
-    so a config is checked against it before its model is built."""
-    rows, group = draw_plan(d, replicates, T, diagonal)
-    fill = _fill_rows(rows, T)
-    chunk = min(group * fill, _ROW_BLOCK)
-    processes = len(PROCESSES)
-    values = (2 * replicates * processes * d
-              + group * fill * (d + 1)
-              + group * processes * (5 * d + 2)
-              + chunk * (d + _ROW_ARRAYS)
-              + 4 * processes * d)
-    return (8 * values + group * _STREAM_BYTES + replicates * _SEED_BYTES
-            + _FIXED_BYTES)
+def run_bytes(d: int, replicates: int, T: int, diagonal: bool, processes: int) -> int:
+    """Bytes that a run of draw_plan's arguments holds at most, snapshots
+    aside: the tail averages, final states and seeds of every replicate;
+    one group as draw_plan sizes it; and the pairs transform's temporaries
+    over one chunk of at most _ROW_BLOCK rows, with a fixed allowance.  It
+    needs only d and the form of the factor, so a config is checked
+    against it before its model is built."""
+    rows, group = draw_plan(d, replicates, T, diagonal, processes)
+    chunk = min(group * _fill_rows(rows, T), _ROW_BLOCK)
+    return (replicates * (16 * processes * d + _SEED_BYTES)
+            + group * _replicate_bytes(d, rows, T, processes)
+            + 8 * chunk * (d + _ROW_ARRAYS) + _FIXED_BYTES)
 
 
 def run_replicates(spec: DistributionSpec, config: SgdConfig, seeds, *,
@@ -283,7 +284,7 @@ def run_replicates(spec: DistributionSpec, config: SgdConfig, seeds, *,
 
     tails = np.empty((n_rep, len(names), d))
     finals = np.empty_like(tails)
-    rows, group = draw_plan(d, n_rep, big_t, _diagonal(spec))
+    rows, group = draw_plan(d, n_rep, big_t, _diagonal(spec), len(names))
     for lo in range(0, n_rep, group):
         part = slice(lo, lo + group)
         _advance(spec, config, seeds[part], rows, starts, mask, snap_idx,

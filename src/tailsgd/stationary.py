@@ -75,6 +75,14 @@ from .matcore import (
     vec_to_sym,
 )
 
+# The fixed-point iteration's relative distance and defect tolerances and
+# most iterations; the direct solve's largest condition number; and
+# ensure_psd_solution's relative floor, above which a negative eigenvalue is
+# rounding and clipped
+_FP_TOL, _FP_RESID_RTOL, _FP_MAX_ITER = 1e-11, 1e-8, 1_000_000
+_COND_MAX = 1e14
+_PSD_TOL = 1e-10
+
 
 class FourthMomentOperator:
     """The linear map M -> E[(x^T M x) x x^T] on symmetric matrices.
@@ -126,9 +134,7 @@ class FourthMomentOperator:
         """Exact backing for a model's covariate distribution.  Available for
         every kind: the Gaussian families share the same x marginal."""
         if spec.kind == DISCRETE:
-            xs = np.stack([a.x for a in spec.support])
-            probs = np.array([a.prob for a in spec.support])
-            return cls.discrete(xs, probs)
+            return cls.discrete(spec._atoms.x, spec._atoms.prob)
         return cls.gaussian(spec.H_spec)
 
     @property
@@ -261,14 +267,14 @@ def _gate(gamma: float, h, s_op: FourthMomentOperator) -> tuple[np.ndarray, floa
     return hh, r2
 
 
-def ensure_psd_solution(c, tol: float = 1e-10) -> np.ndarray:
+def ensure_psd_solution(c) -> np.ndarray:
     """Clip negligible negative eigenvalues; reject genuinely indefinite C.
 
-    The rejection threshold is -tol * max(1, largest |eigenvalue|).
+    The rejection threshold is -_PSD_TOL * max(1, largest |eigenvalue|).
     """
     cc = sym(c)
     evals, vecs = np.linalg.eigh(cc)
-    floor = -tol * max(1.0, float(np.max(np.abs(evals))))
+    floor = -_PSD_TOL * max(1.0, float(np.max(np.abs(evals))))
     if evals[0] < floor:
         raise IndefiniteSolutionError(
             f"solution has eigenvalue {evals[0]:.6e} below threshold {floor:.6e}"
@@ -278,9 +284,15 @@ def ensure_psd_solution(c, tol: float = 1e-10) -> np.ndarray:
     return cc
 
 
-def solve_stationary_fixed_point(h, s_op: FourthMomentOperator, sigma, gamma: float, *,
-                                 tol: float = 1e-11, resid_rtol: float = 1e-8,
-                                 max_iter: int = 1_000_000) -> StationarySolution:
+def _solution(c, hh, s_op: FourthMomentOperator, ss, gamma: float, **diagnostics):
+    """The record of a solve: its PSD-clipped C and that C's equation defect."""
+    c = ensure_psd_solution(c)
+    return StationarySolution(cov=c, residual=stationary_residual(c, hh, s_op, ss, gamma),
+                              exact=s_op.exact, **diagnostics)
+
+
+def solve_stationary_fixed_point(h, s_op: FourthMomentOperator, sigma,
+                                 gamma: float) -> StationarySolution:
     """Solve the fixed-point equation by the preconditioned iteration
     C <- L0^{-1}(gamma (S(C) + Sigma)) from C = 0, with L0(M) = HM + MH
     inverted in H's eigenbasis.
@@ -288,10 +300,10 @@ def solve_stationary_fixed_point(h, s_op: FourthMomentOperator, sigma, gamma: fl
     The iteration contracts in Tr(H .) at rate q = gamma R^2 / 2 < 1/2 (see
     the module docstring), so it takes tens of iterations whatever mu or d
     is.  With D the last step, it stops when the distance bound
-    q / (1 - q) * Tr(H D) / mu is at most ``tol * ||C||_F`` and the defect
-    bound gamma R^2 Tr(H D) is at most ``resid_rtol * gamma * ||Sigma||_F``.
-    Raises ConvergenceError if the budget runs out or the iteration leaves
-    the space of finite matrices.
+    q / (1 - q) * Tr(H D) / mu is at most ``_FP_TOL * ||C||_F`` and the defect
+    bound gamma R^2 Tr(H D) is at most ``_FP_RESID_RTOL * gamma * ||Sigma||_F``.
+    Raises ConvergenceError after ``_FP_MAX_ITER`` iterations or if the
+    iteration leaves the space of finite matrices.
     """
     hh, r2 = _gate(gamma, h, s_op)
     with blas_threads(_start_threads()):
@@ -302,11 +314,11 @@ def solve_stationary_fixed_point(h, s_op: FourthMomentOperator, sigma, gamma: fl
         q = 0.5 * gamma * r2
         ss = sym(sigma)
         # both stopping bounds are multiples of step = Tr(H D); gamma cancels from
-        # the defect test gamma R^2 step <= resid_rtol gamma ||Sigma||_F
-        resid_cap = resid_rtol * float(np.linalg.norm(ss, "fro"))
+        # the defect test gamma R^2 step <= _FP_RESID_RTOL gamma ||Sigma||_F
+        resid_cap = _FP_RESID_RTOL * float(np.linalg.norm(ss, "fro"))
         c = np.zeros_like(hh)
         iterations = 0
-        for iterations in range(1, max_iter + 1):
+        for iterations in range(1, _FP_MAX_ITER + 1):
             rhs = gamma * (s_op.apply(c) + ss)
             nxt = v @ ((v.T @ rhs @ v) / denom) @ v.T
             nxt = 0.5 * (nxt + nxt.T)
@@ -318,19 +330,12 @@ def solve_stationary_fixed_point(h, s_op: FourthMomentOperator, sigma, gamma: fl
                     "for this backing?)"
                 )
             c = nxt
-            if (q / (1.0 - q) * step / mu <= tol * np.linalg.norm(c, "fro")
+            if (q / (1.0 - q) * step / mu <= _FP_TOL * np.linalg.norm(c, "fro")
                     and r2 * step <= resid_cap):
                 break
         else:
-            raise ConvergenceError(f"no convergence within {max_iter} iterations")
-        c = ensure_psd_solution(c)
-        return StationarySolution(
-            cov=c,
-            method="fixed-point",
-            residual=stationary_residual(c, hh, s_op, ss, gamma),
-            exact=s_op.exact,
-            iterations=iterations,
-        )
+            raise ConvergenceError(f"no convergence within {_FP_MAX_ITER} iterations")
+        return _solution(c, hh, s_op, ss, gamma, method="fixed-point", iterations=iterations)
 
 
 def operator_matrix(apply_fn, d: int) -> np.ndarray:
@@ -352,10 +357,10 @@ def operator_matrix(apply_fn, d: int) -> np.ndarray:
     return out
 
 
-def solve_stationary_direct(h, s_op: FourthMomentOperator, sigma, gamma: float, *,
-                            cond_max: float = 1e14) -> StationarySolution:
+def solve_stationary_direct(h, s_op: FourthMomentOperator, sigma,
+                            gamma: float) -> StationarySolution:
     """Solve the fixed-point equation as a dense linear system in the
-    flattened symmetric basis."""
+    flattened symmetric basis, of condition number at most ``_COND_MAX``."""
     hh, _ = _gate(gamma, h, s_op)
     with blas_threads(_start_threads()):
         ss = sym(sigma)
@@ -366,21 +371,14 @@ def solve_stationary_direct(h, s_op: FourthMomentOperator, sigma, gamma: float, 
         evals = np.abs(np.linalg.eigvalsh(a))
         lo, hi = float(evals.min()), float(evals.max())
         cond = hi / lo if lo > 0.0 else np.inf
-        if not np.isfinite(cond) or cond > cond_max:
+        if not np.isfinite(cond) or cond > _COND_MAX:
             raise SingularSystemError(
-                f"system condition number {cond:.3e} exceeds {cond_max:.1e}")
+                f"system condition number {cond:.3e} exceeds {_COND_MAX:.1e}")
         try:
             cvec = np.linalg.solve(a, gamma * sym_to_vec(ss))
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(f"stationary system is singular: {exc}") from exc
-        c = ensure_psd_solution(vec_to_sym(cvec))
-        return StationarySolution(
-            cov=c,
-            method="direct",
-            residual=stationary_residual(c, hh, s_op, ss, gamma),
-            exact=s_op.exact,
-            condition=cond,
-        )
+        return _solution(vec_to_sym(cvec), hh, s_op, ss, gamma, method="direct", condition=cond)
 
 
 def crude_bound(sigma, h, gamma: float, r2: float) -> float:

@@ -40,7 +40,14 @@ from tailsgd.harness import (
     sweep_csv,
 )
 from tailsgd.matcore import _ROW_BLOCK, _quad_forms, blas_threads, sym_to_vec, vec_to_sym
-from tailsgd.sgd import SgdConfig, _diagonal, draw_plan, resolve_moments, run_bytes
+from tailsgd.sgd import (
+    PROCESSES,
+    SgdConfig,
+    _diagonal,
+    draw_plan,
+    resolve_moments,
+    run_bytes,
+)
 from tailsgd.stationary import FourthMomentOperator, damped_anticommutator, operator_matrix
 
 WELL3 = {
@@ -148,14 +155,15 @@ def test_parse_config_counts_the_state_of_short_runs():
 def test_parse_config_accepts_what_a_run_holds_within_the_cap():
     # 100,000 replicates of the misspecified family at d=10 over 1000 steps
     # hold 65 MB: 48 MB of tail averages and final states, 12.8 MB of seeds,
-    # and one group of 366 replicates with its 2 MiB of draws.  Whole
-    # 512-row fills of every replicate at once came to 4.7 GB, refused
+    # and one group at the floor of 256 replicates, 2.1 MB with its draws,
+    # state and streams.  Whole 512-row fills of every replicate at once
+    # came to 4.7 GB, refused
     for reps, low, high in ((100_000, 48e6, 70e6), (10 ** 6, 480e6, 700e6)):
         cfg = config_from_dict({"distribution": family_distribution("misspecified", 10, 1.0),
                                 "T": 1000, "replicates": reps})
         assert cfg.replicates == reps
-        assert low < run_bytes(10, reps, 1000, True) < high
-    assert draw_plan(10, 100_000, 1000, True) == (64, 366)
+        assert low < run_bytes(10, reps, 1000, True, 3) < high
+    assert draw_plan(10, 100_000, 1000, True, 3) == (64, 256)
 
 
 def _memory_spec(kind, d):
@@ -190,7 +198,7 @@ def test_run_bytes_bounds_what_a_run_holds(kind, d):
     m = resolve_moments(spec)
     for reps, big_t in MEMORY_RUNS[d]:
         cfg = SgdConfig(gamma=0.3 / m.R2, w0=np.zeros(d), t_avg_start=big_t // 2, T=big_t)
-        count = run_bytes(d, reps, big_t, _diagonal(spec))
+        count = run_bytes(d, reps, big_t, _diagonal(spec), len(PROCESSES))
         tracemalloc.start()
         try:
             _tail_averages(spec, cfg, m, 0, 0, reps, 1)
@@ -198,7 +206,24 @@ def test_run_bytes_bounds_what_a_run_holds(kind, d):
         finally:
             tracemalloc.stop()
         assert peak <= count <= 2 * peak + 2 ** 19, (reps, big_t, peak, count)
-    assert draw_plan(d, reps, big_t, _diagonal(spec))[1] < reps
+    assert draw_plan(d, reps, big_t, _diagonal(spec), len(PROCESSES))[1] < reps
+
+
+def test_many_small_replicates_hold_one_group_of_streams():
+    # at d=1, T=1 a replicate's keyed stream takes about 80 times its draws:
+    # groups sized by their draws alone held 131,072 streams, and this run
+    # peaked at 25.3 MB (175.8 MB at 200,000 replicates)
+    spec = gaussian_spec(1)
+    m = resolve_moments(spec)
+    cfg = SgdConfig(gamma=0.3 / m.R2, w0=np.zeros(1), t_avg_start=0, T=1)
+    tracemalloc.start()
+    try:
+        _tail_averages(spec, cfg, m, 0, 0, 20_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    assert peak <= run_bytes(1, 20_000, 1, True, len(PROCESSES))
 
 
 def test_parse_config_rejects_invalid_json():
@@ -808,6 +833,9 @@ def test_cli_config_error_exit_codes(tmp_path, capsys):
     # the noise covariance overflows, not the document
     ({"noise_sigma": 1e200}, ("noise_sigma=1e+200 overflows",)),
     ({"kind": "gaussian_misspecified", "noise_sigma": 1e160}, ("noise_sigma=1e+160 overflows",)),
+    # Sigma = 1e308 I is finite, but Sigma + Sigma^T is not
+    ({"noise_sigma": 1e154}, ("noise_sigma=1e+154 overflows",)),
+    ({"noise_sigma": 1e155}, ("noise_sigma=1e+155 overflows",)),
 ])
 def test_cli_config_errors_name_their_cause(tmp_path, capsys, distribution, words):
     path = tmp_path / "exp.json"

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from tailsgd.sgd import (
     PROCESSES,
     SgdConfig,
     _diagonal,
+    _replicate_bytes,
     draw_plan,
     resolve_moments,
     run_replicates,
@@ -257,7 +259,7 @@ def test_block_pairs_equal_lone_draws(monkeypatch, kind, big_t):
     seeds = [(6, 0), 6, (2 ** 32, 1), (6, 2 ** 64 - 1, 3), (6, 4)]
     monkeypatch.setattr(sgd_mod, "_DRAW_BUDGET", 4096 * len(seeds))
     spec = BLOCK_KINDS[kind]()
-    rows = draw_plan(spec.d, len(seeds), big_t, _diagonal(spec))[0]
+    rows = draw_plan(spec.d, len(seeds), big_t, _diagonal(spec), 1)[0]
     assert (rows < BLOCK) == (kind in SUB_BLOCKED_KINDS and big_t > 64)
     joint = _blocks_seen(monkeypatch, spec, seeds, big_t)
     sizes = [y.shape[1] for _, y in joint]
@@ -293,39 +295,54 @@ def _buffer(rows, group, big_t, d):
     return group * min(rows + (rows < BLOCK), big_t) * (d + 1)
 
 
-@pytest.mark.parametrize("d, r, big_t, plan", [
-    (10, 2000, 31, (64, 768)),   # verify's mean-recursion run
-    (10, 1000, 101, (64, 366)),  # verify's bias-decay run
-    (10, 100, 1000, (128, 100)),
-    (3, 200, 10_000, (256, 200)),  # the README config
-    (100, 200, 1024, (64, 200)),   # the sweep's d=100 cell: under the group floor
-    (1, 1, 1, (512, 1)),
-    (1, 10 ** 6, 10 ** 9, (64, 2016)),
+def _group_bytes(rows, group, big_t, d, p):
+    return group * _replicate_bytes(d, rows, big_t, p)
+
+
+@pytest.mark.parametrize("d, r, big_t, p, plan", [
+    # verify's mean-recursion and bias-decay runs: 5 and 4 groups
+    pytest.param(10, 2000, 31, 1, (64, 474), id="10-2000-31-plan0"),
+    pytest.param(10, 1000, 101, 1, (64, 282), id="10-1000-101-plan1"),
+    pytest.param(10, 100, 1000, 3, (128, 100), id="10-100-1000-plan2"),  # verify's main run
+    pytest.param(3, 200, 10_000, 3, (256, 200), id="3-200-10000-plan3"),  # the README config
+    # the sweep's d=100 cell, under the group floor, and (a worker's half) its d=3 cell
+    pytest.param(100, 200, 1024, 3, (64, 200), id="100-200-1024-plan4"),
+    pytest.param(3, 100, 1024, 3, (512, 100), id="3-100-1024-sweep"),
+    pytest.param(1, 1, 1, 3, (512, 1), id="1-1-1-plan5"),
+    pytest.param(1, 10 ** 6, 10 ** 9, 3, (64, 842), id="1-1000000-1000000000-plan6"),
+    # streams, not draws, fill these groups
+    pytest.param(1, 200_000, 1, 3, (64, 1432), id="1-200000-1-streams"),
 ])
-def test_draw_plan_examples(d, r, big_t, plan):
-    assert draw_plan(d, r, big_t, True) == plan
+def test_draw_plan_examples(d, r, big_t, p, plan):
+    assert draw_plan(d, r, big_t, True, p) == plan
 
 
 @pytest.mark.parametrize("d", [1, 3, 10, 40, 100, 1000])
 def test_draw_plan_fits_the_budget_where_the_floors_allow(d):
-    for r in (1, 7, 200, 255, 256, 257, 1000, 4000, 10 ** 6):
-        for big_t in (1, 31, 64, 65, 101, 129, 512, 513, 10 ** 4):
-            rows, group = draw_plan(d, r, big_t, True)
-            # rows a power of two in [64, 512], and the largest whose fill fits
-            assert rows in (64, 128, 256, 512)
-            assert rows == 64 or _buffer(rows, r, big_t, d) <= _DRAW_BUDGET
-            assert rows == BLOCK or _buffer(2 * rows, r, big_t, d) > _DRAW_BUDGET
-            # groups of at least 256 replicates, or all of them, and the
-            # largest that fit
-            assert group == r or group >= _MIN_GROUP
-            assert (_buffer(rows, group, big_t, d) <= _DRAW_BUDGET
-                    or group == min(r, _MIN_GROUP))
-            assert group == r or _buffer(rows, group + 1, big_t, d) > _DRAW_BUDGET
+    budget = 8 * _DRAW_BUDGET
+    for r, big_t, p in itertools.product((1, 7, 200, 255, 256, 257, 1000, 4000, 10 ** 6),
+                                         (1, 31, 64, 65, 101, 129, 512, 513, 10 ** 4),
+                                         (1, 3)):
+        rows, group = draw_plan(d, r, big_t, True, p)
+        # rows a power of two in [64, 512], and the largest at which every
+        # replicate fits in one group
+        assert rows in (64, 128, 256, 512)
+        assert rows == 64 or _group_bytes(rows, r, big_t, d, p) <= budget
+        assert rows == BLOCK or _group_bytes(2 * rows, r, big_t, d, p) > budget
+        # groups of at least 256 replicates, or all of them, and the
+        # largest that fit
+        assert group == r or group >= _MIN_GROUP
+        assert (_group_bytes(rows, group, big_t, d, p) <= budget
+                or group == min(r, _MIN_GROUP))
+        assert group == r or _group_bytes(rows, group + 1, big_t, d, p) > budget
     if d <= 100:
-        # a dense factor and a discrete fill keep whole blocks
-        for spec in (gaussian_spec(d, h=random_spd(d, 1)), discrete_spec(d, 8)):
+        # a dense factor and a discrete fill keep whole blocks; a 1 x 1
+        # factor is diagonal
+        specs = [discrete_spec(d, 8)] + [gaussian_spec(d, h=random_spd(d, 1))] * (d > 1)
+        for spec in specs:
+            assert not _diagonal(spec)
             for r, big_t in ((1, 10 ** 4), (200, 1024), (2000, 31)):
-                rows, group = draw_plan(d, r, big_t, _diagonal(spec))
+                rows, group = draw_plan(d, r, big_t, _diagonal(spec), 3)
                 assert rows == BLOCK
                 assert group == r or group >= _MIN_GROUP
 
@@ -333,16 +350,16 @@ def test_draw_plan_fits_the_budget_where_the_floors_allow(d):
 def test_draw_rows_floor_is_64():
     # at d = 10,000, past the config range, a row of draws alone is 625 KiB:
     # the plan keeps its floors, 64 rows and 256 replicates at a time
-    assert draw_plan(10_000, 1000, 10 ** 4, True) == (64, 256)
-    assert draw_plan(10_000, 100, 10 ** 4, True) == (64, 100)
+    assert draw_plan(10_000, 1000, 10 ** 4, True, 3) == (64, 256)
+    assert draw_plan(10_000, 100, 10 ** 4, True, 3) == (64, 100)
 
 
 GROUPED_RUNS = {
     # (spec, T, replicates): two or more groups, and each half of the seeds
     # one group
-    "misspecified_d10_T31": (_misspecified_d10, 31, 1000),
-    "misspecified_d10_T101": (_misspecified_d10, 101, 600),
-    "misspecified_d10_T700": (_misspecified_d10, 700, 600),
+    "misspecified_d10_T31": (_misspecified_d10, 31, 700),
+    "misspecified_d10_T101": (_misspecified_d10, 101, 500),
+    "misspecified_d10_T700": (_misspecified_d10, 700, 500),
     "dense_d3": (lambda: gaussian_spec(3, h=random_spd(3, 5), sigma=0.7), 700, 500),
     "discrete_d2": (lambda: discrete_spec(2, 8), 700, 500),
 }
@@ -359,9 +376,11 @@ def test_grouped_run_equals_single_group_halves(monkeypatch, name):
     cfg = SgdConfig(gamma=0.3 / m.R2, w0=np.zeros(spec.d), t_avg_start=big_t // 2, T=big_t)
     seeds = [(3, 7, i) for i in range(r)]
     halves = (seeds[:r // 2], seeds[r // 2:])
-    group = draw_plan(spec.d, r, big_t, _diagonal(spec))[1]
+    p = len(PROCESSES)
+    group = draw_plan(spec.d, r, big_t, _diagonal(spec), p)[1]
     assert group < r
-    assert all(draw_plan(spec.d, len(h), big_t, _diagonal(spec))[1] == len(h) for h in halves)
+    assert all(draw_plan(spec.d, len(h), big_t, _diagonal(spec), p)[1] == len(h)
+               for h in halves)
 
     def run(part):
         return sgd_mod.run_replicates(spec, cfg, part, process=PROCESSES, moments=m,
@@ -392,14 +411,15 @@ def test_grouped_run_equals_single_group_halves(monkeypatch, name):
 def test_large_runs_hold_the_draw_budget(big_t, reps, process, snapshot_steps):
     # a run holds its draw buffer, at most the budget, the transform's
     # temporaries of one chunk of rows, one group's streams and state, and
-    # the run's outputs: 4.9 and 3.9 MiB here.  In one group, with whole
-    # 512-row fills, these runs took 9.1 and 10.9 MiB
+    # the run's outputs: 3.8 and 3.0 MiB here, 5.0 and 3.5 MiB in groups
+    # sized by their draws alone.  In one group, with whole 512-row fills,
+    # these runs took 9.1 and 10.9 MiB
     spec, p = _misspecified_d10(), 1
     d = spec.d
     m = exact_moments(spec)
     cfg = SgdConfig(gamma=0.5 / m.R2, w0=np.zeros(d), t_avg_start=0, T=big_t)
     seeds = [(0, 905, i) for i in range(reps)]
-    rows, group = draw_plan(d, reps, big_t, True)
+    rows, group = draw_plan(d, reps, big_t, True, p)
     assert _buffer(rows, group, big_t, d) <= _DRAW_BUDGET
     tracemalloc.start()
     try:
@@ -446,7 +466,7 @@ def test_run_memory_is_the_draw_buffer_plus_a_small_working_set(kind):
     m = exact_moments(spec)
     cfg = SgdConfig(gamma=0.5 / m.R2, w0=np.zeros(d), t_avg_start=512, T=1024)
     seeds = [(0, 1, i) for i in range(r)]
-    rows, group = draw_plan(d, r, cfg.T, True)
+    rows, group = draw_plan(d, r, cfg.T, True, p)
     assert group == r
     buffer = _buffer(rows, r, cfg.T, d) * 8
     tracemalloc.start()

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import tailsgd.stationary as stationary_mod
 from helpers import discrete_spec, gaussian_spec, random_spd
 from tailsgd.cli import main
 from tailsgd.distributions import SampleStream, estimate_moments, exact_moments
@@ -296,7 +297,7 @@ def test_cli_verify_misspecified_d20(tmp_path, capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
-def test_solver_gates_and_failures():
+def test_solver_gates_and_failures(monkeypatch):
     op = FourthMomentOperator.gaussian(np.eye(2))  # R2 = 4 under H = I
     with pytest.raises(StepSizeError):
         solve_stationary_fixed_point(np.eye(2), op, np.eye(2), 0.25)
@@ -307,10 +308,12 @@ def test_solver_gates_and_failures():
         solve_stationary_direct(0.1 * np.eye(2), op, np.eye(2), 0.2)
     with pytest.raises(DimensionError):
         solve_stationary_direct(np.eye(3), op, np.eye(3), 0.01)
+    monkeypatch.setattr(stationary_mod, "_FP_MAX_ITER", 3)
     with pytest.raises(ConvergenceError):
-        solve_stationary_fixed_point(np.eye(2), op, np.eye(2), 0.2, max_iter=3)
+        solve_stationary_fixed_point(np.eye(2), op, np.eye(2), 0.2)
+    monkeypatch.setattr(stationary_mod, "_COND_MAX", 1.0)
     with pytest.raises(SingularSystemError):
-        solve_stationary_direct(np.eye(2), op, np.eye(2), 0.2, cond_max=1.0)
+        solve_stationary_direct(np.eye(2), op, np.eye(2), 0.2)
 
 
 def test_ensure_psd_solution():
