@@ -491,7 +491,7 @@ def _pairs(spec: DistributionSpec, raw: np.ndarray):
         # on its block
         g = np.empty(y.shape)
         xs, gs = x.reshape(-1, d), g.reshape(-1)
-        step = max(1, min(_ROW_BLOCK, _DRAW_BUDGET // (4 * d)))
+        step = max(1, min(_ROW_BLOCK, _DRAW_BUDGET // (32 * d)))
         for j in range(0, len(gs), step):
             xc = xs[j:j + step]
             gs[j:j + step] = np.sqrt(np.add.reduce(xc * xc, axis=-1))

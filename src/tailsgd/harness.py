@@ -283,8 +283,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     # document: a full H_spec matrix may factor either way
     forms = ((False,) if dist["kind"] == DISCRETE
              else (True, False) if isinstance(dist["H_spec"], tuple) else (True,))
-    size = max(run_bytes(d, f["replicates"], big_t, diagonal, len(PROCESSES))
-               for diagonal in forms)
+    size = max(run_bytes(d, f["replicates"], big_t, diagonal) for diagonal in forms)
     if size > _BUFFER_CAP:
         raise ConfigError("replicates", f"a run would hold {size} bytes, "
                                         f"over the cap of {_BUFFER_CAP}")

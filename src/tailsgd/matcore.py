@@ -51,10 +51,10 @@ _BUFFER_CAP = 2 ** 30
 # 17.6 MB at d = 10.
 _ROW_BLOCK = 8192
 
-# Float64 values, 2 MiB, that one group of a simulation run holds (draws,
-# state and streams) unless a floor binds (sgd.draw_plan); the squares of
-# ||x|| formed from its draws take a quarter (distributions._pairs).
-_DRAW_BUDGET = 2 ** 18
+# Bytes, 2 MiB, that one group of a simulation run holds (draws, state and
+# streams) unless a floor binds (sgd.draw_plan); the squares of ||x||
+# formed from its draws take a quarter (distributions._pairs).
+_DRAW_BUDGET = 2 ** 21
 
 
 def sym(m) -> np.ndarray:

@@ -215,23 +215,23 @@ def draw_plan(d: int, replicates: int, T: int, diagonal: bool, processes: int) -
     64.  group is all replicates if they fit, and otherwise as many as fit,
     but no fewer than 256 or all of them.  Neither changes a bit of the
     run's results."""
-    budget = 8 * _DRAW_BUDGET
     rows = BLOCK
     if diagonal:
         while (rows > _MIN_ROWS
-               and replicates * _replicate_bytes(d, rows, T, processes) > budget):
+               and replicates * _replicate_bytes(d, rows, T, processes) > _DRAW_BUDGET):
             rows //= 2
-    group = max(_MIN_GROUP, budget // _replicate_bytes(d, rows, T, processes))
+    group = max(_MIN_GROUP, _DRAW_BUDGET // _replicate_bytes(d, rows, T, processes))
     return rows, min(group, replicates)
 
 
-def run_bytes(d: int, replicates: int, T: int, diagonal: bool, processes: int) -> int:
-    """Bytes that a run of draw_plan's arguments holds at most, snapshots
-    aside: the tail averages, final states and seeds of every replicate;
-    one group as draw_plan sizes it; and the pairs transform's temporaries
-    over one chunk of at most _ROW_BLOCK rows, with a fixed allowance.  It
-    needs only d and the form of the factor, so a config is checked
-    against it before its model is built."""
+def run_bytes(d: int, replicates: int, T: int, diagonal: bool) -> int:
+    """Bytes that a run of ``replicates`` seeds advancing every process
+    holds at most, snapshots aside: the tail averages, final states and
+    seeds of every replicate; one group as draw_plan sizes it; and the pairs
+    transform's temporaries over one chunk of at most _ROW_BLOCK rows, with
+    a fixed allowance.  It needs only d and the form of the factor, so a
+    config is checked against it before its model is built."""
+    processes = len(PROCESSES)
     rows, group = draw_plan(d, replicates, T, diagonal, processes)
     chunk = min(group * _fill_rows(rows, T), _ROW_BLOCK)
     return (replicates * (16 * processes * d + _SEED_BYTES)

@@ -162,7 +162,7 @@ def test_parse_config_accepts_what_a_run_holds_within_the_cap():
         cfg = config_from_dict({"distribution": family_distribution("misspecified", 10, 1.0),
                                 "T": 1000, "replicates": reps})
         assert cfg.replicates == reps
-        assert low < run_bytes(10, reps, 1000, True, 3) < high
+        assert low < run_bytes(10, reps, 1000, True) < high
     assert draw_plan(10, 100_000, 1000, True, 3) == (64, 256)
 
 
@@ -198,7 +198,7 @@ def test_run_bytes_bounds_what_a_run_holds(kind, d):
     m = resolve_moments(spec)
     for reps, big_t in MEMORY_RUNS[d]:
         cfg = SgdConfig(gamma=0.3 / m.R2, w0=np.zeros(d), t_avg_start=big_t // 2, T=big_t)
-        count = run_bytes(d, reps, big_t, _diagonal(spec), len(PROCESSES))
+        count = run_bytes(d, reps, big_t, _diagonal(spec))
         tracemalloc.start()
         try:
             _tail_averages(spec, cfg, m, 0, 0, reps, 1)
@@ -223,7 +223,7 @@ def test_many_small_replicates_hold_one_group_of_streams():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
-    assert peak <= run_bytes(1, 20_000, 1, True, len(PROCESSES))
+    assert peak <= run_bytes(1, 20_000, 1, True)
 
 
 def test_parse_config_rejects_invalid_json():

@@ -253,11 +253,11 @@ def test_block_pairs_equal_lone_draws(monkeypatch, kind, big_t):
     # its own stream's draw of that block, bit for bit, however the seeds are
     # batched, whatever rows they are filled in and whichever processes the
     # run advances; the seeds' Philox keys are hashed in one batch, over
-    # seeds of one to four 32-bit words.  A budget of 4,096 values per seed
-    # makes the five seeds at d = 40 fill 64 rows at a time from T = 100 on,
-    # and two or three of them 128
+    # seeds of one to four 32-bit words.  A budget of 4,096 x 8 bytes per
+    # seed, for its draws, state and stream, makes the five seeds at d = 40
+    # fill 64 rows at a time from T = 92 on, and two or three of them 128
     seeds = [(6, 0), 6, (2 ** 32, 1), (6, 2 ** 64 - 1, 3), (6, 4)]
-    monkeypatch.setattr(sgd_mod, "_DRAW_BUDGET", 4096 * len(seeds))
+    monkeypatch.setattr(sgd_mod, "_DRAW_BUDGET", 8 * 4096 * len(seeds))
     spec = BLOCK_KINDS[kind]()
     rows = draw_plan(spec.d, len(seeds), big_t, _diagonal(spec), 1)[0]
     assert (rows < BLOCK) == (kind in SUB_BLOCKED_KINDS and big_t > 64)
@@ -319,7 +319,6 @@ def test_draw_plan_examples(d, r, big_t, p, plan):
 
 @pytest.mark.parametrize("d", [1, 3, 10, 40, 100, 1000])
 def test_draw_plan_fits_the_budget_where_the_floors_allow(d):
-    budget = 8 * _DRAW_BUDGET
     for r, big_t, p in itertools.product((1, 7, 200, 255, 256, 257, 1000, 4000, 10 ** 6),
                                          (1, 31, 64, 65, 101, 129, 512, 513, 10 ** 4),
                                          (1, 3)):
@@ -327,14 +326,14 @@ def test_draw_plan_fits_the_budget_where_the_floors_allow(d):
         # rows a power of two in [64, 512], and the largest at which every
         # replicate fits in one group
         assert rows in (64, 128, 256, 512)
-        assert rows == 64 or _group_bytes(rows, r, big_t, d, p) <= budget
-        assert rows == BLOCK or _group_bytes(2 * rows, r, big_t, d, p) > budget
+        assert rows == 64 or _group_bytes(rows, r, big_t, d, p) <= _DRAW_BUDGET
+        assert rows == BLOCK or _group_bytes(2 * rows, r, big_t, d, p) > _DRAW_BUDGET
         # groups of at least 256 replicates, or all of them, and the
         # largest that fit
         assert group == r or group >= _MIN_GROUP
-        assert (_group_bytes(rows, group, big_t, d, p) <= budget
+        assert (_group_bytes(rows, group, big_t, d, p) <= _DRAW_BUDGET
                 or group == min(r, _MIN_GROUP))
-        assert group == r or _group_bytes(rows, group + 1, big_t, d, p) > budget
+        assert group == r or _group_bytes(rows, group + 1, big_t, d, p) > _DRAW_BUDGET
     if d <= 100:
         # a dense factor and a discrete fill keep whole blocks; a 1 x 1
         # factor is diagonal
@@ -420,7 +419,7 @@ def test_large_runs_hold_the_draw_budget(big_t, reps, process, snapshot_steps):
     cfg = SgdConfig(gamma=0.5 / m.R2, w0=np.zeros(d), t_avg_start=0, T=big_t)
     seeds = [(0, 905, i) for i in range(reps)]
     rows, group = draw_plan(d, reps, big_t, True, p)
-    assert _buffer(rows, group, big_t, d) <= _DRAW_BUDGET
+    assert 8 * _buffer(rows, group, big_t, d) <= _DRAW_BUDGET
     tracemalloc.start()
     try:
         sample_streams(spec, seeds[:group])
@@ -435,7 +434,7 @@ def test_large_runs_hold_the_draw_budget(big_t, reps, process, snapshot_steps):
     # Kahan sum and two to spare
     state = 8 * group * p * d
     outputs = (2 + len(snapshot_steps)) * reps * p * d
-    bound = 8 * (_DRAW_BUDGET + transform + state + outputs) + streams
+    bound = _DRAW_BUDGET + transform + 8 * (state + outputs) + streams
     tracemalloc.start()
     try:
         run_replicates(spec, cfg, seeds, process=process, moments=m,
