@@ -67,10 +67,10 @@ from .stationary import (
     anticommutator,
     covariance_step,
     crude_bound,
-    damped_anticommutator,
     refined_trace_bound,
     solve_stationary_direct,
     solve_stationary_fixed_point,
+    solve_stationary_gaussian,
     stationary_residual,
 )
 

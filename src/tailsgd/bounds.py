@@ -41,7 +41,7 @@ def rho_misspec(m: Moments) -> float:
     Equals 1 for well-specified noise Sigma = sigma^2 H; raises ZeroNoiseError
     for noiseless models rather than returning 0/0.
     """
-    if float(np.linalg.norm(m.Sigma, "fro")) == 0.0:
+    if m.noiseless:
         raise ZeroNoiseError("rho is undefined for a noiseless model (Sigma = 0)")
     return m.d * matrix_norm_under(m.Sigma, m.H) / float(np.trace(np.linalg.solve(m.H, m.Sigma)))
 
@@ -74,14 +74,13 @@ class RateConstants:
 def rate_constants(m: Moments, gamma: float) -> RateConstants:
     """Collect the bound's constants from a model's moments."""
     check_stepsize(gamma, m.R2)
-    noiseless = float(np.linalg.norm(m.Sigma, "fro")) == 0.0
     return RateConstants(
         gamma=gamma,
         mu=m.mu,
         r2=m.R2,
         d=m.d,
-        sigma2=0.0 if noiseless else sigma2_mle(m),
-        rho=1.0 if noiseless else rho_misspec(m),
+        sigma2=0.0 if m.noiseless else sigma2_mle(m),
+        rho=1.0 if m.noiseless else rho_misspec(m),
     )
 
 

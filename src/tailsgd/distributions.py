@@ -271,6 +271,11 @@ class Moments:
         return self.H.shape[0]
 
     @property
+    def noiseless(self) -> bool:
+        """Sigma = 0, tested entrywise: a norm's squares overflow past 1e154."""
+        return not np.any(self.Sigma)
+
+    @property
     def mu(self) -> float:
         """Smallest eigenvalue of H."""
         return float(np.linalg.eigvalsh(self.H)[0])

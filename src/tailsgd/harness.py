@@ -96,12 +96,14 @@ from .matcore import (
 from .sgd import PROCESSES, SgdConfig, resolve_model, run_bytes, run_replicates
 from .stationary import (
     FourthMomentOperator,
+    _damped_inverse,
     _FourthMomentSums,
     covariance_step,
     crude_bound,
     refined_trace_bound,
     solve_stationary_direct,
     solve_stationary_fixed_point,
+    solve_stationary_gaussian,
 )
 
 GAMMA_RULES = ("half_inv_R2", "half_inv_rho_R2", "explicit")
@@ -358,12 +360,11 @@ def moments_report(cfg: ExperimentConfig, estimate: int | None = None) -> dict:
             raise ConfigError("--estimate", f"{estimate} draws of {spec.d + 1} floats "
                                             f"exceed {_BUFFER_CAP} bytes")
         m = estimate_moments(spec, estimate, (cfg.seed, 990))
-    noiseless = float(np.linalg.norm(m.Sigma)) == 0.0
     return {
         "kind": spec.kind, "d": m.d, "exact": m.exact, "n_samples": m.n_samples,
         "H": m.H, "Sigma": m.Sigma, "w_star": m.w_star, "mu": m.mu, "R2": m.R2,
         "sigma2_mle": sigma2_mle(m),
-        "rho": None if noiseless else rate_constants(m, 0.5 / m.R2).rho,
+        "rho": None if m.noiseless else rate_constants(m, 0.5 / m.R2).rho,
     }
 
 
@@ -576,15 +577,6 @@ def _sampled_checks(spec: DistributionSpec, m: Moments, op: FourthMomentOperator
     return [fourth, noise, quadratic]
 
 
-def _damped_inverse(h: np.ndarray, p: np.ndarray, gamma: float) -> np.ndarray:
-    """The M with H M + M H - gamma H M H = P, for symmetric H and P: in the
-    eigenbasis H = V diag(l) V^T the operator scales V^T M V entrywise by
-    l_i + l_j - gamma l_i l_j."""
-    lam, v = np.linalg.eigh(h)
-    scale = lam[:, None] + lam[None, :] - gamma * np.outer(lam, lam)
-    return v @ ((v.T @ p @ v) / scale) @ v.T
-
-
 def _doubling_series(p: np.ndarray, a: np.ndarray, k: int) -> np.ndarray:
     """sum_{i<k} A^i P A^i for k a power of two, in log2(k) doubling steps:
     the first 2j terms are S_j + A^j S_j A^j."""
@@ -618,7 +610,6 @@ def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckRe
     d = m.d
     eye = np.eye(d)
     sig_scale = float(np.linalg.norm(sigma, "fro"))
-    noiseless = sig_scale == 0.0
     results: list[CheckResult] = []
 
     def run(name, fn):
@@ -653,20 +644,24 @@ def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckRe
     results += _sampled_checks(spec, m, op, cfg.seed)
 
     sol_fp = solve_stationary_fixed_point(h, op, sigma, gamma)
-    sol_dir = solve_stationary_direct(h, op, sigma, gamma)
+    # the second solution: closed form on a Gaussian backing, in O(d^3); the
+    # dense O(d^6) solve on a discrete one
+    sol_dir = (solve_stationary_gaussian(h, sigma, gamma) if op.kind == "gaussian"
+               else solve_stationary_direct(h, op, sigma, gamma))
+    via = f" ({sol_dir.method} solve)"
 
-    def c_resid(name, sol):
+    def c_resid(name, sol, note=""):
         cap = 1e-8 * gamma * sig_scale + 1e-300
         return CheckResult(name, sol.residual <= cap, cap - sol.residual,
-                           f"residual={sol.residual:.3e} cap={cap:.3e}")
+                           f"residual={sol.residual:.3e} cap={cap:.3e}{note}")
     run("stationary-residual-fixed-point", lambda: c_resid("stationary-residual-fixed-point", sol_fp))
-    run("stationary-residual-direct", lambda: c_resid("stationary-residual-direct", sol_dir))
+    run("stationary-residual-direct", lambda: c_resid("stationary-residual-direct", sol_dir, via))
 
     def c_agreement():
         diff = float(np.linalg.norm(sol_fp.cov - sol_dir.cov, "fro"))
         cap = 1e-8 * max(float(np.linalg.norm(sol_dir.cov, "fro")), 1e-300)
         return CheckResult("stationary-agreement", diff <= cap, cap - diff,
-                           f"|fp-direct|_F={diff:.3e}")
+                           f"|C_fp - C|_F={diff:.3e}{via}")
     run("stationary-agreement", c_agreement)
 
     @functools.cache
@@ -702,14 +697,14 @@ def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckRe
         cap = crude_bound(sigma, h, gamma, m.R2)
         lam = float(np.linalg.eigvalsh(sol_dir.cov)[-1])
         return CheckResult("stationary-spectral-cap", lam <= cap + 1e-10 * (1.0 + cap),
-                           cap - lam, f"lambda_max={lam:.6e} cap={cap:.6e}")
+                           cap - lam, f"lambda_max={lam:.6e} cap={cap:.6e}{via}")
     run("stationary-spectral-cap", c_spectral_cap)
 
     def c_trace_refined():
         cap = refined_trace_bound(sigma, h, gamma, m.R2)
         tr = float(np.trace(sol_dir.cov))
         return CheckResult("stationary-trace-refined", tr <= cap + 1e-10 * (1.0 + cap),
-                           cap - tr, f"trace={tr:.6e} cap={cap:.6e}")
+                           cap - tr, f"trace={tr:.6e} cap={cap:.6e}{via}")
     run("stationary-trace-refined", c_trace_refined)
 
     def c_variance_identity():
@@ -724,7 +719,7 @@ def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckRe
     run("variance-term-identity", c_variance_identity)
 
     def c_damped_inverse():
-        probe = h if noiseless else sigma
+        probe = h if m.noiseless else sigma
         direct = _damped_inverse(h, probe, gamma)
         shrink = eye - gamma * h
         rate = float(np.linalg.eigvalsh(shrink)[-1]) ** 2
@@ -790,7 +785,7 @@ def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckRe
     run("bias-variance-split", c_split)
 
     def c_rho():
-        if noiseless:
+        if m.noiseless:
             return CheckResult("rho-at-least-one", True, 0.0, "skipped: noiseless model")
         rho = report.constants.rho
         return CheckResult("rho-at-least-one", rho >= 1.0 - 1e-12, rho - 1.0,
@@ -798,7 +793,7 @@ def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckRe
     run("rho-at-least-one", c_rho)
 
     def c_efficiency():
-        if noiseless or report.bound.bias > 0.1 * report.bound.variance:
+        if m.noiseless or report.bound.bias > 0.1 * report.bound.variance:
             return CheckResult("efficiency-window", True, 0.0,
                                "skipped: not variance-dominated")
         relaxations = gamma * m.mu * (cfg.T - cfg.t)

@@ -14,18 +14,16 @@ symmetric) matrices in this basis.
 ``_quad_forms`` and ``_weighted_gram`` contract an (n, d) array of sample
 rows in fixed row blocks, so their temporaries do not grow with n.
 
-``blas_threads(n)`` runs a block with numpy's bundled OpenBLAS at n threads.
+``_openblas`` finds the thread-count functions of numpy's bundled OpenBLAS.
 OpenBLAS splits a large product across its threads, and the split changes
 the order of its sums; at one thread a product's bits do not depend on the
-machine.  A CLI call runs at one thread (``harness.use_one_blas_thread``),
-except the stationary solvers, which run at the count OpenBLAS started with
-(``OPENBLAS_NUM_THREADS`` or the CPU count).  A library caller who wants
-thread-independent bits sets one thread first.
+machine.  A CLI call sets one thread first (``harness.use_one_blas_thread``)
+and every routine, the stationary solvers included, runs at that count; a
+library caller who wants thread-independent bits calls it first too.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import math
@@ -114,9 +112,8 @@ def _inv_sqrt(a: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _openblas():
-    """The (get, set) thread-count functions of numpy's bundled OpenBLAS and
-    the count in force at this first lookup, or None where numpy ships no
-    such library (MKL, a system BLAS)."""
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or
+    None where numpy ships no such library (MKL, a system BLAS)."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     try:
         name = next(n for n in os.listdir(libs) if n.startswith("libscipy_openblas"))
@@ -127,33 +124,7 @@ def _openblas():
         return None
     get.argtypes, get.restype = [], ctypes.c_int
     set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_, get()
-
-
-def _start_threads() -> int:
-    """The thread count that the first lookup of numpy's bundled OpenBLAS
-    found in force (1 where that library is not found)."""
-    lib = _openblas()
-    return lib[2] if lib is not None else 1
-
-
-@contextlib.contextmanager
-def blas_threads(n: int):
-    """Run the block with numpy's bundled OpenBLAS at n threads, then restore
-    the previous count, also on an exception.  Does nothing where that library
-    is not found, and makes no call to set a count already in force.
-    The count is process-wide and forks inherit it; in a forked process any
-    call to set it restarts OpenBLAS's threads."""
-    lib = _openblas()
-    previous = lib[0]() if lib is not None else n
-    if previous == n:
-        yield
-        return
-    lib[1](n)
-    try:
-        yield
-    finally:
-        lib[1](previous)
+    return get, set_
 
 
 def matrix_norm_under(m, a) -> float:

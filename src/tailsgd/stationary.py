@@ -40,9 +40,21 @@ Why it converges in tens of iterations whatever mu or d is:
 Both bounds are computable from Tr(H D_k) alone, and the solver stops when
 both are small.  ``solve_stationary_direct`` solves the same equation as a
 dense linear system in the flattened symmetric basis of ``matcore``; it is
-the independent small-d oracle.  Two a-priori bounds on the fixed point (a
-spectral-norm cap and a sharper trace cap) are provided alongside.  Both
-solvers run at the BLAS thread count OpenBLAS started with (``matcore``).
+the independent small-d oracle.
+
+For x ~ N(0, H), S(C) = 2 H C H + Tr(HC) H, and with C~ = V^T C V,
+Sigma~ = V^T Sigma V and tau = Tr(HC) the equation reads
+
+    (lam_i + lam_j - 2 gamma lam_i lam_j) C~_ij = gamma (Sigma~_ij + tau lam_i [i = j]).
+
+Summing lam_i C~_ii gives tau = gamma sum_i lam_i Sigma~_ii / delta_i
+/ (1 - gamma sum_i lam_i^2 / delta_i), with delta_i = 2 lam_i (1 - gamma lam_i),
+all positive below gamma < 1/R^2 = 1/(2 lam_max + Tr H) (Sherman-Morrison;
+Defossez & Bach, 2015).  So ``solve_stationary_gaussian`` costs O(d^3).
+L0^{-1}, that closed form and verify's inverse of the damped drift
+H M + M H - gamma H M H all divide entrywise in H's eigenbasis
+(``_eigen_inverse``).  Two a-priori bounds on the fixed point (a
+spectral-norm cap and a sharper trace cap) are provided alongside.
 """
 
 from __future__ import annotations
@@ -64,9 +76,7 @@ from .matcore import (
     _BUFFER_CAP,
     _ROW_BLOCK,
     _quad_forms,
-    _start_threads,
     _weighted_gram,
-    blas_threads,
     matrix_norm_under,
     spd,
     sym,
@@ -207,15 +217,17 @@ def anticommutator(m, h) -> np.ndarray:
     return hm + hm.T
 
 
-def damped_anticommutator(m, h, gamma: float) -> np.ndarray:
-    """H M + M H - gamma H M H, the drift operator of the covariance
-    recursion after factoring out one stepsize."""
-    mm = sym(m)
-    hh = sym(h)
-    if mm.shape != hh.shape:
-        raise DimensionError(f"shape mismatch: {mm.shape} vs {hh.shape}")
-    hm = hh @ mm
-    return hm + hm.T - gamma * (hm @ hh)
+def _eigen_inverse(lam, v, pt, g: float) -> np.ndarray:
+    """The M with H M + M H - g H M H = V Pt V^T, for H = V diag(lam) V^T:
+    in that eigenbasis the map scales V^T M V entrywise by
+    lam_i + lam_j - g lam_i lam_j."""
+    return v @ (pt / (lam[:, None] + lam[None, :] - g * np.outer(lam, lam))) @ v.T
+
+
+def _damped_inverse(h, p, gamma: float) -> np.ndarray:
+    """The M with H M + M H - gamma H M H = P, for symmetric H and P."""
+    lam, v = np.linalg.eigh(h)
+    return _eigen_inverse(lam, v, v.T @ p @ v, gamma)
 
 
 def covariance_step(c, h, s_op: FourthMomentOperator, sigma, gamma: float) -> np.ndarray:
@@ -306,36 +318,48 @@ def solve_stationary_fixed_point(h, s_op: FourthMomentOperator, sigma,
     iteration leaves the space of finite matrices.
     """
     hh, r2 = _gate(gamma, h, s_op)
-    with blas_threads(_start_threads()):
-        lam, v = np.linalg.eigh(hh)
-        mu = float(lam[0])
-        # L0^{-1}(A) = V ((V^T A V) / (lam_i + lam_j)) V^T
-        denom = lam[:, None] + lam[None, :]
-        q = 0.5 * gamma * r2
-        ss = sym(sigma)
-        # both stopping bounds are multiples of step = Tr(H D); gamma cancels from
-        # the defect test gamma R^2 step <= _FP_RESID_RTOL gamma ||Sigma||_F
-        resid_cap = _FP_RESID_RTOL * float(np.linalg.norm(ss, "fro"))
-        c = np.zeros_like(hh)
-        iterations = 0
-        for iterations in range(1, _FP_MAX_ITER + 1):
-            rhs = gamma * (s_op.apply(c) + ss)
-            nxt = v @ ((v.T @ rhs @ v) / denom) @ v.T
-            nxt = 0.5 * (nxt + nxt.T)
-            # any non-finite entry of nxt makes step non-finite
-            step = float(np.sum(hh * (nxt - c)))
-            if not np.isfinite(step):
-                raise ConvergenceError(
-                    f"iteration diverged after {iterations} steps (gamma too large "
-                    "for this backing?)"
-                )
-            c = nxt
-            if (q / (1.0 - q) * step / mu <= _FP_TOL * np.linalg.norm(c, "fro")
-                    and r2 * step <= resid_cap):
-                break
-        else:
-            raise ConvergenceError(f"no convergence within {_FP_MAX_ITER} iterations")
-        return _solution(c, hh, s_op, ss, gamma, method="fixed-point", iterations=iterations)
+    lam, v = np.linalg.eigh(hh)
+    mu = float(lam[0])
+    q = 0.5 * gamma * r2
+    ss = sym(sigma)
+    # both stopping bounds are multiples of step = Tr(H D); gamma cancels from
+    # the defect test gamma R^2 step <= _FP_RESID_RTOL gamma ||Sigma||_F
+    resid_cap = _FP_RESID_RTOL * float(np.linalg.norm(ss, "fro"))
+    c = np.zeros_like(hh)
+    iterations = 0
+    for iterations in range(1, _FP_MAX_ITER + 1):
+        rhs = gamma * (s_op.apply(c) + ss)
+        nxt = _eigen_inverse(lam, v, v.T @ rhs @ v, 0.0)  # L0^{-1}(rhs)
+        nxt = 0.5 * (nxt + nxt.T)
+        # any non-finite entry of nxt makes step non-finite
+        step = float(np.sum(hh * (nxt - c)))
+        if not np.isfinite(step):
+            raise ConvergenceError(
+                f"iteration diverged after {iterations} steps (gamma too large "
+                "for this backing?)"
+            )
+        c = nxt
+        if (q / (1.0 - q) * step / mu <= _FP_TOL * np.linalg.norm(c, "fro")
+                and r2 * step <= resid_cap):
+            break
+    else:
+        raise ConvergenceError(f"no convergence within {_FP_MAX_ITER} iterations")
+    return _solution(c, hh, s_op, ss, gamma, method="fixed-point", iterations=iterations)
+
+
+def solve_stationary_gaussian(h, sigma, gamma: float) -> StationarySolution:
+    """Solve the fixed-point equation for x ~ N(0, H) in closed form, in H's
+    eigenbasis with the scalar tau = Tr(HC) (module docstring)."""
+    s_op = FourthMomentOperator.gaussian(h)
+    hh, _ = _gate(gamma, h, s_op)
+    ss = sym(sigma)
+    lam, v = np.linalg.eigh(hh)
+    st = v.T @ ss @ v
+    delta = 2.0 * lam * (1.0 - gamma * lam)
+    tau = (gamma * float(np.sum(lam * np.diag(st) / delta))
+           / (1.0 - gamma * float(np.sum(lam ** 2 / delta))))
+    c = _eigen_inverse(lam, v, gamma * (st + tau * np.diag(lam)), 2.0 * gamma)
+    return _solution(c, hh, s_op, ss, gamma, method="closed-form")
 
 
 def operator_matrix(apply_fn, d: int) -> np.ndarray:
@@ -362,23 +386,22 @@ def solve_stationary_direct(h, s_op: FourthMomentOperator, sigma,
     """Solve the fixed-point equation as a dense linear system in the
     flattened symmetric basis, of condition number at most ``_COND_MAX``."""
     hh, _ = _gate(gamma, h, s_op)
-    with blas_threads(_start_threads()):
-        ss = sym(sigma)
-        d = hh.shape[0]
-        a = operator_matrix(lambda m: anticommutator(m, hh) - gamma * s_op.apply(m), d)
-        # L0 - gamma S is self-adjoint, so its matrix in the sqrt(2)-scaled basis
-        # is symmetric and the condition number comes from its eigenvalues
-        evals = np.abs(np.linalg.eigvalsh(a))
-        lo, hi = float(evals.min()), float(evals.max())
-        cond = hi / lo if lo > 0.0 else np.inf
-        if not np.isfinite(cond) or cond > _COND_MAX:
-            raise SingularSystemError(
-                f"system condition number {cond:.3e} exceeds {_COND_MAX:.1e}")
-        try:
-            cvec = np.linalg.solve(a, gamma * sym_to_vec(ss))
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"stationary system is singular: {exc}") from exc
-        return _solution(vec_to_sym(cvec), hh, s_op, ss, gamma, method="direct", condition=cond)
+    ss = sym(sigma)
+    d = hh.shape[0]
+    a = operator_matrix(lambda m: anticommutator(m, hh) - gamma * s_op.apply(m), d)
+    # L0 - gamma S is self-adjoint, so its matrix in the sqrt(2)-scaled basis
+    # is symmetric and the condition number comes from its eigenvalues
+    evals = np.abs(np.linalg.eigvalsh(a))
+    lo, hi = float(evals.min()), float(evals.max())
+    cond = hi / lo if lo > 0.0 else np.inf
+    if not np.isfinite(cond) or cond > _COND_MAX:
+        raise SingularSystemError(
+            f"system condition number {cond:.3e} exceeds {_COND_MAX:.1e}")
+    try:
+        cvec = np.linalg.solve(a, gamma * sym_to_vec(ss))
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"stationary system is singular: {exc}") from exc
+    return _solution(vec_to_sym(cvec), hh, s_op, ss, gamma, method="direct", condition=cond)
 
 
 def crude_bound(sigma, h, gamma: float, r2: float) -> float:

@@ -26,7 +26,6 @@ from tailsgd.harness import (
     SWEEP_COLUMNS,
     CheckResult,
     _chunk_ranges,
-    _damped_inverse,
     _entrywise_margin,
     _sampled_checks,
     _tail_averages,
@@ -39,7 +38,7 @@ from tailsgd.harness import (
     sweep,
     sweep_csv,
 )
-from tailsgd.matcore import _ROW_BLOCK, _quad_forms, blas_threads, sym_to_vec, vec_to_sym
+from tailsgd.matcore import _ROW_BLOCK, _quad_forms, sym_to_vec, vec_to_sym
 from tailsgd.sgd import (
     PROCESSES,
     SgdConfig,
@@ -48,7 +47,12 @@ from tailsgd.sgd import (
     resolve_moments,
     run_bytes,
 )
-from tailsgd.stationary import FourthMomentOperator, damped_anticommutator, operator_matrix
+from tailsgd.stationary import (
+    FourthMomentOperator,
+    _damped_inverse,
+    operator_matrix,
+    stationary_residual,
+)
 
 WELL3 = {
     "distribution": {"kind": "gaussian_well_specified", "d": 3, "noise_sigma": 1.0,
@@ -277,6 +281,30 @@ def test_verification_all_pass_on_gaussian_and_discrete():
         assert len(names) == len(set(names)) and len(names) >= 15
         failing = [r for r in results if not r.passed]
         assert not failing, failing
+        # the second stationary solution: closed form on a Gaussian model,
+        # the dense solve on a discrete one
+        solve = "closed-form" if doc is WELL3 else "direct"
+        assert _check_named(results, "stationary-agreement").detail.endswith(f"({solve} solve)")
+
+
+def test_stationary_checks_fail_on_a_perturbed_reference(monkeypatch):
+    # the two checks that read the closed-form solution fail when it is 1e-6
+    # relative off, its residual recomputed
+    cfg = misspec_d10(0)
+    names = ("stationary-residual-direct", "stationary-agreement")
+    real = harness_mod.solve_stationary_gaussian
+
+    def perturbed(h, sigma, gamma):
+        sol = real(h, sigma, gamma)
+        cov = sol.cov * (1.0 + 1e-6)
+        return replace(sol, cov=cov,
+                       residual=stationary_residual(cov, h, cfg.operator, sigma, gamma))
+
+    monkeypatch.setattr(harness_mod, "solve_stationary_gaussian", perturbed)
+    results = run_verification(cfg)
+    for name in names:
+        check = _check_named(results, name)
+        assert not check.passed and check.margin < 0.0, check
 
 
 WELL2 = {"distribution": {"kind": "gaussian_well_specified", "d": 2, "noise_sigma": 1.0},
@@ -322,7 +350,7 @@ def test_damped_inverse_matches_the_dense_solve(name):
             "discrete_d5": lambda: discrete_spec(5, 2)}[name]()
     m, d = exact_moments(spec), spec.d
     h, gamma, p = m.H, 0.5 / m.R2, random_psd(d, 9)
-    a = operator_matrix(lambda mm: damped_anticommutator(mm, h, gamma), d)
+    a = operator_matrix(lambda mm: h @ mm + mm @ h - gamma * h @ mm @ h, d)
     dense = vec_to_sym(np.linalg.solve(a, sym_to_vec(p)))
     diff = np.linalg.norm(_damped_inverse(h, p, gamma) - dense)
     assert diff <= 1e-13 * np.linalg.norm(dense)
@@ -377,7 +405,11 @@ def _unblocked_sampled_margins(cfg):
     """The three sampled checks' margins from one whole draw of 200,000
     pairs: the reference the blocked pass is compared against."""
     m, n = cfg.moments, 200_000
-    with blas_threads(1):
+    # at one BLAS thread, as the blocked pass runs in a CLI call
+    get_threads, set_threads = matcore._openblas() or (lambda: 1, lambda count: None)
+    before = get_threads()
+    set_threads(1)
+    try:
         x, y = SampleStream(cfg.distribution, (cfg.seed, 903)).draw(n)
         resid = y - x @ m.w_star
         mean, se = FourthMomentOperator.sampled(x).apply_with_stderr(m.H)
@@ -387,6 +419,8 @@ def _unblocked_sampled_margins(cfg):
         q = 0.5 * resid ** 2 * _quad_forms(x, np.linalg.inv(m.H))
         est, se = float(q.mean()), float(q.std(ddof=1) / math.sqrt(n))
         quadratic = 4.0 * se + 1e-12 - abs(est - sigma2_mle(m))
+    finally:
+        set_threads(before)
     return fourth, noise, quadratic
 
 
@@ -459,16 +493,20 @@ def dense_h_experiment(d=100):
 
 
 def test_output_does_not_depend_on_blas_threads(tmp_path):
-    # OpenBLAS splits a d = 100 eigh, the draws' Cholesky product and the
-    # sampled checks' 200,000-row products across threads; that once moved
-    # R^2 (and with it gamma, the bound and every trajectory), the draws, and
-    # the noise-mean-zero margin at seed 2 in their last bits
+    # OpenBLAS splits a d = 100 eigh, the draws' Cholesky product, the
+    # sampled checks' 200,000-row products and the dense stationary solve
+    # across threads; that once moved R^2 (and with it gamma, the bound and
+    # every trajectory), the draws, the noise-mean-zero margin at seed 2, and
+    # the solvers' output in their last bits
     runs = [("simulate", dense_h_experiment(), []),
             ("simulate", dense_h_experiment(), ["--workers", "2"]),
             ("verify", misspec_d10_doc(2), ["--format", "json"]),
             ("moments", {"distribution": family_distribution("misspecified", 10, 1.0)},
              ["--estimate", "200000"]),
-            ("bound", dense_h_experiment(), [])]
+            ("bound", dense_h_experiment(), []),
+            ("solve-cov", dense_h_experiment(30), ["--method", "direct"]),
+            ("solve-cov", dense_h_experiment(30), ["--method", "fixed-point"]),
+            ("verify", dense_h_experiment(30), [])]
     for k, (command, doc, flags) in enumerate(runs):
         path = tmp_path / f"{k}.json"
         path.write_text(json.dumps(doc))
@@ -486,15 +524,14 @@ def test_output_does_not_depend_on_blas_threads(tmp_path):
 
 def test_cli_sets_one_blas_thread_once(monkeypatch, tmp_path):
     # a CLI call sets one thread first and never restores it, so a second call
-    # in the process sets nothing; only the stationary solvers run at the
-    # count OpenBLAS started with, and put one thread back after
+    # in the process sets nothing; the stationary solvers run at that count
     threads, calls = [2], []
 
     def set_threads(n):
         calls.append(n)
         threads[0] = n
 
-    monkeypatch.setattr(matcore, "_openblas", lambda: (lambda: threads[0], set_threads, 2))
+    monkeypatch.setattr(matcore, "_openblas", lambda: (lambda: threads[0], set_threads))
     dense = tmp_path / "dense.json"
     dense.write_text(json.dumps(dense_h_experiment(40)))
     well = tmp_path / "well.json"
@@ -504,30 +541,30 @@ def test_cli_sets_one_blas_thread_once(monkeypatch, tmp_path):
                                 "gamma_rules": ["half_inv_R2"], "T": [64],
                                 "replicates": 4}))
     out = str(tmp_path / "out")
-    runs = [(["moments", "--config", str(dense)], 0),
-            (["moments", "--config", str(dense), "--estimate", "1000"], 0),
-            (["bound", "--config", str(dense)], 0),
-            (["simulate", "--config", str(dense)], 0),
-            (["solve-cov", "--config", str(dense), "--method", "fixed-point"], 1),
-            (["solve-cov", "--config", str(dense), "--method", "direct"], 1),
-            (["verify", "--config", str(well)], 2),
-            (["sweep", "--config", str(grid)], 0)]
-    for argv, solves in runs:
+    runs = [["moments", "--config", str(dense)],
+            ["moments", "--config", str(dense), "--estimate", "1000"],
+            ["bound", "--config", str(dense)],
+            ["simulate", "--config", str(dense)],
+            ["solve-cov", "--config", str(dense), "--method", "fixed-point"],
+            ["solve-cov", "--config", str(dense), "--method", "direct"],
+            ["verify", "--config", str(well)],
+            ["sweep", "--config", str(grid)]]
+    for argv in runs:
         threads[0] = 2
         for first in (True, False):
             calls.clear()
             assert main([*argv, "--out", out]) == 0, argv
-            assert calls == [1] * first + [2, 1] * solves, (argv, first)
+            assert calls == [1] * first, (argv, first)
+    # where numpy ships no OpenBLAS of its own, a call sets nothing and runs
+    monkeypatch.setattr(matcore, "_openblas", lambda: None)
+    assert main(["bound", "--config", str(dense), "--out", out]) == 0
 
 
 def test_blas_thread_count_is_set_only_in_its_places():
-    # the thread-count policy lives in matcore, the CLI's one entry and the
-    # two solvers' scope at the start count; nothing else may set a count
-    allowed = {("harness", "use_one_blas_thread"),
-               ("stationary", "solve_stationary_fixed_point"),
-               ("stationary", "solve_stationary_direct"),
-               ("stationary", None)}
-    names = {"blas_threads", "_openblas"}
+    # the thread-count policy lives in matcore and the CLI's one entry;
+    # nothing else may set a count
+    allowed = {("harness", "use_one_blas_thread")}
+    names = {"_openblas"}
     found = set()
     for path in Path(tailsgd.__file__).parent.glob("*.py"):
         if path.stem == "matcore":
@@ -541,8 +578,26 @@ def test_blas_thread_count_is_set_only_in_its_places():
                         else {node.attr} if isinstance(node, ast.Attribute) else set())
                 if used & names:
                     found.add((path.stem, scope))
-    assert found <= allowed, found - allowed
-    assert {("harness", "use_one_blas_thread")} <= found
+    assert found == allowed, found ^ allowed
+
+
+def test_every_export_has_a_caller_in_the_package():
+    # no public name that only tests call, apart from the two that the
+    # acceptance checks import (c09's least-squares baseline)
+    only_tests = {"excess_risk", "mle_fit"}
+    package = Path(tailsgd.__file__).parent
+    exported = {alias.asname or alias.name
+                for node in ast.parse((package / "__init__.py").read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    assert exported - used <= only_tests, exported - used - only_tests
 
 
 def test_tail_averages_sets_no_blas_thread_count(monkeypatch):
@@ -824,6 +879,21 @@ def test_cli_config_error_exit_codes(tmp_path, capsys):
         capsys.readouterr()
         assert main([*argv, "--config", str(good)]) == 2
         assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["bound", "moments"])
+def test_zero_noise_test_does_not_overflow(tmp_path, capsys, command):
+    # Sigma = 1e300 I is finite, but the squares of its Frobenius norm are not:
+    # testing Sigma for zero through that norm warned of an overflow
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"distribution": {"kind": "gaussian_well_specified", "d": 3,
+                                                 "noise_sigma": 1e150}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, "--config", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    rho = doc["constants"]["rho"] if command == "bound" else doc["rho"]
+    assert rho == 1.0
 
 
 @pytest.mark.parametrize("distribution, words", [

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from tailsgd import matcore
 from tailsgd.errors import DimensionError, NotSpdError
 from tailsgd.matcore import (
-    blas_threads,
     matrix_norm_under,
     psd_order_leq,
     spd,
@@ -169,45 +168,6 @@ def test_sym_vec_is_trace_isometry(seed, d):
 def test_spectral_norm_matches_eigenvalues():
     m = np.diag([3.0, -5.0, 1.0])
     assert spectral_norm(m) == 5.0
-
-
-def test_blas_threads_restores_the_previous_count():
-    lib = matcore._openblas()
-    if lib is None:
-        pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
-    get = lib[0]
-    before = get()
-    with blas_threads(1):
-        assert get() == 1
-        with blas_threads(2):
-            assert get() == 2
-            with blas_threads(2):
-                assert get() == 2
-            assert get() == 2
-        assert get() == 1
-    assert get() == before
-    with pytest.raises(KeyError):
-        with blas_threads(1):
-            assert get() == 1
-            raise KeyError("body")
-    assert get() == before
-
-
-def test_blas_threads_sets_only_a_new_count(monkeypatch):
-    calls = []
-    monkeypatch.setattr(matcore, "_openblas", lambda: (lambda: 2, calls.append))
-    with blas_threads(2):
-        pass
-    with blas_threads(1):
-        calls.append("body")
-    assert calls == [1, "body", 2]
-
-
-def test_blas_threads_is_a_no_op_without_the_library(monkeypatch):
-    monkeypatch.setattr(matcore, "_openblas", lambda: None)
-    d = 30
-    with blas_threads(1):
-        assert matrix_norm_under(np.diag(np.arange(1.0, d + 1)), np.eye(d)) == d
 
 
 def _threads_started(setup: str, call: str) -> tuple[str, str]:

@@ -26,15 +26,16 @@ from tailsgd.matcore import (
 )
 from tailsgd.stationary import (
     FourthMomentOperator,
+    _damped_inverse,
     anticommutator,
     covariance_step,
     crude_bound,
-    damped_anticommutator,
     ensure_psd_solution,
     operator_matrix,
     refined_trace_bound,
     solve_stationary_direct,
     solve_stationary_fixed_point,
+    solve_stationary_gaussian,
     stationary_residual,
 )
 
@@ -139,7 +140,8 @@ def test_anticommutator_examples():
     h = np.diag([1.0, 2.0])
     m = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert np.allclose(anticommutator(m, h), [[0.0, 3.0], [3.0, 0.0]])
-    assert np.allclose(damped_anticommutator(np.eye(2), h, 0.1), np.diag([1.9, 3.6]))
+    # H M + M H - 0.1 H M H at M = I is diag(1.9, 3.6)
+    assert np.allclose(_damped_inverse(h, np.diag([1.9, 3.6]), 0.1), np.eye(2))
     with pytest.raises(DimensionError):
         anticommutator(np.eye(2), np.eye(3))
 
@@ -218,6 +220,36 @@ def test_fixed_point_converges_fast_and_matches_direct(source, d):
     assert fp.iterations <= 60
     assert np.linalg.norm(fp.cov - di.cov, "fro") <= 1e-8 * np.linalg.norm(di.cov, "fro")
     assert fp.residual <= 1e-8 * gamma * np.linalg.norm(m.Sigma, "fro")
+
+
+@pytest.mark.parametrize("source,d", [
+    *[(family, d) for family in ("well_specified", "misspecified") for d in (1, 3, 10, 40)],
+    ("dense", 3), ("dense", 30),
+])
+def test_gaussian_closed_form_matches_direct(source, d):
+    # one eigendecomposition and one scalar tau = Tr(HC) against the dense
+    # O(d^6) solve, on both sweep families and on dense SPD H with a dense
+    # Sigma: the closed form needs a Gaussian S, not a Sigma proportional to H
+    if source == "dense":
+        h, sigma = random_spd(d, 60 + d), random_spd(d, 70 + d)
+        op = FourthMomentOperator.gaussian(h)
+        gamma = 0.5 / op.r_squared_under(h)
+    else:
+        cfg = config_from_dict({"distribution": family_distribution(source, d, 1.0)})
+        h, sigma, op, gamma = cfg.moments.H, cfg.moments.Sigma, cfg.operator, cfg.gamma
+    cf = solve_stationary_gaussian(h, sigma, gamma)
+    di = solve_stationary_direct(h, op, sigma, gamma)
+    assert cf.method == "closed-form" and cf.exact
+    assert np.linalg.norm(cf.cov - di.cov) <= 1e-12 * np.linalg.norm(di.cov)
+    assert cf.residual == stationary_residual(cf.cov, h, op, sigma, gamma)
+    assert cf.residual <= 1e-12 * gamma * np.linalg.norm(sigma)
+
+
+def test_gaussian_closed_form_gates():
+    # R^2 = d + 2 under H = I, as for the other solvers; zero noise gives zero
+    with pytest.raises(StepSizeError):
+        solve_stationary_gaussian(np.eye(2), np.eye(2), 0.25)
+    assert not np.any(solve_stationary_gaussian(random_spd(3, 31), np.zeros((3, 3)), 0.05).cov)
 
 
 def test_direct_solver_refuses_oversized_systems():
