@@ -29,6 +29,7 @@ from .errors import (
     DimensionError,
     EmptyWindowError,
     IndefiniteSolutionError,
+    InputError,
     IntractableMomentsError,
     NonFiniteResultError,
     NotSpdError,

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Moments
-from .errors import EmptyWindowError, NonFiniteResultError, SingularMomentsError, ZeroNoiseError
-from .matcore import matrix_norm_under, weighted_norm_sq
-from .sgd import check_stepsize
+from .errors import EmptyWindowError, NonFiniteResultError, StepSizeError, ZeroNoiseError
+from .matcore import check_spans, matrix_norm_under, weighted_norm_sq
 
 
 def sigma2_mle(m: Moments) -> float:
@@ -62,7 +61,7 @@ class RateConstants:
     rho: float
 
     def __post_init__(self):
-        check_stepsize(self.gamma, self.r2)
+        StepSizeError.check(self.gamma, self.r2)
         if self.mu <= 0.0:
             raise ValueError(f"mu must be positive, got {self.mu}")
         if self.sigma2 < 0.0:
@@ -73,7 +72,6 @@ class RateConstants:
 
 def rate_constants(m: Moments, gamma: float) -> RateConstants:
     """Collect the bound's constants from a model's moments."""
-    check_stepsize(gamma, m.R2)
     return RateConstants(
         gamma=gamma,
         mu=m.mu,
@@ -98,7 +96,7 @@ def variance_term(gamma: float, r2: float, rho: float, sigma2: float, window: in
     (1 + gamma R^2 rho / (1 - gamma R^2)) sigma2 / window."""
     if window < 1:
         raise EmptyWindowError(f"window must contain at least one iterate, got {window}")
-    check_stepsize(gamma, r2)
+    StepSizeError.check(gamma, r2)
     return (1.0 + gamma * r2 * rho / (1.0 - gamma * r2)) * sigma2 / window
 
 
@@ -142,9 +140,5 @@ def mle_fit(x, y) -> np.ndarray:
         raise ValueError(f"expected X (n, d) and y (n,), got {xa.shape} and {ya.shape}")
     n = xa.shape[0]
     g = xa.T @ xa / n
-    evals = np.linalg.eigvalsh(g)
-    if evals[0] <= 1e-12 * max(evals[-1], 0.0):
-        raise SingularMomentsError(
-            f"design with {n} rows does not span R^{xa.shape[1]}"
-        )
+    check_spans(g, f"design with {n} rows")
     return np.linalg.solve(g, xa.T @ ya / n)

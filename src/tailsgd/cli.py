@@ -11,8 +11,9 @@
   any check fails.
 * ``sweep``: grid of experiments written as CSV.
 
-Exit codes: 0 success, 2 configuration error naming its field, 3 verification
-failure, 4 numerical failure, a NaN or infinite result included.
+Exit codes: 0 success, 2 a rejected input (``errors.InputError``, or a file
+that cannot be read), 3 verification failure, 4 numerical failure, a NaN or
+infinite result included.
 
 This module sets BLAS to one thread, parses flags, prints and maps errors to
 exit codes; ``harness`` builds each command's result.
@@ -27,16 +28,7 @@ import sys
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DimensionError,
-    EmptyWindowError,
-    IntractableMomentsError,
-    NotSpdError,
-    SingularMomentsError,
-    StepSizeError,
-    TailSgdError,
-)
+from .errors import ConfigError, InputError, TailSgdError
 from .harness import (
     bound_report,
     moments_report,
@@ -51,31 +43,14 @@ from .harness import (
     use_one_blas_thread,
 )
 
-_CONFIG_ERRORS = (
-    ConfigError,
-    NotSpdError,
-    SingularMomentsError,
-    IntractableMomentsError,
-    DimensionError,
-    EmptyWindowError,
-    StepSizeError,
-    OSError,
-)
-
-
-def jsonable(obj):
-    """Recursively convert dataclasses and arrays to JSON-ready values."""
+def _json_default(obj):
+    """The JSON value of what ``json`` cannot encode itself: a dataclass as
+    its dict, a numpy array or scalar as its list or number."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, np.ndarray):
+        return dataclasses.asdict(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit(text: str, out_path):
@@ -87,7 +62,7 @@ def _emit(text: str, out_path):
 
 
 def _emit_json(payload, out_path):
-    _emit(json.dumps(jsonable(payload), indent=2) + "\n", out_path)
+    _emit(json.dumps(payload, indent=2, default=_json_default) + "\n", out_path)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,7 +178,7 @@ def main(argv=None) -> int:
         if getattr(args, "workers", 1) < 1:
             raise ConfigError("--workers", f"must be at least 1, got {args.workers}")
         return _COMMANDS[args.command](args)
-    except _CONFIG_ERRORS as exc:
+    except (InputError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (TailSgdError, FloatingPointError) as exc:

@@ -50,16 +50,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    IntractableMomentsError,
-    NotSpdError,
-    SingularMomentsError,
-)
+from .errors import DimensionError, IntractableMomentsError, NotSpdError
 from .matcore import (
     _DRAW_BUDGET,
     _ROW_BLOCK,
     _weighted_gram,
+    check_spans,
     matrix_norm_under,
     spd,
     sym,
@@ -71,9 +67,6 @@ DISCRETE = "discrete"
 
 KINDS = (GAUSSIAN_WELL_SPECIFIED, GAUSSIAN_MISSPECIFIED, DISCRETE)
 MISSPEC_FNS = ("norm_x", "one_plus_norm_x")
-
-# Relative eigenvalue floor below which a second-moment matrix counts as singular.
-_SING_TOL = 1e-12
 
 # Constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx):
 # a pool of four uint32 words, filled by hashmix and stirred by mix
@@ -206,16 +199,14 @@ class DistributionSpec:
         # SampleStream of this spec read
         xs, probs, y_mean, y_std = (_frozen_array([getattr(a, k) for a in support])
                                     for k in ("x", "prob", "y_mean", "y_std"))
-        h = _frozen_array(sym(np.einsum("k,ki,kj->ij", probs, xs, xs)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = _frozen_array(_finite_sym(np.einsum("k,ki,kj->ij", probs, xs, xs), self, "H"))
+            check_spans(h, "support")
+            argmin = np.linalg.solve(h, np.sum((probs * y_mean)[:, None] * xs, axis=0))
+        if not np.isfinite(argmin).all():
+            raise ValueError("support overflows: w* does not stay finite")
         object.__setattr__(self, "_atoms", _Atoms(xs, probs, y_mean, y_std,
                                                   _frozen_array(np.cumsum(probs)), h))
-        evals = np.linalg.eigvalsh(h)
-        if evals[0] <= _SING_TOL * max(evals[-1], 0.0):
-            raise SingularMomentsError(
-                f"support does not span R^{self.d}: second-moment eigenvalue "
-                f"range [{evals[0]:.6e}, {evals[-1]:.6e}]"
-            )
-        argmin = np.linalg.solve(h, np.sum((probs * y_mean)[:, None] * xs, axis=0))
         if self.w_star is not None:
             w = np.asarray(self.w_star, float)
             if w.shape != (self.d,):
@@ -514,12 +505,29 @@ def weighted_fourth_moment(spec: DistributionSpec) -> np.ndarray:
     For centered Gaussian x with covariance H this is Tr(H) H + 2 H^2; for a
     discrete design it is the weighted sum over the support.
     """
-    if spec.kind == DISCRETE:
-        xs = spec._atoms.x
-        w = spec._atoms.prob * np.einsum("ki,ki->k", xs, xs)
-        return sym(np.einsum("k,ki,kj->ij", w, xs, xs))
-    h = spec.H_spec
-    return sym(np.trace(h) * h + 2.0 * (h @ h))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.kind == DISCRETE:
+            xs = spec._atoms.x
+            w = spec._atoms.prob * np.einsum("ki,ki->k", xs, xs)
+            f = np.einsum("k,ki,kj->ij", w, xs, xs)
+        else:
+            h = spec.H_spec
+            f = np.trace(h) * h + 2.0 * (h @ h)
+        return _finite_sym(f, spec, "E[||x||^2 x x^T]")
+
+
+def _finite_sym(m: np.ndarray, spec: DistributionSpec, name: str,
+                noise: bool = False) -> np.ndarray:
+    """(M + M^T)/2 for a moment M of a spec, both formed with numpy's
+    overflow warnings off, or a ValueError naming the input whose size
+    overflowed them: the support, else H_spec, or noise_sigma for a
+    ``noise`` moment."""
+    m = 0.5 * (m + m.T)
+    if not np.isfinite(m).all():
+        field = ("support" if spec.kind == DISCRETE
+                 else f"noise_sigma={spec.noise_sigma!r}" if noise else "H_spec")
+        raise ValueError(f"{field} overflows: {name} does not stay finite")
+    return m
 
 
 def exact_moments(spec: DistributionSpec) -> Moments:
@@ -531,28 +539,23 @@ def exact_moments(spec: DistributionSpec) -> Moments:
     if spec.kind == GAUSSIAN_MISSPECIFIED and spec.misspec_fn != "norm_x":
         raise IntractableMomentsError(
             f"no closed-form moments for misspec_fn={spec.misspec_fn!r}; "
-            "use estimate_moments"
+            "estimate them with `moments --estimate N`"
         )
     f = weighted_fourth_moment(spec)
-    if spec.kind == DISCRETE:
-        a = spec._atoms
-        h = a.H
-        # an overflow here becomes a non-finite Sigma, which Moments rejects
-        with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.kind == DISCRETE:
+            a = spec._atoms
+            h = a.H
             resid_sq = (a.y_mean - a.x @ spec.w_star) ** 2 + a.y_std ** 2
-        sigma = sym(np.einsum("k,ki,kj->ij", a.prob * resid_sq, a.x, a.x))
-    else:
-        h = spec.H_spec
-        # residual std is noise_sigma, or noise_sigma * ||x|| when
-        # misspecified, so Sigma is H or the weighted fourth moment scaled
-        # by noise_sigma^2; a finite noise_sigma may overflow it or Sigma + Sigma^T
-        with np.errstate(over="ignore", invalid="ignore"):
+            sigma = np.einsum("k,ki,kj->ij", a.prob * resid_sq, a.x, a.x)
+        else:
+            h = spec.H_spec
+            # residual std is noise_sigma, or noise_sigma * ||x|| when
+            # misspecified, so Sigma is H or the weighted fourth moment
+            # scaled by noise_sigma^2
             sigma = np.float64(spec.noise_sigma) ** 2 * (
                 h if spec.kind == GAUSSIAN_WELL_SPECIFIED else f)
-            sigma = 0.5 * (sigma + sigma.T)
-        if not np.isfinite(sigma).all():
-            raise ValueError(f"noise_sigma={spec.noise_sigma!r} overflows: Sigma = "
-                             f"noise_sigma^2 times a second moment does not stay finite")
+        sigma = _finite_sym(sigma, spec, "Sigma", noise=True)
     r2 = matrix_norm_under(f, h)
     return Moments(H=h, Sigma=sigma, w_star=spec.w_star, R2=r2, exact=True)
 
@@ -575,14 +578,13 @@ def sample_moments(spec: DistributionSpec, x: np.ndarray, y: np.ndarray) -> Mome
     number of rows).
     """
     n = x.shape[0]
-    h = sym(x.T @ x / n)
-    evals = np.linalg.eigvalsh(h)
-    if evals[0] <= _SING_TOL * max(evals[-1], 0.0):
-        raise SingularMomentsError(
-            f"empirical second moment from {n} draws does not span R^{spec.d}"
-        )
-    resid_sq = (y - x @ spec.w_star) ** 2
-    sigma = sym(_weighted_gram(x, resid_sq) / n)
-    f = sym(_weighted_gram(x, np.einsum("ni,ni->n", x, x)) / n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # x's moments first: where they overflow, so may Sigma
+        h = _finite_sym(x.T @ x / n, spec, "the sampled H")
+        check_spans(h, f"empirical second moment from {n} draws")
+        f = _finite_sym(_weighted_gram(x, np.einsum("ni,ni->n", x, x)) / n, spec,
+                        "the sampled E[||x||^2 x x^T]")
+        sigma = _finite_sym(_weighted_gram(x, (y - x @ spec.w_star) ** 2) / n, spec,
+                            "the sampled Sigma", noise=True)
     r2 = matrix_norm_under(f, h)
     return Moments(H=h, Sigma=sigma, w_star=spec.w_star, R2=r2, exact=False, n_samples=n)

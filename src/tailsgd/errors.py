@@ -1,4 +1,9 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+An error's class decides the CLI's exit code: 2 for an ``InputError``, 4 for
+any other ``TailSgdError``.  ``StepSizeError.check`` states the stability
+condition, and ``NonFiniteResultError.check`` the finiteness of a result.
+"""
 
 import numpy as np
 
@@ -7,27 +12,39 @@ class TailSgdError(Exception):
     """Base class for every package-specific failure."""
 
 
-class DimensionError(TailSgdError, ValueError):
+class InputError(TailSgdError):
+    """An input the package rejects: a bad document, flag, model or stepsize."""
+
+
+class DimensionError(InputError, ValueError):
     """Operands have incompatible shapes."""
 
 
-class NotSpdError(TailSgdError, ValueError):
+class NotSpdError(InputError, ValueError):
     """A matrix required to be symmetric positive (semi)definite is not."""
 
 
-class IntractableMomentsError(TailSgdError, ValueError):
+class IntractableMomentsError(InputError, ValueError):
     """Closed-form population moments are not available for this model."""
 
 
-class SingularMomentsError(TailSgdError):
+class SingularMomentsError(InputError):
     """A second-moment matrix (population or empirical) does not span R^d."""
 
 
-class StepSizeError(TailSgdError, ValueError):
-    """Stepsize at or above the stability threshold 1 / R^2."""
+class StepSizeError(InputError, ValueError):
+    """Stepsize outside the stable range (0, 1/R^2)."""
+
+    @classmethod
+    def check(cls, gamma: float, r2: float):
+        """Raise unless 0 < gamma < 1/R^2, the stability condition every
+        result assumes (and false for a NaN gamma).  A config error prefixes
+        the message with the field, ``gamma: ``."""
+        if not 0.0 < gamma < 1.0 / r2:
+            raise cls(f"{gamma!r} outside the stable range (0, {1.0 / r2!r})")
 
 
-class EmptyWindowError(TailSgdError, ValueError):
+class EmptyWindowError(InputError, ValueError):
     """Averaging window [t, T) contains no iterates."""
 
 
@@ -49,7 +66,7 @@ class ZeroNoiseError(TailSgdError, ZeroDivisionError):
     """Quantity undefined for a noiseless model (Sigma = 0)."""
 
 
-class ConfigError(TailSgdError, ValueError):
+class ConfigError(InputError, ValueError):
     """Configuration document failed validation."""
 
     def __init__(self, field: str, reason: str):

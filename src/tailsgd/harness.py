@@ -86,7 +86,7 @@ from .distributions import (
     exact_moments,
 )
 from . import matcore
-from .errors import ConfigError, NonFiniteResultError, TailSgdError
+from .errors import ConfigError, NonFiniteResultError, StepSizeError, TailSgdError
 from .matcore import (
     _BUFFER_CAP,
     _ROW_BLOCK,
@@ -308,8 +308,10 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     else:
         rho = rate_constants(m, 1.0 / (2.0 * m.R2)).rho
         gamma = 1.0 / (2.0 * rho * m.R2)
-    if not 0.0 < gamma < 1.0 / m.R2:
-        raise ConfigError("gamma", f"{gamma!r} outside the stable range (0, {1.0 / m.R2!r})")
+    try:
+        StepSizeError.check(gamma, m.R2)
+    except StepSizeError as exc:
+        raise ConfigError("gamma", str(exc)) from exc
     return ExperimentConfig(distribution=dist, moments=m, operator=op, gamma=gamma, t=t,
                             T=big_t, w0=w0, replicates=f["replicates"], seed=f["seed"])
 
@@ -721,14 +723,17 @@ def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckRe
     def c_damped_inverse():
         probe = h if m.noiseless else sigma
         direct = _damped_inverse(h, probe, gamma)
-        shrink = eye - gamma * h
-        rate = float(np.linalg.eigvalsh(shrink)[-1]) ** 2
-        need = int(math.ceil(math.log(1e-12) / math.log(rate))) + 1
-        # the first power of two at least need, and at most 2^16
-        k = 1 << (min(need, 2 ** 16) - 1).bit_length()
-        series = _doubling_series(gamma * probe, shrink, k)
-        envelope = (float(np.linalg.norm(probe, "fro")) * gamma * rate ** k / (1.0 - rate)
-                    + 1e-10 * (1.0 + float(np.linalg.norm(direct, "fro"))))
+        # terms shrink by rate = (1 - gamma mu)^2, taken through log1p, as
+        # 1 - gamma mu rounds to 1 below gamma mu ~ 1e-16
+        gm = gamma * m.mu
+        log_rate = 2.0 * math.log1p(-gm)
+        need = math.log(1e-12) / log_rate if log_rate < 0.0 else math.inf
+        # the first power of two above need, and at most 2^16
+        k = 1 << math.ceil(min(need, 2.0 ** 16 - 1.0)).bit_length()
+        series = _doubling_series(gamma * probe, eye - gamma * h, k)
+        # the tail gamma |P|_F rate^k / (1 - rate), 1 - rate = gamma mu (2 - gamma mu)
+        envelope = (float(np.linalg.norm(probe, "fro")) * math.exp(k * log_rate)
+                    / (m.mu * (2.0 - gm)) + 1e-10 * (1.0 + float(np.linalg.norm(direct, "fro"))))
         diff = float(np.linalg.norm(series - direct, "fro"))
         return CheckResult("damped-drift-inverse", diff <= envelope, envelope - diff,
                            f"{k}-term series vs eigenbasis inverse, diff={diff:.3e}")

@@ -3,6 +3,7 @@
 Matrices are plain float64 ndarrays.  ``sym`` and ``spd`` are the validation
 gates: every routine that needs a symmetric (or SPD) operand passes its input
 through one of them, so downstream code can rely on exact symmetry.
+``check_spans`` is the one test that a second-moment matrix spans R^d.
 
 ``sym_to_vec`` / ``vec_to_sym`` flatten symmetric matrices to vectors of
 length d(d+1)/2, diagonal entries first, off-diagonal entries scaled by
@@ -31,12 +32,16 @@ import os
 
 import numpy as np
 
-from .errors import DimensionError, NotSpdError
+from .errors import DimensionError, NotSpdError, SingularMomentsError
 
 _SQRT2 = math.sqrt(2.0)
 
 # Relative floor on the smallest eigenvalue accepted by spd().
 SPD_TOL = 1e-12
+
+# Relative eigenvalue floor below which a second-moment matrix counts as
+# singular (check_spans).
+_SING_TOL = 1e-12
 
 # Most bytes that an input may make the package hold at once: a simulation
 # run (sgd.run_bytes), a draw of pairs or a dense operator matrix.
@@ -84,6 +89,18 @@ def spd(m, tol: float = SPD_TOL) -> np.ndarray:
             f"is not above {tol:g} times its largest {evals[-1]:.6e}"
         )
     return a
+
+
+def check_spans(m: np.ndarray, what: str):
+    """Raise SingularMomentsError, naming the matrix as ``what``, unless the
+    second-moment matrix M spans R^d: its smallest eigenvalue must exceed
+    ``_SING_TOL`` times its largest."""
+    evals = np.linalg.eigvalsh(m)
+    if evals[0] <= _SING_TOL * max(evals[-1], 0.0):
+        raise SingularMomentsError(
+            f"{what} does not span R^{len(evals)}: second-moment eigenvalue "
+            f"range [{evals[0]:.6e}, {evals[-1]:.6e}]"
+        )
 
 
 def spectral_norm(m) -> float:

@@ -105,7 +105,8 @@ class SgdConfig:
         object.__setattr__(self, "gamma", float(self.gamma))
         object.__setattr__(self, "T", int(self.T))
         object.__setattr__(self, "t_avg_start", int(self.t_avg_start))
-        if self.gamma <= 0.0:
+        # R^2 comes with the model: run_replicates checks gamma < 1/R^2
+        if not self.gamma > 0.0:
             raise StepSizeError(f"stepsize must be positive, got {self.gamma}")
         if self.T < 1:
             raise ValueError(f"horizon T must be at least 1, got {self.T}")
@@ -152,16 +153,6 @@ class _KahanSum:
     def total(self) -> np.ndarray:
         """The running total, overwritten by the next add."""
         return self._s
-
-
-def check_stepsize(gamma: float, r2: float):
-    """Enforce the stability condition gamma < 1 / R^2."""
-    if gamma <= 0.0:
-        raise StepSizeError(f"stepsize must be positive, got {gamma}")
-    if gamma >= 1.0 / r2:
-        raise StepSizeError(
-            f"gamma={gamma!r} is not below the stability threshold 1/R^2={1.0 / r2!r}"
-        )
 
 
 def resolve_model(spec: DistributionSpec) -> tuple[Moments, FourthMomentOperator]:
@@ -254,7 +245,7 @@ def run_replicates(spec: DistributionSpec, config: SgdConfig, seeds, *,
     if not names or any(p not in PROCESSES for p in names):
         raise ValueError(f"unknown process {process!r}; expected names from {PROCESSES}")
     m = resolve_moments(spec) if moments is None else moments
-    check_stepsize(config.gamma, m.R2)
+    StepSizeError.check(config.gamma, m.R2)
     d = spec.d
     if config.w0.shape != (d,):
         raise DimensionError(f"w0 has shape {config.w0.shape}, expected ({d},)")

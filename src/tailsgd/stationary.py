@@ -103,16 +103,17 @@ class FourthMomentOperator:
     trace inner product and preserves the semidefinite order.
     """
 
-    def __init__(self, kind: str, *, h=None, xs=None, probs=None, exact: bool):
+    def __init__(self, kind: str, *, h=None, xs=None, probs=None):
         self.kind = kind
-        self.exact = exact
+        # only a sample average is an estimate
+        self.exact = kind != "monte_carlo"
         self._h = h
         self._xs = xs
         self._probs = probs
 
     @classmethod
     def gaussian(cls, h) -> "FourthMomentOperator":
-        return cls("gaussian", h=spd(h), exact=True)
+        return cls("gaussian", h=spd(h))
 
     @classmethod
     def discrete(cls, xs, probs) -> "FourthMomentOperator":
@@ -124,7 +125,7 @@ class FourthMomentOperator:
             )
         if np.any(pa < 0.0) or abs(pa.sum() - 1.0) > 1e-12:
             raise ValueError("probs must be nonnegative and sum to 1")
-        return cls("discrete", xs=xa, probs=pa, exact=True)
+        return cls("discrete", xs=xa, probs=pa)
 
     @classmethod
     def monte_carlo(cls, spec: DistributionSpec, n: int, seed) -> "FourthMomentOperator":
@@ -137,7 +138,7 @@ class FourthMomentOperator:
     def sampled(cls, x) -> "FourthMomentOperator":
         """Monte-Carlo backing: the sample average over the rows of x."""
         n = x.shape[0]
-        return cls("monte_carlo", xs=x, probs=np.full(n, 1.0 / n), exact=False)
+        return cls("monte_carlo", xs=x, probs=np.full(n, 1.0 / n))
 
     @classmethod
     def from_spec(cls, spec: DistributionSpec) -> "FourthMomentOperator":
@@ -269,13 +270,8 @@ def _gate(gamma: float, h, s_op: FourthMomentOperator) -> tuple[np.ndarray, floa
     hh = spd(h)
     if hh.shape[0] != s_op.d:
         raise DimensionError(f"H has shape {hh.shape}, operator dimension is {s_op.d}")
-    if gamma <= 0.0:
-        raise StepSizeError(f"stepsize must be positive, got {gamma}")
     r2 = s_op.r_squared_under(hh)
-    if gamma >= 1.0 / r2:
-        raise StepSizeError(
-            f"gamma={gamma!r} is not below 1/R^2={1.0 / r2!r} for this backing"
-        )
+    StepSizeError.check(gamma, r2)
     return hh, r2
 
 
@@ -407,8 +403,7 @@ def solve_stationary_direct(h, s_op: FourthMomentOperator, sigma,
 def crude_bound(sigma, h, gamma: float, r2: float) -> float:
     """Spectral cap on the stationary covariance:
     C <= [gamma ||Sigma||_H / (1 - gamma R^2)] I."""
-    if not 0.0 < gamma * r2 < 1.0:
-        raise StepSizeError(f"gamma R^2 must lie in (0, 1), got {gamma * r2!r}")
+    StepSizeError.check(gamma, r2)
     return gamma * matrix_norm_under(sigma, h) / (1.0 - gamma * r2)
 
 
@@ -416,8 +411,7 @@ def refined_trace_bound(sigma, h, gamma: float, r2: float) -> float:
     """Trace cap on the stationary covariance:
     Tr(C) <= (gamma/2) Tr(H^{-1} Sigma)
              + (gamma^2 R^2 / (2 (1 - gamma R^2))) d ||Sigma||_H."""
-    if not 0.0 < gamma * r2 < 1.0:
-        raise StepSizeError(f"gamma R^2 must lie in (0, 1), got {gamma * r2!r}")
+    StepSizeError.check(gamma, r2)
     hh = spd(h)
     ss = sym(sigma)
     d = hh.shape[0]

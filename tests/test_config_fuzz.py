@@ -2,15 +2,18 @@
 value, deleted, or joined by an unknown key.  An experiment document must end
 in exit 0, 2 or 4 from the CLI, never in an uncaught exception or a
 non-finite number printed with exit 0; a sweep document must parse or raise
-ConfigError.  Only parsing and the cheap commands run here."""
+ConfigError.  Only parsing and the cheap commands run here.  Finite inputs
+whose moments overflow are bases too: each exits 2 naming its field."""
 
 import copy
 import json
 import math
 import os
 import tempfile
+import warnings
 from functools import reduce
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +34,18 @@ EXPERIMENTS = (
         {"x": [0.3, 1.1], "y_mean": -0.5, "y_std": 0.5, "prob": 0.5}]},
      "gamma_rule": "half_inv_rho_R2", "T": 100},
 )
+# finite documents whose moments overflow, and the field each must name
+OVERFLOWS = {
+    "H_spec": ({"distribution": {"kind": "gaussian_well_specified", "d": 2,
+                                 "H_spec": {"diag": [1e160, 1e160]}}}, "H_spec"),
+    "noise_sigma": ({"distribution": {"kind": "gaussian_misspecified", "d": 2,
+                                      "misspec_fn": "one_plus_norm_x", "noise_sigma": 1e200}},
+                    "noise_sigma=1e+200"),
+    "support.x": ({"distribution": {"kind": "discrete", "d": 1, "support": [
+        {"x": [1e200], "prob": 0.5}, {"x": [1.0], "prob": 0.5}]}}, "support"),
+    "support.y_mean": ({"distribution": {"kind": "discrete", "d": 1, "support": [
+        {"x": [10.0], "y_mean": 1e308, "prob": 0.5}, {"x": [1.0], "prob": 0.5}]}}, "support"),
+}
 SWEEPS = (
     {"d": [2, 3], "families": ["well_specified", "misspecified"],
      "gamma_rules": ["half_inv_R2", "explicit"], "T": [100, 200], "gamma": 0.05,
@@ -63,7 +78,8 @@ def mutated(draw, bases):
 
 
 @FUZZ
-@given(doc=mutated(EXPERIMENTS), command=st.sampled_from(("bound", "moments")))
+@given(doc=mutated(EXPERIMENTS + tuple(doc for doc, _ in OVERFLOWS.values())),
+       command=st.sampled_from(("bound", "moments")))
 def test_mutated_experiment_documents_exit_cleanly(doc, command):
     with tempfile.TemporaryDirectory() as tmp:
         config, out = os.path.join(tmp, "exp.json"), os.path.join(tmp, "out.json")
@@ -75,6 +91,17 @@ def test_mutated_experiment_documents_exit_cleanly(doc, command):
             with open(out) as fh:
                 text = fh.read()
             assert "NaN" not in text and "Infinity" not in text
+
+
+@pytest.mark.parametrize("doc, field", OVERFLOWS.values(), ids=OVERFLOWS)
+def test_overflowing_documents_name_their_field(tmp_path, capsys, doc, field):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["bound", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: distribution: {field} overflows") and err.count("\n") == 1
 
 
 @FUZZ

@@ -366,6 +366,19 @@ def test_damped_drift_inverse_fails_one_doubling_short(monkeypatch):
     assert not check.passed and check.margin < 0.0
 
 
+@pytest.mark.parametrize("gamma", [1e-17, 1e-320])
+def test_damped_drift_inverse_takes_a_tiny_stepsize(tmp_path, capsys, gamma):
+    # 1 - gamma mu rounds to 1: the series length and envelope divided by
+    # log(rate) and 1 - rate, both 0, and verify ended in a traceback
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({
+        "distribution": {"kind": "gaussian_well_specified", "d": 3, "noise_sigma": 1.0},
+        "gamma_rule": "explicit", "gamma": gamma, "T": 200, "replicates": 10}))
+    assert main(["verify", "--config", str(path)]) in (0, 3)
+    line = next(x for x in capsys.readouterr().out.splitlines() if "damped-drift-inverse" in x)
+    assert "65536-term series" in line
+
+
 def misspec_d10_doc(seed):
     """The misspecified d = 10 verify config of the benchmark."""
     return {"distribution": family_distribution("misspecified", 10, 1.0),
@@ -621,6 +634,17 @@ def test_verification_requires_closed_form_moments():
     })
     with pytest.raises(IntractableMomentsError):
         run_verification(cfg)
+
+
+@pytest.mark.parametrize("command", ["moments", "verify"])
+def test_cli_estimate_only_model_points_to_the_estimate_flag(tmp_path, capsys, command):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"distribution": {
+        "kind": "gaussian_misspecified", "d": 2, "noise_sigma": 1.0,
+        "misspec_fn": "one_plus_norm_x"}, "T": 100, "replicates": 10}))
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "`moments --estimate N`" in err
 
 
 def test_chunk_ranges_capped_at_usable_cpus():
