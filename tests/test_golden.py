@@ -1,8 +1,8 @@
 """Golden outputs: a four-cell sweep CSV covering both model families, the
 risk figures of one d=3 experiment, which the CSV does not carry (the bias
-and variance halves), and the JSON the ``moments``, ``bound`` and
-``solve-cov`` commands print for that experiment and for a d=2 discrete
-model.  All must reproduce exactly.
+and variance halves), the JSON the ``moments``, ``bound`` and ``solve-cov``
+commands print for that experiment and for a d=2 discrete model, and the
+table ``verify`` prints for both.  All must reproduce exactly.
 
 The files under ``golden/`` are written by running this module as a script:
 
@@ -53,6 +53,8 @@ CLI_CASES = {
     "discrete_d2_solve_cov_direct.json": (DISCRETE_D2, ["solve-cov", "--method", "direct"]),
     "discrete_d2_solve_cov_fixed_point.json": (DISCRETE_D2,
                                                ["solve-cov", "--method", "fixed-point"]),
+    "d3_verify.txt": (EXPERIMENT, ["verify"]),
+    "discrete_d2_verify.txt": (DISCRETE_D2, ["verify"]),
 }
 
 
