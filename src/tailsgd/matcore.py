@@ -70,11 +70,11 @@ def sym(m) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def spd(m, tol: float = SPD_TOL) -> np.ndarray:
+def spd(m) -> np.ndarray:
     """Validate symmetry and strict positive definiteness; returns the symmetrized matrix.
 
-    The smallest eigenvalue must exceed ``tol`` times the largest, so nearly
-    singular inputs are rejected along with indefinite ones.
+    The smallest eigenvalue must exceed ``SPD_TOL`` times the largest, so
+    nearly singular inputs are rejected along with indefinite ones.
     """
     a = sym(m)
     evals = np.linalg.eigvalsh(a)
@@ -83,10 +83,10 @@ def spd(m, tol: float = SPD_TOL) -> np.ndarray:
             f"matrix is not positive definite: eigenvalue range "
             f"[{evals[0]:.6e}, {evals[-1]:.6e}]"
         )
-    if evals[0] <= tol * evals[-1]:
+    if evals[0] <= SPD_TOL * evals[-1]:
         raise NotSpdError(
             f"matrix is numerically singular: its smallest eigenvalue {evals[0]:.6e} "
-            f"is not above {tol:g} times its largest {evals[-1]:.6e}"
+            f"is not above {SPD_TOL:g} times its largest {evals[-1]:.6e}"
         )
     return a
 
