@@ -38,8 +38,11 @@ class StepSizeError(InputError, ValueError):
     @classmethod
     def check(cls, gamma: float, r2: float):
         """Raise unless 0 < gamma < 1/R^2, the stability condition every
-        result assumes (and false for a NaN gamma).  A config error prefixes
+        result assumes (and false for a NaN gamma), or unless R^2 is positive
+        and finite, without which 1/R^2 is no bound.  A config error prefixes
         the message with the field, ``gamma: ``."""
+        if not 0.0 < r2 < np.inf:
+            raise cls(f"R^2 must be positive and finite, got {r2!r}")
         if not 0.0 < gamma < 1.0 / r2:
             raise cls(f"{gamma!r} outside the stable range (0, {1.0 / r2!r})")
 

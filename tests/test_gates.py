@@ -109,6 +109,22 @@ def test_gamma_at_the_threshold_is_rejected_everywhere():
             pytest.fail(name)
 
 
+@pytest.mark.parametrize("r2", [0.0, -1.0, math.inf, math.nan])
+def test_a_nonpositive_or_nonfinite_r2_is_a_stepsize_error(r2):
+    # 1/R^2 bounds nothing there: R^2 = 0 once raised a bare ZeroDivisionError
+    h = np.eye(2)
+    calls = {
+        "variance_term": lambda: variance_term(0.1, r2, 1.0, 1.0, 10),
+        "RateConstants": lambda: RateConstants(0.1, 1.0, r2, 2, 1.0, 1.0),
+        "crude_bound": lambda: crude_bound(h, h, 0.1, r2),
+        "refined_trace_bound": lambda: refined_trace_bound(h, h, 0.1, r2),
+    }
+    for name, call in calls.items():
+        with pytest.raises(StepSizeError, match=r"^R\^2 must be positive and finite"):
+            call()
+            pytest.fail(name)
+
+
 def test_check_spans_names_its_matrix():
     check_spans(np.diag([1.0, 1e-11]), "kept")
     for m in (np.diag([1.0, 1e-13]), np.diag([1.0, 0.0]), np.zeros((2, 2))):
