@@ -513,20 +513,23 @@ def weighted_fourth_moment(spec: DistributionSpec) -> np.ndarray:
         else:
             h = spec.H_spec
             f = np.trace(h) * h + 2.0 * (h @ h)
-        return _finite_sym(f, spec, "E[||x||^2 x x^T]")
+        return _finite_sym(f, spec, "E[||x||^2 x x^T]", positive=True)
 
 
 def _finite_sym(m: np.ndarray, spec: DistributionSpec, name: str,
-                noise: bool = False) -> np.ndarray:
+                noise: bool = False, positive: bool = False) -> np.ndarray:
     """(M + M^T)/2 for a moment M of a spec, both formed with numpy's
     overflow warnings off, or a ValueError naming the input whose size
-    overflowed them: the support, else H_spec, or noise_sigma for a
-    ``noise`` moment."""
+    overflowed them, or underflowed a ``positive`` moment (one that is not 0
+    when H is positive definite) to 0: the support, else H_spec, or
+    noise_sigma for a ``noise`` moment."""
     m = 0.5 * (m + m.T)
-    if not np.isfinite(m).all():
+    finite = np.isfinite(m).all()
+    if not finite or positive and not m.any():
         field = ("support" if spec.kind == DISCRETE
                  else f"noise_sigma={spec.noise_sigma!r}" if noise else "H_spec")
-        raise ValueError(f"{field} overflows: {name} does not stay finite")
+        raise ValueError(f"{field} overflows: {name} does not stay finite" if not finite
+                         else f"{field} underflows: {name} rounds to 0")
     return m
 
 
@@ -583,7 +586,7 @@ def sample_moments(spec: DistributionSpec, x: np.ndarray, y: np.ndarray) -> Mome
         h = _finite_sym(x.T @ x / n, spec, "the sampled H")
         check_spans(h, f"empirical second moment from {n} draws")
         f = _finite_sym(_weighted_gram(x, np.einsum("ni,ni->n", x, x)) / n, spec,
-                        "the sampled E[||x||^2 x x^T]")
+                        "the sampled E[||x||^2 x x^T]", positive=True)
         sigma = _finite_sym(_weighted_gram(x, (y - x @ spec.w_star) ** 2) / n, spec,
                             "the sampled Sigma", noise=True)
     r2 = matrix_norm_under(f, h)

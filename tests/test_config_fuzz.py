@@ -3,7 +3,8 @@ value, deleted, or joined by an unknown key.  An experiment document must end
 in exit 0, 2 or 4 from the CLI, never in an uncaught exception or a
 non-finite number printed with exit 0; a sweep document must parse or raise
 ConfigError.  Only parsing and the cheap commands run here.  Finite inputs
-whose moments overflow are bases too: each exits 2 naming its field."""
+whose moments overflow are bases too: each exits 2 naming its field, as does
+an H_spec so small that E[||x||^2 x x^T] underflows to 0."""
 
 import copy
 import json
@@ -102,6 +103,28 @@ def test_overflowing_documents_name_their_field(tmp_path, capsys, doc, field):
         assert main(["bound", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: distribution: {field} overflows") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["bound", "verify"])
+@pytest.mark.parametrize("kind", ["gaussian_well_specified", "gaussian_misspecified"])
+@pytest.mark.parametrize("diag", [1e-170, 1e-300, 5e-324, 1e-155])
+def test_underflowing_h_spec_names_its_field(tmp_path, capsys, command, kind, diag):
+    # H is positive definite, but E[||x||^2 x x^T] = Tr(H) H + 2 H^2 rounds
+    # to 0 below about 1e-162: that once read "R2 must be positive, got 0.0"
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"distribution": {"kind": kind, "d": 2, "noise_sigma": 1.0,
+                                                 "H_spec": {"diag": [diag, diag]}},
+                                "T": 20, "replicates": 10}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([command, "--config", str(path)])
+    out, err = capsys.readouterr()
+    if diag == 1e-155:
+        assert code in (0, 3) and err == "" and out
+        return
+    assert code == 2 and out == ""
+    assert err == ("config error: distribution: H_spec underflows: "
+                   "E[||x||^2 x x^T] rounds to 0\n")
 
 
 @FUZZ
