@@ -527,6 +527,22 @@ class CheckResult:
     detail: str
 
 
+def _check_row(name: str, check) -> CheckResult:
+    """The row of one verify check, a function returning (passed, margin,
+    detail); a package error it raises makes a FAIL row with margin -inf."""
+    try:
+        passed, margin, detail = check()
+    except TailSgdError as exc:
+        return CheckResult(name, False, float("-inf"), f"raised {exc!r}")
+    return CheckResult(name, passed, margin, detail)
+
+
+def _at_most(value: float, cap: float, detail: str, limit: float | None = None):
+    """The at-most rule: value <= cap, or <= a slackened ``limit`` given in
+    the check's own float expression; the margin is cap - value."""
+    return value <= (cap if limit is None else limit), cap - value, detail
+
+
 def _entrywise_margin(diff, se, atol: float) -> float:
     # 1 - max |diff| / (4 se + atol); positive when every entry sits inside
     # four standard errors
@@ -558,25 +574,25 @@ def _sampled_checks(spec: DistributionSpec, m: Moments, op: FourthMomentOperator
         grad += x.T @ resid
         q[i:i + _ROW_BLOCK] = 0.5 * resid ** 2 * _quad_forms(x, h_inv)
 
-    mean, se = fourth_sums.mean_and_stderr()
-    margin = _entrywise_margin(mean - op.apply(m.H), se, 1e-12 * (1.0 + m.R2))
-    fourth = CheckResult("fourth-moment-sampled", margin >= 0.0, margin,
-                         f"closed form within 4 standard errors of {n} draws")
+    def fourth():
+        mean, se = fourth_sums.mean_and_stderr()
+        margin = _entrywise_margin(mean - op.apply(m.H), se, 1e-12 * (1.0 + m.R2))
+        return margin >= 0.0, margin, f"closed form within 4 standard errors of {n} draws"
 
-    # the gradient noise at w* is -(y - x.w*) x: its mean is the summed
-    # x^T (y - x.w*) over n
-    norm = float(np.linalg.norm(grad)) / n
-    cap = 4.0 * math.sqrt(float(np.trace(m.Sigma)) / n) + 1e-12
-    noise = CheckResult("noise-mean-zero", norm <= cap, cap - norm,
-                        f"|mean|={norm:.3e} cap={cap:.3e}")
+    def noise():
+        # the gradient noise at w* is -(y - x.w*) x: its mean is the summed
+        # x^T (y - x.w*) over n
+        norm = float(np.linalg.norm(grad)) / n
+        cap = 4.0 * math.sqrt(float(np.trace(m.Sigma)) / n) + 1e-12
+        return _at_most(norm, cap, f"|mean|={norm:.3e} cap={cap:.3e}")
 
-    est, se = float(q.mean()), float(q.std(ddof=1) / math.sqrt(n))
-    target = sigma2_mle(m)
-    cap = 4.0 * se + 1e-12
-    quadratic = CheckResult("sigma2-mle-quadratic-form", abs(est - target) <= cap,
-                            cap - abs(est - target),
-                            f"quadratic-form mean {est:.6e} vs half-trace {target:.6e}")
-    return [fourth, noise, quadratic]
+    def quadratic():
+        est, se = float(q.mean()), float(q.std(ddof=1) / math.sqrt(n))
+        target = sigma2_mle(m)
+        return _at_most(abs(est - target), 4.0 * se + 1e-12,
+                        f"quadratic-form mean {est:.6e} vs half-trace {target:.6e}")
+    return [_check_row("fourth-moment-sampled", fourth), _check_row("noise-mean-zero", noise),
+            _check_row("sigma2-mle-quadratic-form", quadratic)]
 
 
 def _doubling_series(p: np.ndarray, a: np.ndarray, k: int) -> np.ndarray:
@@ -594,6 +610,11 @@ def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckRe
     """Check the closed-form identities, order relations, solver residuals,
     and Monte-Carlo agreements implied by one experiment's model.
 
+    Each check is a function returning (passed, margin, detail) that
+    ``_check_row`` makes a row of: a package error it raises FAILs that row
+    alone, with margin -inf and detail ``raised ...``.  An error in what the
+    checks share (the bound, the two stationary solves, the risk run) ends it.
+
     Requires a model with closed-form moments.  Monte-Carlo checks use fixed
     offsets of the config seed and four-standard-error slack, so a pass is
     reproducible and a failure means a real discrepancy at that seed.  The
@@ -609,41 +630,28 @@ def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckRe
     gamma = cfg.gamma
     op = cfg.operator
     h, sigma = m.H, m.Sigma
-    d = m.d
-    eye = np.eye(d)
-    sig_scale = float(np.linalg.norm(sigma, "fro"))
-    results: list[CheckResult] = []
-
-    def run(name, fn):
-        try:
-            results.append(fn())
-        except TailSgdError as exc:
-            results.append(CheckResult(name, False, float("-inf"), f"raised {exc!r}"))
+    eye = np.eye(m.d)
 
     def c_spd_moments():
         s_evals = np.linalg.eigvalsh(sigma)
         ok = m.mu > 0.0 and s_evals[0] >= -1e-10 * max(s_evals[-1], 1.0)
-        return CheckResult("spd-moments", ok, m.mu,
-                           f"mu={m.mu:.6e} sigma_eig_min={s_evals[0]:.6e}")
-    run("spd-moments", c_spd_moments)
-
-    f4 = op.apply(eye)
+        return ok, m.mu, f"mu={m.mu:.6e} sigma_eig_min={s_evals[0]:.6e}"
 
     def c_fourth_dominated():
+        f4 = op.apply(eye)
         gap = float(np.linalg.eigvalsh(m.R2 * h - f4)[0])
         tight = not psd_order_leq(f4, 0.99 * m.R2 * h, tol=0.0)
         ok = gap >= -1e-10 * m.R2 * float(np.linalg.eigvalsh(h)[-1]) and tight
-        return CheckResult("fourth-moment-dominated", ok, gap,
-                           f"R2={m.R2:.6e} slack_eig={gap:.3e} tight_at_0.99={tight}")
-    run("fourth-moment-dominated", c_fourth_dominated)
+        return ok, gap, f"R2={m.R2:.6e} slack_eig={gap:.3e} tight_at_0.99={tight}"
 
     def c_trace_vs_r2():
         margin = m.R2 - float(np.trace(h))
-        return CheckResult("trace-vs-r2", margin >= -1e-12 * m.R2, margin,
-                           f"R2={m.R2:.6e} trace_H={float(np.trace(h)):.6e}")
-    run("trace-vs-r2", c_trace_vs_r2)
+        return margin >= -1e-12 * m.R2, margin, f"R2={m.R2:.6e} trace_H={float(np.trace(h)):.6e}"
 
-    results += _sampled_checks(spec, m, op, cfg.seed)
+    results = [_check_row("spd-moments", c_spd_moments),
+               _check_row("fourth-moment-dominated", c_fourth_dominated),
+               _check_row("trace-vs-r2", c_trace_vs_r2),
+               *_sampled_checks(spec, m, op, cfg.seed)]
 
     sol_fp = solve_stationary_fixed_point(h, op, sigma, gamma)
     # the second solution: closed form on a Gaussian backing, in O(d^3); the
@@ -652,26 +660,21 @@ def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckRe
                else solve_stationary_direct(h, op, sigma, gamma))
     via = f" ({sol_dir.method} solve)"
 
-    def c_resid(name, sol, note=""):
-        cap = 1e-8 * gamma * sig_scale + 1e-300
-        return CheckResult(name, sol.residual <= cap, cap - sol.residual,
-                           f"residual={sol.residual:.3e} cap={cap:.3e}{note}")
-    run("stationary-residual-fixed-point", lambda: c_resid("stationary-residual-fixed-point", sol_fp))
-    run("stationary-residual-direct", lambda: c_resid("stationary-residual-direct", sol_dir, via))
+    def c_resid(sol, note=""):
+        cap = 1e-8 * gamma * float(np.linalg.norm(sigma, "fro")) + 1e-300
+        return _at_most(sol.residual, cap, f"residual={sol.residual:.3e} cap={cap:.3e}{note}")
 
     def c_agreement():
         diff = float(np.linalg.norm(sol_fp.cov - sol_dir.cov, "fro"))
         cap = 1e-8 * max(float(np.linalg.norm(sol_dir.cov, "fro")), 1e-300)
-        return CheckResult("stationary-agreement", diff <= cap, cap - diff,
-                           f"|C_fp - C|_F={diff:.3e}{via}")
-    run("stationary-agreement", c_agreement)
+        return _at_most(diff, cap, f"|C_fp - C|_F={diff:.3e}{via}")
 
     @functools.cache
     def covariance_walk():
         # 300 steps of the recursion from C = 0, shared by the next two checks:
         # the smallest eigenvalue of each step, relative to max(1, |C|_F), and
         # the largest trace of an iterate
-        c = np.zeros((d, d))
+        c = np.zeros_like(h)
         low, top = math.inf, -math.inf
         for _ in range(300):
             nxt = covariance_step(c, h, op, sigma, gamma)
@@ -683,42 +686,33 @@ def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckRe
 
     def c_monotone():
         worst, _ = covariance_walk()
-        return CheckResult("covariance-monotone", worst >= -1e-12, worst,
-                           "iterates increase in the semidefinite order")
-    run("covariance-monotone", c_monotone)
+        return worst >= -1e-12, worst, "iterates increase in the semidefinite order"
 
     def c_trace_cap():
         cap = gamma * float(np.trace(sigma)) / m.mu
         worst = max(covariance_walk()[1], float(np.trace(sol_fp.cov)))
-        ok = worst <= cap * (1.0 + 1e-12) + 1e-300
-        return CheckResult("covariance-trace-cap", ok, cap - worst,
-                           f"max trace {worst:.6e} vs gamma Tr(Sigma)/mu = {cap:.6e}")
-    run("covariance-trace-cap", c_trace_cap)
+        return _at_most(worst, cap, f"max trace {worst:.6e} vs gamma Tr(Sigma)/mu = {cap:.6e}",
+                        limit=cap * (1.0 + 1e-12) + 1e-300)
 
     def c_spectral_cap():
         cap = crude_bound(sigma, h, gamma, m.R2)
         lam = float(np.linalg.eigvalsh(sol_dir.cov)[-1])
-        return CheckResult("stationary-spectral-cap", lam <= cap + 1e-10 * (1.0 + cap),
-                           cap - lam, f"lambda_max={lam:.6e} cap={cap:.6e}{via}")
-    run("stationary-spectral-cap", c_spectral_cap)
+        return _at_most(lam, cap, f"lambda_max={lam:.6e} cap={cap:.6e}{via}",
+                        limit=cap + 1e-10 * (1.0 + cap))
 
     def c_trace_refined():
         cap = refined_trace_bound(sigma, h, gamma, m.R2)
         tr = float(np.trace(sol_dir.cov))
-        return CheckResult("stationary-trace-refined", tr <= cap + 1e-10 * (1.0 + cap),
-                           cap - tr, f"trace={tr:.6e} cap={cap:.6e}{via}")
-    run("stationary-trace-refined", c_trace_refined)
+        return _at_most(tr, cap, f"trace={tr:.6e} cap={cap:.6e}{via}",
+                        limit=cap + 1e-10 * (1.0 + cap))
 
     def c_variance_identity():
         window = cfg.T - cfg.t
         rc = bound["constants"]
         via_trace = refined_trace_bound(sigma, h, gamma, m.R2) / (gamma * window)
         direct = variance_term(gamma, m.R2, rc.rho, rc.sigma2, window)
-        diff = abs(via_trace - direct)
-        cap = 1e-12 * max(direct, 1e-300)
-        return CheckResult("variance-term-identity", diff <= cap, cap - diff,
-                           f"trace route {via_trace!r} vs direct {direct!r}")
-    run("variance-term-identity", c_variance_identity)
+        return _at_most(abs(via_trace - direct), 1e-12 * max(direct, 1e-300),
+                        f"trace route {via_trace!r} vs direct {direct!r}")
 
     def c_damped_inverse():
         probe = h if m.noiseless else sigma
@@ -735,9 +729,7 @@ def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckRe
         envelope = (float(np.linalg.norm(probe, "fro")) * math.exp(k * log_rate)
                     / (m.mu * (2.0 - gm)) + 1e-10 * (1.0 + float(np.linalg.norm(direct, "fro"))))
         diff = float(np.linalg.norm(series - direct, "fro"))
-        return CheckResult("damped-drift-inverse", diff <= envelope, envelope - diff,
-                           f"{k}-term series vs eigenbasis inverse, diff={diff:.3e}")
-    run("damped-drift-inverse", c_damped_inverse)
+        return _at_most(diff, envelope, f"{k}-term series vs eigenbasis inverse, diff={diff:.3e}")
 
     def c_mean_recursion():
         t_star, reps = 30, 2000
@@ -749,9 +741,7 @@ def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckRe
         theory = np.linalg.matrix_power(eye - gamma * h, t_star) @ (cfg.w0 - m.w_star)
         se = w_t.std(axis=0, ddof=1) / math.sqrt(reps)
         margin = _entrywise_margin(w_t.mean(axis=0) - m.w_star - theory, se, 1e-12)
-        return CheckResult("mean-recursion", margin >= 0.0, margin,
-                           f"E[w_t] - w* matches (I - gamma H)^{t_star} (w0 - w*)")
-    run("mean-recursion", c_mean_recursion)
+        return margin >= 0.0, margin, f"E[w_t] - w* matches (I - gamma H)^{t_star} (w0 - w*)"
 
     def c_bias_decay():
         reps = 1000
@@ -769,49 +759,53 @@ def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckRe
             cap = math.exp(-gamma * m.mu * t) * d0 + 4.0 * se + 1e-12
             worst = min(worst, cap - mean)
             details.append(f"t={t}: {mean:.3e} <= {cap:.3e}")
-        return CheckResult("bias-decay", worst >= 0.0, worst, "; ".join(details))
-    run("bias-decay", c_bias_decay)
+        return worst >= 0.0, worst, "; ".join(details)
+
+    results += [_check_row("stationary-residual-fixed-point", lambda: c_resid(sol_fp)),
+                _check_row("stationary-residual-direct", lambda: c_resid(sol_dir, via)),
+                _check_row("stationary-agreement", c_agreement),
+                _check_row("covariance-monotone", c_monotone),
+                _check_row("covariance-trace-cap", c_trace_cap),
+                _check_row("stationary-spectral-cap", c_spectral_cap),
+                _check_row("stationary-trace-refined", c_trace_refined),
+                _check_row("variance-term-identity", c_variance_identity),
+                _check_row("damped-drift-inverse", c_damped_inverse),
+                _check_row("mean-recursion", c_mean_recursion),
+                _check_row("bias-decay", c_bias_decay)]
 
     report = run_experiment(cfg, workers=workers)
 
     def c_bound_holds():
-        margin = report.bound.total - report.ci_low
-        return CheckResult("risk-bound-holds", margin >= 0.0, margin,
-                           f"emp={report.emp_risk:.6e} (se {report.stderr:.2e}) "
-                           f"bound={report.bound.total:.6e}")
-    run("risk-bound-holds", c_bound_holds)
+        return _at_most(report.ci_low, report.bound.total,
+                        f"emp={report.emp_risk:.6e} (se {report.stderr:.2e}) "
+                        f"bound={report.bound.total:.6e}")
 
     def c_split():
         combined = (math.sqrt(report.bias_risk) + math.sqrt(report.var_risk)) ** 2
         slack = 4.0 * (report.stderr + report.bias_stderr + report.var_stderr) + 1e-12
-        margin = combined + slack - report.emp_risk
-        return CheckResult("bias-variance-split", margin >= 0.0, margin,
-                           f"total {report.emp_risk:.6e} vs split {combined:.6e}")
-    run("bias-variance-split", c_split)
+        return _at_most(report.emp_risk, combined + slack,
+                        f"total {report.emp_risk:.6e} vs split {combined:.6e}")
 
     def c_rho():
         if m.noiseless:
-            return CheckResult("rho-at-least-one", True, 0.0, "skipped: noiseless model")
+            return True, 0.0, "skipped: noiseless model"
         rho = report.constants.rho
-        return CheckResult("rho-at-least-one", rho >= 1.0 - 1e-12, rho - 1.0,
-                           f"rho={rho!r}")
-    run("rho-at-least-one", c_rho)
+        return rho >= 1.0 - 1e-12, rho - 1.0, f"rho={rho!r}"
 
     def c_efficiency():
         if m.noiseless or report.bound.bias > 0.1 * report.bound.variance:
-            return CheckResult("efficiency-window", True, 0.0,
-                               "skipped: not variance-dominated")
+            return True, 0.0, "skipped: not variance-dominated"
         relaxations = gamma * m.mu * (cfg.T - cfg.t)
         if relaxations < _EFFICIENCY_RELAXATIONS:
-            return CheckResult("efficiency-window", True, 0.0,
-                               f"skipped: window of {relaxations:.3g} < "
+            return (True, 0.0, f"skipped: window of {relaxations:.3g} < "
                                f"{_EFFICIENCY_RELAXATIONS:g} relaxation times 1/(gamma mu)")
         margin = min(report.eff_ratio - 0.5, 2.0 - report.eff_ratio)
-        return CheckResult("efficiency-window", margin >= 0.0, margin,
-                           f"eff_ratio={report.eff_ratio:.4f} window [0.5, 2.0]")
-    run("efficiency-window", c_efficiency)
+        return margin >= 0.0, margin, f"eff_ratio={report.eff_ratio:.4f} window [0.5, 2.0]"
 
-    return results
+    return results + [_check_row("risk-bound-holds", c_bound_holds),
+                      _check_row("bias-variance-split", c_split),
+                      _check_row("rho-at-least-one", c_rho),
+                      _check_row("efficiency-window", c_efficiency)]
 
 
 # ---------------------------------------------------------------------------

@@ -192,16 +192,20 @@ class _FourthMomentSums:
         self._first, self._second = np.zeros((d, d)), np.zeros((d, d))
 
     def add(self, xb: np.ndarray):
-        """Add the rows of one (at most ``_ROW_BLOCK``, d) block."""
+        """Add the rows of one (at most ``_ROW_BLOCK``, d) block, silent on overflow."""
         # with u_k = (x_k^T M x_k) x_k, the first moment is sum_k u_k x_k^T
         # and the entrywise second moment is (u o u)^T (x o x)
-        u = xb * _quad_forms(xb, self._m)[:, None]
-        self._first += u.T @ xb
-        u *= u
-        self._second += u.T @ (xb * xb)
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = xb * _quad_forms(xb, self._m)[:, None]
+            self._first += u.T @ xb
+            u *= u
+            self._second += u.T @ (xb * xb)
         self._n += xb.shape[0]
 
     def mean_and_stderr(self):
+        """The mean and entrywise standard error; NonFiniteResultError if a sum overflowed."""
+        if not (np.isfinite(self._first).all() and np.isfinite(self._second).all()):
+            raise NonFiniteResultError("fourth-moment sums")
         n = self._n
         mean = sym(self._first / n)
         var = np.maximum(self._second / n - mean ** 2, 0.0)

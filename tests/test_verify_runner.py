@@ -1,0 +1,102 @@
+"""verify's checks and the one runner that makes their rows.
+
+Every check is a function returning (passed, margin, detail), and
+``harness._check_row`` is the one place that builds a ``CheckResult``: a
+package error a check raises becomes a FAIL row with margin -inf, and the
+other rows are unchanged."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import tailsgd.harness as harness_mod
+from tailsgd.cli import main
+from tailsgd.errors import ConvergenceError, NonFiniteResultError
+from tailsgd.stationary import _FourthMomentSums
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CHECK_NAMES = (
+    "spd-moments", "fourth-moment-dominated", "trace-vs-r2",
+    "fourth-moment-sampled", "noise-mean-zero", "sigma2-mle-quadratic-form",
+    "stationary-residual-fixed-point", "stationary-residual-direct", "stationary-agreement",
+    "covariance-monotone", "covariance-trace-cap", "stationary-spectral-cap",
+    "stationary-trace-refined", "variance-term-identity", "damped-drift-inverse",
+    "mean-recursion", "bias-decay", "risk-bound-holds", "bias-variance-split",
+    "rho-at-least-one", "efficiency-window",
+)
+WELL2 = {"distribution": {"kind": "gaussian_well_specified", "d": 2, "noise_sigma": 1.0},
+         "T": 200, "replicates": 20}
+# a correct model whose sampled fourth-moment sums overflow
+HUGE_H = {"distribution": {"kind": "gaussian_well_specified", "d": 2, "noise_sigma": 1.0,
+                           "H_spec": {"diag": [1e110, 1e110]}},
+          "T": 20, "replicates": 10}
+
+
+def test_every_row_is_built_by_the_runner():
+    tree = ast.parse(Path(harness_mod.__file__).read_text())
+    builders = {top.name for top in tree.body if isinstance(top, ast.FunctionDef)
+                for node in ast.walk(top)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CheckResult"}
+    assert builders == {"_check_row"}, builders
+    literals = [node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and node.value in CHECK_NAMES]
+    assert sorted(literals) == sorted(CHECK_NAMES)
+    # and each name is the first argument of a _check_row call
+    named = [node.args[0].value for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_check_row"]
+    assert sorted(named) == sorted(CHECK_NAMES)
+
+
+def _verify_json(tmp_path, capsys, doc):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc))
+    code = main(["verify", "--config", str(path), "--format", "json"])
+    return code, json.loads(capsys.readouterr().out)["checks"]
+
+
+def _raise(exc):
+    def raiser(*args, **kwargs):
+        raise exc
+    return raiser
+
+
+@pytest.mark.parametrize("target, attr, row, exc", [
+    # an ordinary check: the spectral cap reads crude_bound
+    (harness_mod, "crude_bound", "stationary-spectral-cap", ConvergenceError("forced")),
+    # a sampled check, whose rows were once built outside the runner
+    (_FourthMomentSums, "mean_and_stderr", "fourth-moment-sampled",
+     NonFiniteResultError("fourth-moment sums")),
+], ids=["ordinary", "sampled"])
+def test_a_raising_check_fails_its_row_alone(tmp_path, capsys, monkeypatch,
+                                             target, attr, row, exc):
+    code, clean = _verify_json(tmp_path, capsys, WELL2)
+    assert code == 0 and [c["name"] for c in clean] == list(CHECK_NAMES)
+    monkeypatch.setattr(target, attr, _raise(exc))
+    code, checks = _verify_json(tmp_path, capsys, WELL2)
+    assert code == 3
+    failed = CHECK_NAMES.index(row)
+    assert checks[failed] == {"name": row, "passed": False, "margin": float("-inf"),
+                              "detail": f"raised {exc!r}"}
+    assert checks[:failed] + checks[failed + 1:] == clean[:failed] + clean[failed + 1:]
+
+
+def test_overflowing_sampled_sums_fail_one_row(tmp_path):
+    # the sums of (x^T H x)^2 x x^T overflow at H = 1e110 I; the document
+    # once ended in a ValueError traceback from matcore.sym
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(HUGE_H))
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "tailsgd.cli",
+                          "verify", "--config", str(path)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 3 and run.stderr == ""
+    failed = [line for line in run.stdout.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 1 and failed[0].split()[1] == "fourth-moment-sampled"
+    assert "raised NonFiniteResultError(" in failed[0]
+    assert run.stdout.endswith("20/21 checks passed\n")
