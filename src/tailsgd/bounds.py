@@ -121,7 +121,16 @@ def risk_bound(rc: RateConstants, t: int, T: int, dist0_sq: float) -> RiskBound:
         raise EmptyWindowError(f"averaging window [{t}, {T}) is empty")
     b = bias_term(rc.gamma, rc.mu, t, rc.r2, dist0_sq)
     v = variance_term(rc.gamma, rc.r2, rc.rho, rc.sigma2, T - t)
-    return RiskBound(bias=b, variance=v, total=(math.sqrt(b) + math.sqrt(v)) ** 2, t=t, T=T)
+    return RiskBound(bias=b, variance=v, total=_combined(b, v), t=t, T=T)
+
+
+def _combined(bias: float, variance: float) -> float:
+    """(sqrt(bias) + sqrt(variance))^2, infinite where the square overflows:
+    a Python float's ``**`` raises OverflowError there."""
+    try:
+        return (math.sqrt(bias) + math.sqrt(variance)) ** 2
+    except OverflowError:
+        return math.inf
 
 
 def excess_risk(w, m: Moments) -> float:

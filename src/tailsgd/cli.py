@@ -181,8 +181,9 @@ def main(argv=None) -> int:
     except (InputError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (TailSgdError, FloatingPointError) as exc:
-        # every other package error is numerical, a non-finite result included
+    except (TailSgdError, ArithmeticError) as exc:
+        # every other package error is numerical, a non-finite result
+        # included, as is a Python float's overflow
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

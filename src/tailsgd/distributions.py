@@ -34,13 +34,12 @@ rows of one stream; ``draw_block`` fills one (n, d + 1) block per stream,
 transforms all of them together and writes x over the first d columns and
 y over the noise column, with the same numbers as lone draws.
 
-Gaussian covariates are x = L z with L the Cholesky factor of H, computed once
-per spec.  When L is diagonal (every H the sweep grid builds) the spec keeps
-only its diagonal, and the transform scales the block of normals in place
-with no BLAS call; otherwise it keeps the dense factor and multiplies.  Both
-give the same numbers, since each entry of the dense product is z_j L_jj plus
-exact zeros.  A dense draw's bits depend on the BLAS thread count: a CLI call
-makes it at one thread, and a library caller who wants that sets it first.
+Gaussian covariates are x = L z with L the Cholesky factor of H.  Where H
+has no nonzero entry off its diagonal (``draws_diagonally``; every H the
+sweep grid builds) L is its diagonal's square roots, LAPACK's factor bit for
+bit, and the transform scales the normals in place with no BLAS call.  Any
+other H keeps its dense factor and multiplies, with bits that depend on the
+BLAS thread count: a CLI call draws at one thread, a library caller sets it.
 """
 
 from __future__ import annotations
@@ -81,6 +80,11 @@ def _frozen_array(x, dtype=float) -> np.ndarray:
     a = np.array(x, dtype=dtype)
     a.setflags(write=False)
     return a
+
+
+def draws_diagonally(h) -> bool:
+    """The one draw-form rule, O(d^2): whether H, symmetrized as spd does, is diagonal."""
+    return not np.triu(sym(h), 1).any()
 
 
 @dataclass(frozen=True)
@@ -160,12 +164,9 @@ class DistributionSpec:
         if h.shape[0] != self.d:
             raise DimensionError(f"H_spec has shape {h.shape}, expected ({self.d}, {self.d})")
         object.__setattr__(self, "H_spec", _frozen_array(h))
-        # every SampleStream of this spec draws through the same factor
-        chol = np.linalg.cholesky(h)
-        diag = np.diagonal(chol)
-        if np.array_equal(chol, np.diag(diag)):
-            # scales each row [z, eta] of a draw block; eta's 1.0 is exact
-            chol = np.append(diag, 1.0)
+        # the factor of every draw; a diagonal one scales rows [z, eta], eta by 1.0
+        chol = (np.append(np.sqrt(np.diagonal(h)), 1.0) if draws_diagonally(h)
+                else np.linalg.cholesky(h))
         object.__setattr__(self, "_chol", _frozen_array(chol))
         w = np.zeros(self.d) if self.w_star is None else np.asarray(self.w_star, float)
         if w.shape != (self.d,):
@@ -503,13 +504,11 @@ def weighted_fourth_moment(spec: DistributionSpec) -> np.ndarray:
     """Closed-form E[||x||^2 x x^T].
 
     For centered Gaussian x with covariance H this is Tr(H) H + 2 H^2; for a
-    discrete design it is the weighted sum over the support.
+    discrete design it is the fourth-moment operator's S(I), one R^2 for both.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.kind == DISCRETE:
-            xs = spec._atoms.x
-            w = spec._atoms.prob * np.einsum("ki,ki->k", xs, xs)
-            f = np.einsum("k,ki,kj->ij", w, xs, xs)
+            f = _weighted_gram(spec._atoms.x, spec._atoms.prob, np.eye(spec.d))
         else:
             h = spec.H_spec
             f = np.trace(h) * h + 2.0 * (h @ h)

@@ -30,15 +30,14 @@ A run may hold at most 1 GiB, counted before the model is built
 (sgd.run_bytes): the outputs and seeds of every replicate, the transform's
 temporaries, and one group as sgd.draw_plan sizes it, at most 2 MiB (draws,
 state and streams) unless a floor binds.  The plan needs only d and the
-form of the Cholesky factor, read from the document: an omitted, "identity"
-or {"diag": ...} H_spec factors diagonally, a full matrix is counted as
-whichever form holds more, and the discrete kind fills whole blocks.  The
-count is per process: a pool's parent holds the parts and their
-concatenation, within the count, and each worker less.  A sweep
-reads gamma, replicates, seed, noise_sigma (default 1.0) and t_rule (half_T
-only) through the same entries, and checks its axes d (default [1, 3, 10]),
-gamma_rules (default both derived rules), T (default [1000, 10000]) and
-families (default both) against the entries they vary.
+draw form, which the model's own rule reads from H_spec: a full matrix whose
+off-diagonal entries are zero counts as diagonal, and the discrete kind
+fills whole blocks.  The count is per process: a pool's parent holds the
+parts and their concatenation, within the count, and each worker less.  A
+sweep reads gamma, replicates, seed, noise_sigma (default 1.0) and t_rule
+(half_T only) through the same entries, and checks its axes d (default [1,
+3, 10]), gamma_rules (default both derived rules), T (default [1000, 10000])
+and families (default both) against the entries they vary.
 
 Stepsize rules resolve against the model's moments: ``half_inv_R2`` gives
 gamma = 1 / (2 R^2) and ``half_inv_rho_R2`` gives gamma = 1 / (2 rho R^2),
@@ -67,6 +66,7 @@ import numpy as np
 from .bounds import (
     RateConstants,
     RiskBound,
+    _combined,
     rate_constants,
     risk_bound,
     sigma2_mle,
@@ -82,6 +82,7 @@ from .distributions import (
     Moments,
     SampleStream,
     SupportAtom,
+    draws_diagonally,
     estimate_moments,
     exact_moments,
 )
@@ -91,7 +92,9 @@ from .matcore import (
     _BUFFER_CAP,
     _ROW_BLOCK,
     _quad_forms,
+    frobenius,
     psd_order_leq,
+    sample_std,
 )
 from .sgd import PROCESSES, SgdConfig, resolve_model, run_bytes, run_replicates
 from .stationary import (
@@ -252,18 +255,11 @@ class ExperimentConfig:
     seed: int
 
 
-def _model(f: dict) -> tuple[DistributionSpec, Moments, FourthMomentOperator]:
-    """The model of a checked distribution document, its moments and its
-    fourth-moment operator."""
-    h = f["H_spec"]
-    if h == "identity" or (h is None and f["kind"] != DISCRETE):
-        h = np.eye(f["d"])
-    elif isinstance(h, dict):
-        h = np.diag(h["diag"])
+def _model(f: dict, h) -> tuple[DistributionSpec, Moments, FourthMomentOperator]:
+    """The model, moments and fourth-moment operator of a checked document f with H h."""
     try:
         spec = DistributionSpec(
-            kind=f["kind"], d=f["d"],
-            H_spec=None if h is None else np.asarray(h, dtype=float),
+            kind=f["kind"], d=f["d"], H_spec=h,
             w_star=None if f["w_star"] is None else np.asarray(f["w_star"]),
             noise_sigma=f["noise_sigma"], misspec_fn=f["misspec_fn"],
             support=tuple(SupportAtom(**a) for a in f["support"] or ()),
@@ -280,12 +276,17 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     derived rules."""
     f = _read(doc, _EXPERIMENT_FIELDS)
     dist, big_t = f["distribution"], f["T"]
-    d = dist["d"]
-    # the plan follows the form of the Cholesky factor, read from the
-    # document: a full H_spec matrix may factor either way
-    forms = ((False,) if dist["kind"] == DISCRETE
-             else (True, False) if isinstance(dist["H_spec"], tuple) else (True,))
-    size = max(run_bytes(d, f["replicates"], big_t, diagonal) for diagonal in forms)
+    d, h = dist["d"], dist["H_spec"]
+    if h == "identity" or (h is None and dist["kind"] != DISCRETE):
+        h = np.eye(d)
+    elif isinstance(h, dict):
+        h = np.diag(h["diag"])
+    try:
+        # the plan follows the model's draw form, decided from H in O(d^2)
+        diagonal = dist["kind"] != DISCRETE and draws_diagonally(h)
+    except ValueError as exc:
+        raise ConfigError("distribution", str(exc)) from exc
+    size = run_bytes(d, f["replicates"], big_t, diagonal)
     if size > _BUFFER_CAP:
         raise ConfigError("replicates", f"a run would hold {size} bytes, "
                                         f"over the cap of {_BUFFER_CAP}")
@@ -298,7 +299,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if t >= big_t:
         raise ConfigError("t", f"window [{t}, {big_t}) is empty")
 
-    dist, m, op = _model(f["distribution"])
+    dist, m, op = _model(dist, h)
     if f["gamma_rule"] == "explicit":
         if f["gamma"] is None:
             raise ConfigError("gamma", "required when gamma_rule is explicit")
@@ -450,7 +451,7 @@ def _risk_stats(tail_averages, m: Moments):
     dev = tail_averages - m.w_star
     risks = 0.5 * np.einsum("rd,de,re->r", dev, m.H, dev)
     mean = float(risks.mean())
-    se = float(risks.std(ddof=1) / math.sqrt(len(risks))) if len(risks) > 1 else 0.0
+    se = float(sample_std(risks)) / math.sqrt(len(risks)) if len(risks) > 1 else 0.0
     return mean, se
 
 
@@ -576,18 +577,22 @@ def _sampled_checks(spec: DistributionSpec, m: Moments, op: FourthMomentOperator
 
     def fourth():
         mean, se = fourth_sums.mean_and_stderr()
-        margin = _entrywise_margin(mean - op.apply(m.H), se, 1e-12 * (1.0 + m.R2))
+        # the floor 1e-12 (1 + R^2) of a unit-scale H, scaled as S(H) is,
+        # and positive where S(H) and its estimate underflow to 0
+        k = fourth_sums.k
+        floor = max(math.ldexp(1e-12 * (1.0 + math.ldexp(m.R2, -2 * k)), 6 * k), math.ulp(0.0))
+        margin = _entrywise_margin(mean - op.apply(m.H), se, floor)
         return margin >= 0.0, margin, f"closed form within 4 standard errors of {n} draws"
 
     def noise():
         # the gradient noise at w* is -(y - x.w*) x: its mean is the summed
         # x^T (y - x.w*) over n
-        norm = float(np.linalg.norm(grad)) / n
+        norm = frobenius(grad) / n
         cap = 4.0 * math.sqrt(float(np.trace(m.Sigma)) / n) + 1e-12
         return _at_most(norm, cap, f"|mean|={norm:.3e} cap={cap:.3e}")
 
     def quadratic():
-        est, se = float(q.mean()), float(q.std(ddof=1) / math.sqrt(n))
+        est, se = float(q.mean()), float(sample_std(q)) / math.sqrt(n)
         target = sigma2_mle(m)
         return _at_most(abs(est - target), 4.0 * se + 1e-12,
                         f"quadratic-form mean {est:.6e} vs half-trace {target:.6e}")
@@ -661,12 +666,12 @@ def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckRe
     via = f" ({sol_dir.method} solve)"
 
     def c_resid(sol, note=""):
-        cap = 1e-8 * gamma * float(np.linalg.norm(sigma, "fro")) + 1e-300
+        cap = 1e-8 * gamma * frobenius(sigma) + 1e-300
         return _at_most(sol.residual, cap, f"residual={sol.residual:.3e} cap={cap:.3e}{note}")
 
     def c_agreement():
-        diff = float(np.linalg.norm(sol_fp.cov - sol_dir.cov, "fro"))
-        cap = 1e-8 * max(float(np.linalg.norm(sol_dir.cov, "fro")), 1e-300)
+        diff = frobenius(sol_fp.cov - sol_dir.cov)
+        cap = 1e-8 * max(frobenius(sol_dir.cov), 1e-300)
         return _at_most(diff, cap, f"|C_fp - C|_F={diff:.3e}{via}")
 
     @functools.cache
@@ -679,7 +684,7 @@ def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckRe
         for _ in range(300):
             nxt = covariance_step(c, h, op, sigma, gamma)
             gap = float(np.linalg.eigvalsh(nxt - c)[0])
-            low = min(low, gap / max(1.0, float(np.linalg.norm(nxt, "fro"))))
+            low = min(low, gap / max(1.0, frobenius(nxt)))
             top = max(top, float(np.trace(nxt)))
             c = nxt
         return low, top
@@ -726,9 +731,9 @@ def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckRe
         k = 1 << math.ceil(min(need, 2.0 ** 16 - 1.0)).bit_length()
         series = _doubling_series(gamma * probe, eye - gamma * h, k)
         # the tail gamma |P|_F rate^k / (1 - rate), 1 - rate = gamma mu (2 - gamma mu)
-        envelope = (float(np.linalg.norm(probe, "fro")) * math.exp(k * log_rate)
-                    / (m.mu * (2.0 - gm)) + 1e-10 * (1.0 + float(np.linalg.norm(direct, "fro"))))
-        diff = float(np.linalg.norm(series - direct, "fro"))
+        envelope = (frobenius(probe) * math.exp(k * log_rate)
+                    / (m.mu * (2.0 - gm)) + 1e-10 * (1.0 + frobenius(direct)))
+        diff = frobenius(series - direct)
         return _at_most(diff, envelope, f"{k}-term series vs eigenbasis inverse, diff={diff:.3e}")
 
     def c_mean_recursion():
@@ -739,7 +744,7 @@ def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckRe
                              snapshot_steps=(t_star,))
         w_t = res.snapshots[0]
         theory = np.linalg.matrix_power(eye - gamma * h, t_star) @ (cfg.w0 - m.w_star)
-        se = w_t.std(axis=0, ddof=1) / math.sqrt(reps)
+        se = sample_std(w_t, axis=0) / math.sqrt(reps)
         margin = _entrywise_margin(w_t.mean(axis=0) - m.w_star - theory, se, 1e-12)
         return margin >= 0.0, margin, f"E[w_t] - w* matches (I - gamma H)^{t_star} (w0 - w*)"
 
@@ -755,7 +760,7 @@ def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckRe
         for k, t in enumerate(res.snapshot_steps):
             sq = np.sum((res.snapshots[k] - m.w_star) ** 2, axis=1)
             mean = float(sq.mean())
-            se = float(sq.std(ddof=1) / math.sqrt(reps))
+            se = float(sample_std(sq)) / math.sqrt(reps)
             cap = math.exp(-gamma * m.mu * t) * d0 + 4.0 * se + 1e-12
             worst = min(worst, cap - mean)
             details.append(f"t={t}: {mean:.3e} <= {cap:.3e}")
@@ -781,7 +786,7 @@ def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckRe
                         f"bound={report.bound.total:.6e}")
 
     def c_split():
-        combined = (math.sqrt(report.bias_risk) + math.sqrt(report.var_risk)) ** 2
+        combined = _combined(report.bias_risk, report.var_risk)
         slack = 4.0 * (report.stderr + report.bias_stderr + report.var_stderr) + 1e-12
         return _at_most(report.emp_risk, combined + slack,
                         f"total {report.emp_risk:.6e} vs split {combined:.6e}")

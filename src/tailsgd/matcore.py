@@ -5,6 +5,11 @@ gates: every routine that needs a symmetric (or SPD) operand passes its input
 through one of them, so downstream code can rely on exact symmetry.
 ``check_spans`` is the one test that a second-moment matrix spans R^d.
 
+``frobenius`` and ``sample_std`` form their sums of squares on the operand
+divided by a power of two near its largest entry, then scale back: dividing
+by a power of two is exact, so they give numpy's bits wherever numpy's own
+squares neither overflow nor underflow, and finite results past that.
+
 ``sym_to_vec`` / ``vec_to_sym`` flatten symmetric matrices to vectors of
 length d(d+1)/2, diagonal entries first, off-diagonal entries scaled by
 sqrt(2).  With that scaling the Euclidean dot product of two flattened
@@ -107,6 +112,25 @@ def spectral_norm(m) -> float:
     """Largest absolute eigenvalue of a symmetric matrix."""
     a = sym(m)
     return float(np.max(np.abs(np.linalg.eigvalsh(a))))
+
+
+def frobenius(a) -> float:
+    """The Frobenius norm of a matrix, or the Euclidean norm of a vector, as
+    ``np.linalg.norm`` forms it, on A / 2^k with 2^k <= max |A_ij| < 2^(k+1),
+    scaled back by 2^k."""
+    a = np.asarray(a, dtype=float)
+    s = math.ldexp(1.0, math.frexp(float(np.max(np.abs(a), initial=0.0)))[1] - 1)
+    return float(np.linalg.norm(a / s)) * s
+
+
+def sample_std(a, axis=None):
+    """Standard deviation with ddof=1 along ``axis`` as ``np.std`` forms it,
+    each slice divided by a power of two 2^k <= max |a| < 2^(k+1) over it,
+    then scaled back."""
+    a = np.asarray(a, dtype=float)
+    s = np.ldexp(1.0, np.frexp(np.max(np.abs(a), axis=axis, keepdims=True))[1] - 1)
+    with np.errstate(over="ignore"):
+        return np.squeeze(np.std(a / s, axis=axis, ddof=1, keepdims=True) * s, axis=axis)
 
 
 def weighted_norm_sq(x, a) -> float:

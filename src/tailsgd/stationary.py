@@ -59,6 +59,7 @@ spectral-norm cap and a sharper trace cap) are provided alongside.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,8 +78,10 @@ from .matcore import (
     _ROW_BLOCK,
     _quad_forms,
     _weighted_gram,
+    frobenius,
     matrix_norm_under,
     spd,
+    spectral_norm,
     sym,
     sym_to_vec,
     sym_vec_len,
@@ -183,11 +186,19 @@ class _FourthMomentSums:
     """Running sums over row blocks of samples for the Monte-Carlo mean and
     entrywise standard error of (x^T M x) x x^T.  Blocks are added in row
     order, so the rows need never be held at once; ``apply_with_stderr`` and
-    ``verify``'s sampled check both estimate S(M) through it."""
+    ``verify``'s sampled check both estimate S(M) through it.
+
+    The sums are of the terms of x / 2^k and M / 4^k, with 4^k within a
+    factor of 4 of ||M||_2 (for M = H, of E[x x^T]), fixed before the first
+    block: they stay in range wherever the mean does.  Dividing by a power of
+    two is exact, so the mean and standard error, scaled back by 2^(6k), keep
+    every bit of unscaled sums that neither overflow nor underflow."""
 
     def __init__(self, m):
-        self._m = sym(m)
-        d = self._m.shape[0]
+        m = sym(m)
+        self.k = math.frexp(spectral_norm(m))[1] // 2
+        self._m = np.ldexp(m, -2 * self.k)
+        d = m.shape[0]
         self._n = 0
         self._first, self._second = np.zeros((d, d)), np.zeros((d, d))
 
@@ -196,6 +207,7 @@ class _FourthMomentSums:
         # with u_k = (x_k^T M x_k) x_k, the first moment is sum_k u_k x_k^T
         # and the entrywise second moment is (u o u)^T (x o x)
         with np.errstate(over="ignore", invalid="ignore"):
+            xb = np.ldexp(xb, -self.k)
             u = xb * _quad_forms(xb, self._m)[:, None]
             self._first += u.T @ xb
             u *= u
@@ -203,13 +215,18 @@ class _FourthMomentSums:
         self._n += xb.shape[0]
 
     def mean_and_stderr(self):
-        """The mean and entrywise standard error; NonFiniteResultError if a sum overflowed."""
+        """The mean and entrywise standard error; NonFiniteResultError if a
+        sum overflowed, or the mean or standard error does not fit a float."""
         if not (np.isfinite(self._first).all() and np.isfinite(self._second).all()):
             raise NonFiniteResultError("fourth-moment sums")
         n = self._n
         mean = sym(self._first / n)
         var = np.maximum(self._second / n - mean ** 2, 0.0)
-        return mean, np.sqrt(var / n)
+        with np.errstate(over="ignore"):
+            mean, se = np.ldexp(mean, 6 * self.k), np.ldexp(np.sqrt(var / n), 6 * self.k)
+        if not (np.isfinite(mean).all() and np.isfinite(se).all()):
+            raise NonFiniteResultError("fourth-moment sums")
+        return mean, se
 
 
 def anticommutator(m, h) -> np.ndarray:
@@ -247,7 +264,7 @@ def stationary_residual(c, h, s_op: FourthMomentOperator, sigma, gamma: float) -
     || (HC + CH) - gamma (S(C) + Sigma) ||_F."""
     lhs = anticommutator(c, h)
     rhs = gamma * (s_op.apply(c) + sym(sigma))
-    return float(np.linalg.norm(lhs - rhs, "fro"))
+    return frobenius(lhs - rhs)
 
 
 @dataclass(frozen=True)
@@ -324,7 +341,7 @@ def solve_stationary_fixed_point(h, s_op: FourthMomentOperator, sigma,
     ss = sym(sigma)
     # both stopping bounds are multiples of step = Tr(H D); gamma cancels from
     # the defect test gamma R^2 step <= _FP_RESID_RTOL gamma ||Sigma||_F
-    resid_cap = _FP_RESID_RTOL * float(np.linalg.norm(ss, "fro"))
+    resid_cap = _FP_RESID_RTOL * frobenius(ss)
     c = np.zeros_like(hh)
     iterations = 0
     for iterations in range(1, _FP_MAX_ITER + 1):
@@ -339,7 +356,7 @@ def solve_stationary_fixed_point(h, s_op: FourthMomentOperator, sigma,
                 "for this backing?)"
             )
         c = nxt
-        if (q / (1.0 - q) * step / mu <= _FP_TOL * np.linalg.norm(c, "fro")
+        if (q / (1.0 - q) * step / mu <= _FP_TOL * frobenius(c)
                 and r2 * step <= resid_cap):
             break
     else:

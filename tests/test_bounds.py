@@ -18,6 +18,7 @@ from tailsgd.bounds import (
 from tailsgd.distributions import Moments, SampleStream, exact_moments
 from tailsgd.errors import (
     EmptyWindowError,
+    NonFiniteResultError,
     SingularMomentsError,
     StepSizeError,
     ZeroNoiseError,
@@ -92,6 +93,14 @@ def test_risk_bound_composition():
     assert rb2.bias == pytest.approx(0.5 * math.exp(-50.0) * 5.0)
     with pytest.raises(EmptyWindowError):
         risk_bound(rc, 1000, 1000, 1.0)
+
+
+def test_a_bound_whose_square_overflows_is_not_finite():
+    # b and v are finite, near 5e307 each, and (sqrt b + sqrt v)^2 is not: a
+    # Python float's ** once raised OverflowError there
+    rc = RateConstants(gamma=1e-300, mu=1.0, r2=2.0, d=1, sigma2=5e307, rho=1.0)
+    with pytest.raises(NonFiniteResultError, match="^total: "):
+        risk_bound(rc, 0, 1, 5e307)
 
 
 def test_rate_constants_from_moments():

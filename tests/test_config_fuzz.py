@@ -4,7 +4,9 @@ in exit 0, 2 or 4 from the CLI, never in an uncaught exception or a
 non-finite number printed with exit 0; a sweep document must parse or raise
 ConfigError.  Only parsing and the cheap commands run here.  Finite inputs
 whose moments overflow are bases too: each exits 2 naming its field, as does
-an H_spec so small that E[||x||^2 x x^T] underflows to 0."""
+an H_spec so small that E[||x||^2 x x^T] underflows to 0.  So are three
+models at the edges of float range, on which every model command ends in a
+documented exit code with no RuntimeWarning."""
 
 import copy
 import json
@@ -35,6 +37,28 @@ EXPERIMENTS = (
         {"x": [0.3, 1.1], "y_mean": -0.5, "y_std": 0.5, "prob": 0.5}]},
      "gamma_rule": "half_inv_rho_R2", "T": 100},
 )
+# valid models at the edges of float range, and the exit code, always one of
+# 0, 2, 3 and 4, of each model command on them
+EDGES = {
+    # b = v = 5e307: the bound's (sqrt b + sqrt v)^2 overflows
+    "bound-square": ({"distribution": {"kind": "gaussian_well_specified", "d": 1,
+                                       "noise_sigma": 7.07e153, "H_spec": "identity"},
+                      "w0": [5.77e153], "t_rule": "explicit", "t": 0, "T": 1, "replicates": 2},
+                     {"bound": 4, "simulate": 4, "fixed-point": 0, "direct": 0, "verify": 4}),
+    # Sigma = 1e200 I: squares of its entries overflow, its norms do not
+    "noise-1e100": ({"distribution": {"kind": "gaussian_well_specified", "d": 2,
+                                      "noise_sigma": 1e100, "H_spec": "identity"},
+                     "T": 200, "replicates": 20},
+                    {"bound": 0, "simulate": 0, "fixed-point": 0, "direct": 0, "verify": 0}),
+    # gamma = 1 / (2 R^2) = 2.5e154, whose square overflows in the solvers
+    "h-5e-156": ({"distribution": {"kind": "gaussian_well_specified", "d": 2,
+                                   "noise_sigma": 1.0, "H_spec": {"diag": [5e-156, 5e-156]}},
+                  "T": 20, "replicates": 10},
+                 {"bound": 0, "simulate": 0, "fixed-point": 4, "direct": 4, "verify": 4}),
+}
+COMMANDS = {"bound": ["bound"], "simulate": ["simulate"],
+            "fixed-point": ["solve-cov", "--method", "fixed-point"],
+            "direct": ["solve-cov", "--method", "direct"], "verify": ["verify"]}
 # finite documents whose moments overflow, and the field each must name
 OVERFLOWS = {
     "H_spec": ({"distribution": {"kind": "gaussian_well_specified", "d": 2,
@@ -79,7 +103,8 @@ def mutated(draw, bases):
 
 
 @FUZZ
-@given(doc=mutated(EXPERIMENTS + tuple(doc for doc, _ in OVERFLOWS.values())),
+@given(doc=mutated(EXPERIMENTS + tuple(doc for doc, _ in (*OVERFLOWS.values(),
+                                                           *EDGES.values()))),
        command=st.sampled_from(("bound", "moments")))
 def test_mutated_experiment_documents_exit_cleanly(doc, command):
     with tempfile.TemporaryDirectory() as tmp:
@@ -92,6 +117,25 @@ def test_mutated_experiment_documents_exit_cleanly(doc, command):
             with open(out) as fh:
                 text = fh.read()
             assert "NaN" not in text and "Infinity" not in text
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("edge", EDGES)
+def test_models_at_the_edges_of_float_range_exit_cleanly(tmp_path, capsys, edge, command):
+    doc, codes = EDGES[edge]
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(COMMANDS[command] + ["--config", str(path)])
+    out, err = capsys.readouterr()
+    assert code == codes[command]
+    if code == 0:
+        assert err == "" and "NaN" not in out and "Infinity" not in out
+    else:
+        assert out == "" and err.startswith("numerical failure: ") and err.count("\n") == 1
+    if edge == "bound-square" and code:
+        assert err == "numerical failure: total: result is NaN or infinite\n"
 
 
 @pytest.mark.parametrize("doc, field", OVERFLOWS.values(), ids=OVERFLOWS)

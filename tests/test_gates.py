@@ -138,14 +138,15 @@ EXIT_2 = (errors.ConfigError("field", "reason"), errors.NotSpdError("x"),
           StepSizeError("x"), OSError("x"))
 EXIT_4 = (errors.ConvergenceError("x"), errors.SingularSystemError("x"),
           errors.IndefiniteSolutionError("x"), errors.ZeroNoiseError("x"),
-          errors.NonFiniteResultError("field"), FloatingPointError("x"))
+          errors.NonFiniteResultError("field"), FloatingPointError("x"), OverflowError("x"))
 
 
 def test_every_package_error_has_one_exit_code():
     classes = {c for c in vars(errors).values()
                if isinstance(c, type) and issubclass(c, TailSgdError)}
     listed = {type(e) for e in EXIT_2 + EXIT_4}
-    assert classes - {TailSgdError, InputError} == listed - {OSError, FloatingPointError}
+    assert classes - {TailSgdError, InputError} == listed - {OSError, FloatingPointError,
+                                                             OverflowError}
 
 
 @pytest.mark.parametrize("exc, code", [(e, 2) for e in EXIT_2] + [(e, 4) for e in EXIT_4],

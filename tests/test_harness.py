@@ -156,6 +156,46 @@ def test_parse_config_counts_the_state_of_short_runs():
     assert err.value.field == "replicates" and peak < 2 ** 20
 
 
+def test_every_spelling_of_a_diagonal_h_spec_is_counted_alike():
+    # 200,000 replicates at d=100 over 1000 steps hold 1,009,797,120 bytes
+    # drawn diagonally and 1,102,258,176 through a dense factor, over the cap:
+    # the identity written out in full was once counted dense and refused
+    d, dense = 100, np.eye(100) + 0.001
+    assert run_bytes(d, 200_000, 1000, True) < 2 ** 30 < run_bytes(d, 200_000, 1000, False)
+    for h_spec in ("identity", {"diag": [1.0] * d}, np.eye(d).tolist()):
+        cfg = config_from_dict({"distribution": {"kind": "gaussian_well_specified", "d": d,
+                                                 "H_spec": h_spec},
+                                "T": 1000, "replicates": 200_000})
+        assert _diagonal(cfg.distribution)
+    with pytest.raises(ConfigError) as err:
+        config_from_dict({"distribution": {"kind": "gaussian_well_specified", "d": d,
+                                           "H_spec": dense.tolist()},
+                          "T": 1000, "replicates": 200_000})
+    assert err.value.field == "replicates"
+
+
+def test_a_gamma_at_the_operators_bound_is_refused_by_every_command(tmp_path, capsys):
+    # R^2 was a few ulps apart between the moments and the solvers' operator
+    # on this support: bound accepted gamma, solve-cov refused it without
+    # naming the field
+    support = [([0.822, 0.33, -1.303], 0.07648401826484019),
+               ([0.905, 0.446, -0.537], 0.23002283105022833),
+               ([0.581, 0.365, 0.294], 0.11586757990867581),
+               ([0.028, 0.547, -0.736], 0.1495433789954338),
+               ([-0.163, -0.482, 0.599], 0.42808219178082185)]
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({
+        "distribution": {"kind": "discrete", "d": 3, "support": [
+            {"x": x, "y_mean": 0.0, "y_std": 1.0, "prob": p} for x, p in support]},
+        "gamma_rule": "explicit", "gamma": 0.5006478464929299, "T": 10, "replicates": 2}))
+    for argv in (["bound"], ["solve-cov", "--method", "fixed-point"],
+                 ["solve-cov", "--method", "direct"], ["verify"]):
+        assert main(argv + ["--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: gamma: 0.5006478464929299 outside the stable range "
+            "(0, 0.5006478464929298)\n")
+
+
 def test_parse_config_accepts_what_a_run_holds_within_the_cap():
     # 100,000 replicates of the misspecified family at d=10 over 1000 steps
     # hold 65 MB: 48 MB of tail averages and final states, 12.8 MB of seeds,

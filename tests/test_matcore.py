@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from tailsgd import matcore
 from tailsgd.errors import DimensionError, NotSpdError
 from tailsgd.matcore import (
+    frobenius,
     matrix_norm_under,
     psd_order_leq,
+    sample_std,
     spd,
     spectral_norm,
     sym,
@@ -168,6 +170,26 @@ def test_sym_vec_is_trace_isometry(seed, d):
 def test_spectral_norm_matches_eigenvalues():
     m = np.diag([3.0, -5.0, 1.0])
     assert spectral_norm(m) == 5.0
+
+
+def test_scaled_norm_and_std_keep_numpys_bits_in_range():
+    g = np.random.default_rng(8)
+    for _ in range(500):
+        a = g.standard_normal(tuple(g.integers(2, 9, size=2))) * 10.0 ** g.uniform(-120, 120)
+        for m in (a, a.T, a[::2]):
+            assert frobenius(m) == np.linalg.norm(m, "fro")
+        assert frobenius(a[0]) == np.linalg.norm(a[0])
+        assert float(sample_std(a[0])) == a[0].std(ddof=1)
+        assert np.array_equal(sample_std(a, axis=0), a.std(axis=0, ddof=1))
+
+
+def test_scaled_norm_and_std_stay_finite_where_squares_do_not():
+    # numpy's squares overflow past about 1e154 and underflow below 1e-162
+    big, small = np.array([[3e200, -4e200]]), np.array([[3e-200, -4e-200]])
+    assert frobenius(big) == pytest.approx(5e200, rel=1e-15)
+    assert frobenius(small) == pytest.approx(5e-200, rel=1e-15)
+    assert float(sample_std(np.array([1e200, -1e200, 3e200]))) == pytest.approx(2e200, rel=1e-15)
+    assert frobenius(np.zeros((2, 2))) == 0.0 and float(sample_std(np.zeros(3))) == 0.0
 
 
 def _threads_started(setup: str, call: str) -> tuple[str, str]:

@@ -10,13 +10,16 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import tailsgd.harness as harness_mod
 from tailsgd.cli import main
 from tailsgd.errors import ConvergenceError, NonFiniteResultError
+from tailsgd.harness import _sampled_checks, config_from_dict
 from tailsgd.stationary import _FourthMomentSums
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -100,3 +103,32 @@ def test_overflowing_sampled_sums_fail_one_row(tmp_path):
     assert len(failed) == 1 and failed[0].split()[1] == "fourth-moment-sampled"
     assert "raised NonFiniteResultError(" in failed[0]
     assert run.stdout.endswith("20/21 checks passed\n")
+
+
+def _diag_doc(diag):
+    return {**HUGE_H, "distribution": {**HUGE_H["distribution"], "H_spec": {"diag": [diag, diag]}}}
+
+
+@pytest.mark.parametrize("diag", [1e55, 1e80, 1e100])
+def test_sampled_sums_of_a_large_correct_model_pass(tmp_path, capsys, diag):
+    # the sums are of x / 2^k and H / 4^k, 4^k near lambda_max(H); unscaled,
+    # the squares of (x^T H x) x x^T overflowed from about 1e55 and the row
+    # failed a correct model
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(_diag_doc(diag)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["verify", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("21/21 checks passed\n")
+
+
+@pytest.mark.parametrize("diag", [1.0, 1e80])
+def test_sampled_sums_still_fail_a_wrong_closed_form(diag):
+    cfg = config_from_dict(_diag_doc(diag))
+    op = cfg.operator
+    wrong = SimpleNamespace(apply=lambda m: 1.1 * op.apply(m))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        right = _sampled_checks(cfg.distribution, cfg.moments, op, cfg.seed)[0]
+        failed = _sampled_checks(cfg.distribution, cfg.moments, wrong, cfg.seed)[0]
+    assert right.passed and not failed.passed and failed.margin < 0.0
