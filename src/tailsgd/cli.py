@@ -128,7 +128,8 @@ def _cmd_bound(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _experiment(args)
-    report = run_experiment(cfg, workers=args.workers)
+    # a CSV row carries no bias/variance split
+    report = run_experiment(cfg, workers=args.workers, split=args.format == "json")
     if args.format == "csv":
         _emit(sweep_csv([sweep_row(0, cfg, report)]), args.out)
     else:

@@ -46,6 +46,12 @@ the conservative choice for badly misspecified noise.
 Replicate r of cell c under master seed s draws from the stream seeded by
 the tuple (s, c, r), so results do not depend on how replicates are batched
 across worker processes: running with 1 or many workers is bit-identical.
+
+An experiment advances the standard process and, for its bias/variance
+split, the bias and variance processes on the same draws.  A sweep row and
+``simulate --format csv`` carry no split, so they advance the standard
+process alone (``run_experiment(split=False)``), with the same bits.  The
+1 GiB count above still counts all three processes, an upper bound.
 """
 
 from __future__ import annotations
@@ -427,15 +433,15 @@ def _chunk_ranges(n: int, workers: int):
 
 
 def _tail_chunk(args):
-    spec, cfg, master, cell, lo, hi, moments = args
+    spec, cfg, master, cell, lo, hi, moments, processes = args
     seeds = [replicate_seed(master, cell, i) for i in range(lo, hi)]
-    res = run_replicates(spec, cfg, seeds, process=PROCESSES, moments=moments)
+    res = run_replicates(spec, cfg, seeds, process=processes, moments=moments)
     return res.tail_averages
 
 
-def _tail_averages(spec, cfg, moments, master, cell, n_rep, workers):
-    """(replicates, len(PROCESSES), d) tail averages of every process."""
-    jobs = [(spec, cfg, master, cell, lo, hi, moments)
+def _tail_averages(spec, cfg, moments, master, cell, n_rep, workers, processes):
+    """(replicates, len(processes), d) tail averages of the named processes."""
+    jobs = [(spec, cfg, master, cell, lo, hi, moments, processes)
             for lo, hi in _chunk_ranges(n_rep, workers)]
     if len(jobs) == 1:
         parts = [_tail_chunk(jobs[0])]
@@ -461,7 +467,9 @@ class RiskReport:
 
     ``bias_risk`` and ``var_risk`` measure the two halves of the same run:
     the noise-free process and the noise-driven process started at w*,
-    advanced alongside the standard process on the very same draws.  ``eff_ratio``
+    advanced alongside the standard process on the very same draws.  A run
+    without the split advances the standard process alone, and its four
+    split fields are None.  ``eff_ratio``
     is emp_risk * (T - t) / sigma2_mle, the distance from the large-sample
     optimum 1; it is reported as 0 for noiseless models.
     """
@@ -472,10 +480,10 @@ class RiskReport:
     ci_high: float
     bound: RiskBound
     constants: RateConstants
-    bias_risk: float
-    bias_stderr: float
-    var_risk: float
-    var_stderr: float
+    bias_risk: float | None
+    bias_stderr: float | None
+    var_risk: float | None
+    var_stderr: float | None
     eff_ratio: float
     replicates: int
     seed: int
@@ -484,18 +492,23 @@ class RiskReport:
         NonFiniteResultError.check(self)
 
 
-def run_experiment(cfg: ExperimentConfig, *, workers: int = 1, cell: int = 0) -> RiskReport:
-    """Estimate the tail-average risk (and its bias/variance split) and
-    evaluate the closed-form bound for the same run geometry."""
+def run_experiment(cfg: ExperimentConfig, *, workers: int = 1, cell: int = 0,
+                   split: bool = True) -> RiskReport:
+    """Estimate the tail-average risk and evaluate the closed-form bound for
+    the same run geometry.  With ``split`` the run also advances the bias and
+    variance processes and reports their risks; without it, it advances the
+    standard process alone, whose risk has the same bits either way."""
     m = cfg.moments
     # a non-finite bound fails here, before the simulation is paid for
     bound = bound_report(cfg)
     rc = bound["constants"]
     sgd_cfg = SgdConfig(gamma=cfg.gamma, w0=cfg.w0, t_avg_start=cfg.t, T=cfg.T)
+    processes = PROCESSES if split else ("standard",)
     tails = _tail_averages(cfg.distribution, sgd_cfg, m, cfg.seed, cell,
-                           cfg.replicates, workers)
-    stats = {p: _risk_stats(tails[:, k], m) for k, p in enumerate(PROCESSES)}
+                           cfg.replicates, workers, processes)
+    stats = {p: _risk_stats(tails[:, k], m) for k, p in enumerate(processes)}
     emp, se = stats["standard"]
+    bias, var = stats.get("bias", (None, None)), stats.get("variance", (None, None))
     eff = emp * (cfg.T - cfg.t) / rc.sigma2 if rc.sigma2 > 0.0 else 0.0
     return RiskReport(
         emp_risk=emp,
@@ -504,10 +517,10 @@ def run_experiment(cfg: ExperimentConfig, *, workers: int = 1, cell: int = 0) ->
         ci_high=emp + 1.96 * se,
         bound=bound["bound"],
         constants=rc,
-        bias_risk=stats["bias"][0],
-        bias_stderr=stats["bias"][1],
-        var_risk=stats["variance"][0],
-        var_stderr=stats["variance"][1],
+        bias_risk=bias[0],
+        bias_stderr=bias[1],
+        var_risk=var[0],
+        var_stderr=var[1],
         eff_ratio=eff,
         replicates=cfg.replicates,
         seed=cfg.seed,
@@ -858,8 +871,9 @@ def family_distribution(family: str, d: int, noise_sigma: float) -> dict:
 
 
 def sweep(sweep_cfg: SweepConfig, *, workers: int = 1) -> list[dict]:
-    """Run every cell of the grid; failed cells record the error message in
-    their row and the sweep continues."""
+    """Run every cell of the grid, each advancing the standard process alone,
+    since a row carries no bias/variance split; failed cells record the error
+    message in their row and the sweep continues."""
     rows = []
     cells = itertools.product(sweep_cfg.d, sweep_cfg.families,
                               sweep_cfg.gamma_rules, sweep_cfg.T)
@@ -876,7 +890,7 @@ def sweep(sweep_cfg: SweepConfig, *, workers: int = 1) -> list[dict]:
             if rule == "explicit":
                 doc["gamma"] = sweep_cfg.gamma
             cfg = config_from_dict(doc)
-            report = run_experiment(cfg, workers=workers, cell=cell_id)
+            report = run_experiment(cfg, workers=workers, cell=cell_id, split=False)
             row = sweep_row(cell_id, cfg, report)
         except TailSgdError as exc:
             row = dict.fromkeys(SWEEP_COLUMNS, "")

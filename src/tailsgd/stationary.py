@@ -252,11 +252,20 @@ def _damped_inverse(h, p, gamma: float) -> np.ndarray:
     return _eigen_inverse(lam, v, v.T @ p @ v, gamma)
 
 
+def _gamma_squared(gamma: float) -> float:
+    """gamma^2 as a Python float; NonFiniteResultError naming it where the
+    square overflows, which a float's ``**`` raises as a bare OverflowError."""
+    try:
+        return float(gamma) ** 2
+    except OverflowError:
+        raise NonFiniteResultError("gamma^2") from None
+
+
 def covariance_step(c, h, s_op: FourthMomentOperator, sigma, gamma: float) -> np.ndarray:
     """One application of the covariance recursion."""
     cc = sym(c)
     return sym(cc - gamma * anticommutator(cc, h)
-               + gamma ** 2 * (s_op.apply(cc) + sym(sigma)))
+               + _gamma_squared(gamma) * (s_op.apply(cc) + sym(sigma)))
 
 
 def stationary_residual(c, h, s_op: FourthMomentOperator, sigma, gamma: float) -> float:
@@ -366,16 +375,25 @@ def solve_stationary_fixed_point(h, s_op: FourthMomentOperator, sigma,
 
 def solve_stationary_gaussian(h, sigma, gamma: float) -> StationarySolution:
     """Solve the fixed-point equation for x ~ N(0, H) in closed form, in H's
-    eigenbasis with the scalar tau = Tr(HC) (module docstring)."""
+    eigenbasis with the scalar tau = Tr(HC) (module docstring).
+
+    It solves on (H / 4^k, gamma 4^k, Sigma / 16^k), with 4^k within a
+    factor of 4 of lambda_max(H): both sides of the equation scale by 1 / 4^k,
+    so C is the same, and its terms, such as lam_i Sigma~_ii, stay in float
+    range wherever C does.  Powers of two scale exactly, so C keeps every bit
+    of the unscaled solve where that neither overflows nor underflows.  The
+    residual is formed on the original scale."""
     s_op = FourthMomentOperator.gaussian(h)
     hh, _ = _gate(gamma, h, s_op)
     ss = sym(sigma)
-    lam, v = np.linalg.eigh(hh)
-    st = v.T @ ss @ v
-    delta = 2.0 * lam * (1.0 - gamma * lam)
-    tau = (gamma * float(np.sum(lam * np.diag(st) / delta))
-           / (1.0 - gamma * float(np.sum(lam ** 2 / delta))))
-    c = _eigen_inverse(lam, v, gamma * (st + tau * np.diag(lam)), 2.0 * gamma)
+    k = math.frexp(spectral_norm(hh))[1] // 2
+    lam, v = np.linalg.eigh(np.ldexp(hh, -2 * k))
+    g = math.ldexp(gamma, 2 * k)
+    st = v.T @ np.ldexp(ss, -4 * k) @ v
+    delta = 2.0 * lam * (1.0 - g * lam)
+    tau = (g * float(np.sum(lam * np.diag(st) / delta))
+           / (1.0 - g * float(np.sum(lam ** 2 / delta))))
+    c = _eigen_inverse(lam, v, g * (st + tau * np.diag(lam)), 2.0 * g)
     return _solution(c, hh, s_op, ss, gamma, method="closed-form")
 
 
@@ -437,5 +455,5 @@ def refined_trace_bound(sigma, h, gamma: float, r2: float) -> float:
     ss = sym(sigma)
     d = hh.shape[0]
     lead = 0.5 * gamma * float(np.trace(np.linalg.solve(hh, ss)))
-    tail = 0.5 * gamma ** 2 * r2 * d * matrix_norm_under(ss, hh) / (1.0 - gamma * r2)
+    tail = 0.5 * _gamma_squared(gamma) * r2 * d * matrix_norm_under(ss, hh) / (1.0 - gamma * r2)
     return lead + tail

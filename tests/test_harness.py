@@ -245,7 +245,7 @@ def test_run_bytes_bounds_what_a_run_holds(kind, d):
         count = run_bytes(d, reps, big_t, _diagonal(spec))
         tracemalloc.start()
         try:
-            _tail_averages(spec, cfg, m, 0, 0, reps, 1)
+            _tail_averages(spec, cfg, m, 0, 0, reps, 1, PROCESSES)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -262,7 +262,7 @@ def test_many_small_replicates_hold_one_group_of_streams():
     cfg = SgdConfig(gamma=0.3 / m.R2, w0=np.zeros(1), t_avg_start=0, T=1)
     tracemalloc.start()
     try:
-        _tail_averages(spec, cfg, m, 0, 0, 20_000, 1)
+        _tail_averages(spec, cfg, m, 0, 0, 20_000, 1, PROCESSES)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -303,6 +303,57 @@ def test_run_experiment_worker_invariance():
     assert solo.emp_risk == split.emp_risk
     assert solo.stderr == split.stderr
     assert solo.var_risk == split.var_risk
+
+
+def _spy_processes(monkeypatch) -> list:
+    """The ``process`` argument of every harness.run_replicates call, in order."""
+    calls = []
+    real = harness_mod.run_replicates
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("process", "standard"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness_mod, "run_replicates", spy)
+    return calls
+
+
+def test_each_command_advances_only_the_processes_it_reports(monkeypatch, tmp_path, capsys):
+    calls = _spy_processes(monkeypatch)
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({**WELL3, "T": 200, "replicates": 20}))
+    # a sweep row and a simulate CSV row carry no bias/variance split
+    sweep(parse_sweep_config(json.dumps({
+        "d": [1, 2], "families": ["well_specified"], "gamma_rules": ["half_inv_R2"],
+        "T": [100], "replicates": 10})))
+    assert calls == [("standard",)] * 2
+    calls.clear()
+    assert main(["simulate", "--config", str(config), "--format", "csv"]) == 0
+    assert calls == [("standard",)]
+    calls.clear()
+    assert main(["simulate", "--config", str(config)]) == 0
+    assert calls == [PROCESSES]
+    calls.clear()
+    assert main(["verify", "--config", str(config)]) == 0
+    # mean-recursion and bias-decay, then the experiment
+    assert calls == ["standard", "bias", PROCESSES]
+
+
+@pytest.mark.parametrize("doc", [
+    {**WELL3, "replicates": 23, "T": 300},
+    # a sub-blocked run whose draw plan differs with the process count:
+    # 256-row fills for three processes, 512 for one
+    {"distribution": family_distribution("misspecified", 10, 1.0),
+     "replicates": 73, "T": 300, "seed": 5},
+], ids=["well_specified", "other_plan"])
+def test_a_report_without_the_split_keeps_the_standard_bits(doc):
+    cfg = config_from_dict(doc)
+    both, alone = run_experiment(cfg), run_experiment(cfg, split=False)
+    assert (alone.bias_risk, alone.bias_stderr, alone.var_risk, alone.var_stderr) == (None,) * 4
+    assert None not in (both.bias_risk, both.bias_stderr, both.var_risk, both.var_stderr)
+    for name in ("emp_risk", "stderr", "eff_ratio"):
+        assert getattr(alone, name).hex() == getattr(both, name).hex(), name
+    assert alone.bound == both.bound and alone.constants == both.constants
 
 
 def test_verification_all_pass_on_gaussian_and_discrete():
@@ -662,7 +713,7 @@ def test_tail_averages_sets_no_blas_thread_count(monkeypatch):
                         lambda: (lambda: calls.append("get") or 2, calls.append))
     for cfg in (misspec_d10(0), config_from_dict({**dense_h_experiment(3), "T": 1024})):
         sgd_cfg = SgdConfig(gamma=cfg.gamma, w0=cfg.w0, t_avg_start=cfg.t, T=cfg.T)
-        _tail_averages(cfg.distribution, sgd_cfg, cfg.moments, cfg.seed, 0, 4, 1)
+        _tail_averages(cfg.distribution, sgd_cfg, cfg.moments, cfg.seed, 0, 4, 1, PROCESSES)
     assert calls == []
 
 

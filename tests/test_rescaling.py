@@ -1,8 +1,9 @@
 """A model and its power-of-two rescaling give the same results.
 
 Scale a Gaussian model by H -> 4^k H, noise_sigma -> 2^k sigma (well
-specified) or sigma (``norm_x``) and an explicit gamma -> gamma / 4^k, with w0
-and w* fixed.  Then x and y scale by 2^k, gamma R^2 is unchanged, and every
+specified) or sigma (``norm_x``), or a discrete support by x, y_mean, y_std
+-> 2^k times themselves, and an explicit gamma -> gamma / 4^k, with w0 and w*
+fixed.  Then x and y scale by 2^k, gamma R^2 is unchanged, and every
 trajectory is the same: risks and bounds scale by 4^k, and every ``verify``
 verdict is the same, on the correct model and on a wrong one.  All factors
 are powers of two, so floating point keeps this bit for bit until something
@@ -21,6 +22,10 @@ from tailsgd.harness import bound_report, config_from_dict, run_experiment, run_
 from tailsgd.stationary import FourthMomentOperator
 
 KS = (-130, -60, 0, 60, 90, 130, 160)
+# the d=2 support of the golden discrete model (test_golden.py): x, y_mean,
+# y_std and prob of each atom
+SUPPORT = (((1.0, 0.0), 1.0, 0.5, 0.3), ((0.0, 2.0), -1.0, 0.25, 0.3),
+           ((1.0, 1.0), 0.5, 1.0, 0.4))
 
 # log2 of the factor each report field scales by, per unit of k
 REPORT_SCALES = {"emp_risk": 2, "stderr": 2, "ci_low": 2, "ci_high": 2, "bias_risk": 2,
@@ -31,6 +36,14 @@ REPORT_SCALES = {"emp_risk": 2, "stderr": 2, "ci_low": 2, "ci_high": 2, "bias_ri
 
 
 def _document(kind, k):
+    if kind == "discrete":
+        return {"distribution": {"kind": kind, "d": 2, "support": [
+                    {"x": [math.ldexp(v, k) for v in x], "y_mean": math.ldexp(mean, k),
+                     "y_std": math.ldexp(std, k), "prob": prob}
+                    for x, mean, std, prob in SUPPORT]},
+                "gamma_rule": "explicit", "gamma": math.ldexp(0.1, -2 * k),
+                "t_rule": "explicit", "t": 25, "T": 50, "w0": [0.5, 0.0],
+                "replicates": 8, "seed": 3}
     sigma = math.ldexp(0.5, k) if kind == "gaussian_well_specified" else 0.5
     return {"distribution": {"kind": kind, "d": 3, "noise_sigma": sigma,
                              "H_spec": {"diag": [math.ldexp(v, 2 * k) for v in (1.0, 0.5, 0.25)]},
@@ -48,14 +61,16 @@ def _values(cfg):
 
 
 def _verdicts(cfg):
-    # the wrong model: an operator built for 1.1 H
-    wrong = dataclasses.replace(
-        cfg, operator=FourthMomentOperator.gaussian(1.1 * cfg.moments.H))
+    # the wrong model: an operator built for 1.1 H, or for the support 1.1 x
+    support = cfg.distribution.support
+    op = (FourthMomentOperator.discrete([1.1 * a.x for a in support], [a.prob for a in support])
+          if support else FourthMomentOperator.gaussian(1.1 * cfg.moments.H))
+    wrong = dataclasses.replace(cfg, operator=op)
     return ([r.passed for r in run_verification(cfg)],
             [r.passed for r in run_verification(wrong)])
 
 
-@pytest.mark.parametrize("kind", ["gaussian_well_specified", "gaussian_misspecified"])
+@pytest.mark.parametrize("kind", ["gaussian_well_specified", "gaussian_misspecified", "discrete"])
 def test_power_of_two_rescaling_keeps_every_result(kind):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

@@ -89,11 +89,9 @@ def test_a_raising_check_fails_its_row_alone(tmp_path, capsys, monkeypatch,
     assert checks[:failed] + checks[failed + 1:] == clean[:failed] + clean[failed + 1:]
 
 
-def test_overflowing_sampled_sums_fail_one_row(tmp_path):
-    # the sums of (x^T H x)^2 x x^T overflow at H = 1e110 I; the document
-    # once ended in a ValueError traceback from matcore.sym
+def _fails_only_the_sampled_row(tmp_path, doc):
     path = tmp_path / "exp.json"
-    path.write_text(json.dumps(HUGE_H))
+    path.write_text(json.dumps(doc))
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "tailsgd.cli",
                           "verify", "--config", str(path)],
@@ -103,6 +101,22 @@ def test_overflowing_sampled_sums_fail_one_row(tmp_path):
     assert len(failed) == 1 and failed[0].split()[1] == "fourth-moment-sampled"
     assert "raised NonFiniteResultError(" in failed[0]
     assert run.stdout.endswith("20/21 checks passed\n")
+
+
+def test_overflowing_sampled_sums_fail_one_row(tmp_path):
+    # the sums of (x^T H x)^2 x x^T overflow at H = 1e110 I; the document
+    # once ended in a ValueError traceback from matcore.sym
+    _fails_only_the_sampled_row(tmp_path, HUGE_H)
+
+
+def test_closed_form_solve_of_a_huge_model_stays_in_range(tmp_path):
+    # the closed-form solve runs on H / 4^k; unscaled, lam_i Sigma~_ii
+    # overflowed at H = 1e150 I on the misspecified model and verify ended
+    # in a traceback, exit 1.  Past H ~ 1e103 the sampled sums overflow, as
+    # on HUGE_H, and that row alone fails
+    _fails_only_the_sampled_row(tmp_path, {**HUGE_H, "distribution": {
+        **HUGE_H["distribution"], "kind": "gaussian_misspecified",
+        "H_spec": {"diag": [1e150, 1e150]}}})
 
 
 def _diag_doc(diag):
