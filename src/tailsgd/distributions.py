@@ -22,9 +22,11 @@ where its row sits in its draw, and numpy forms a one-row draw's with dot.
 
 A Philox stream is fully defined by its key, so ``sample_streams`` derives
 the keys of many seeds in one vectorized pass of numpy's SeedSequence hash
-and keys each stream directly; ``SampleStream(spec, seed)`` hashes its one
-seed through numpy's SeedSequence, which is faster for a single seed and is
-the reference the batched hash is tested against.  numpy.random is imported
+and keys each stream directly; a ``SeedRange`` of seeds (master, cell, i)
+is hashed as one uint32 matrix, never as a list of tuples.
+``SampleStream(spec, seed)`` hashes its one seed through numpy's
+SeedSequence, which is faster for a single seed and is the reference the
+batched hash is tested against.  numpy.random is imported
 by the first stream built, not by importing this module.
 
 Sampling has two steps with one path.  A stream fills the raw variates of
@@ -318,9 +320,46 @@ class SampleStream:
         return raw
 
 
+@dataclass(frozen=True)
+class SeedRange:
+    """The seeds (master, cell, i) for lo <= i < hi, the replicates of one
+    run or chunk, held as four ints instead of one tuple per seed.  It is
+    sliced like a list of those tuples, and ``_philox_keys`` hashes it as one
+    uint32 matrix, with the keys of the tuples bit for bit.  Indices stay
+    below 2^32, one SeedSequence word each."""
+
+    master: int
+    cell: int
+    lo: int
+    hi: int
+
+    def __post_init__(self):
+        if not 0 <= self.lo <= self.hi <= 1 << 32:
+            raise ValueError(f"need 0 <= lo <= hi <= 2^32, got [{self.lo}, {self.hi})")
+
+    def __len__(self) -> int:
+        return self.hi - self.lo
+
+    def __getitem__(self, part: slice) -> SeedRange:
+        lo, hi, step = part.indices(len(self))
+        if step != 1:
+            raise ValueError(f"a seed range slices with step 1, got {step}")
+        return SeedRange(self.master, self.cell, self.lo + lo, self.lo + max(lo, hi))
+
+    def words(self) -> np.ndarray:
+        """The (len, words) uint32 matrix of the seeds' SeedSequence words:
+        those of master and cell, then the index."""
+        head = _seed_words(self.master) + _seed_words(self.cell)
+        out = np.empty((len(self), len(head) + 1), dtype=np.uint32)
+        out[:, :-1] = head
+        out[:, -1] = np.arange(self.lo, self.hi)
+        return out
+
+
 def sample_streams(spec: DistributionSpec, seeds) -> list[SampleStream]:
     """One stream per seed, each drawing exactly as ``SampleStream(spec, seed)``
-    does, with the Philox keys of all seeds hashed in one vectorized pass."""
+    does, with the Philox keys of all seeds hashed in one vectorized pass;
+    ``seeds`` is a sequence of seeds or a SeedRange."""
     key_seed = _key_seed_type()
     return [SampleStream(spec, key_seed(key)) for key in _philox_keys(seeds)]
 
@@ -352,7 +391,9 @@ def _philox_keys(seeds) -> np.ndarray:
 
     Seeds are hashed in groups of equal word count, each group as columns of
     uint32 arrays; the hash constants evolve the same way for every seed of
-    a group, so they stay Python ints."""
+    a group, so they stay Python ints.  A SeedRange is one such group."""
+    if isinstance(seeds, SeedRange):
+        return _key_words(seeds.words()).view("<u8")
     words = [_seed_words(s) for s in seeds]
     by_length: dict[int, list[int]] = {}
     for i, w in enumerate(words):

@@ -27,7 +27,7 @@ rejected, and a malformed document raises ConfigError naming its field.  ::
     }
 
 A run may hold at most 1 GiB, counted before the model is built
-(sgd.run_bytes): the outputs and seeds of every replicate, the transform's
+(sgd.run_bytes): the outputs of every replicate, the transform's
 temporaries, and one group as sgd.draw_plan sizes it, at most 2 MiB (draws,
 state and streams) unless a floor binds.  The plan needs only d and the
 draw form, which the model's own rule reads from H_spec: a full matrix whose
@@ -46,6 +46,13 @@ the conservative choice for badly misspecified noise.
 Replicate r of cell c under master seed s draws from the stream seeded by
 the tuple (s, c, r), so results do not depend on how replicates are batched
 across worker processes: running with 1 or many workers is bit-identical.
+A run or worker chunk passes its replicates lo <= r < hi as one
+``SeedRange(s, c, lo, hi)``, keyed as one uint32 matrix with no seed list.
+
+``verify``'s ``covariance-monotone`` and ``covariance-trace-cap`` read one
+walk of 300 steps of the covariance recursion (``covariance_walk``).  On a
+Gaussian model it runs in H's eigenbasis from the closed-form solve's
+eigendecomposition, O(d) a step; on a discrete one it takes dense steps.
 
 An experiment advances the standard process and, for its bias/variance
 split, the bias and variance processes on the same draws.  A sweep row and
@@ -87,6 +94,7 @@ from .distributions import (
     DistributionSpec,
     Moments,
     SampleStream,
+    SeedRange,
     SupportAtom,
     draws_diagonally,
     estimate_moments,
@@ -107,7 +115,7 @@ from .stationary import (
     FourthMomentOperator,
     _damped_inverse,
     _FourthMomentSums,
-    covariance_step,
+    covariance_walk,
     crude_bound,
     refined_trace_bound,
     solve_stationary_direct,
@@ -414,7 +422,7 @@ def bound_report(cfg: ExperimentConfig) -> dict:
 
 def replicate_seed(master: int, cell: int, index: int) -> tuple[int, int, int]:
     """Seed tuple of one replicate; the flat layout keeps results independent
-    of worker batching."""
+    of worker batching.  A run keys a range of them as one SeedRange."""
     return (int(master), int(cell), int(index))
 
 
@@ -434,8 +442,8 @@ def _chunk_ranges(n: int, workers: int):
 
 def _tail_chunk(args):
     spec, cfg, master, cell, lo, hi, moments, processes = args
-    seeds = [replicate_seed(master, cell, i) for i in range(lo, hi)]
-    res = run_replicates(spec, cfg, seeds, process=processes, moments=moments)
+    res = run_replicates(spec, cfg, SeedRange(master, cell, lo, hi), process=processes,
+                         moments=moments)
     return res.tail_averages
 
 
@@ -688,27 +696,18 @@ def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckRe
         return _at_most(diff, cap, f"|C_fp - C|_F={diff:.3e}{via}")
 
     @functools.cache
-    def covariance_walk():
-        # 300 steps of the recursion from C = 0, shared by the next two checks:
-        # the smallest eigenvalue of each step, relative to max(1, |C|_F), and
-        # the largest trace of an iterate
-        c = np.zeros_like(h)
-        low, top = math.inf, -math.inf
-        for _ in range(300):
-            nxt = covariance_step(c, h, op, sigma, gamma)
-            gap = float(np.linalg.eigvalsh(nxt - c)[0])
-            low = min(low, gap / max(1.0, frobenius(nxt)))
-            top = max(top, float(np.trace(nxt)))
-            c = nxt
-        return low, top
+    def walk():
+        # 300 steps of the recursion from C = 0, shared by the next two checks;
+        # a Gaussian model walks in the closed-form solve's eigenbasis
+        return covariance_walk(h, op, sigma, gamma, basis=sol_dir.basis)
 
     def c_monotone():
-        worst, _ = covariance_walk()
+        worst, _ = walk()
         return worst >= -1e-12, worst, "iterates increase in the semidefinite order"
 
     def c_trace_cap():
         cap = gamma * float(np.trace(sigma)) / m.mu
-        worst = max(covariance_walk()[1], float(np.trace(sol_fp.cov)))
+        worst = max(walk()[1], float(np.trace(sol_fp.cov)))
         return _at_most(worst, cap, f"max trace {worst:.6e} vs gamma Tr(Sigma)/mu = {cap:.6e}",
                         limit=cap * (1.0 + 1e-12) + 1e-300)
 
@@ -752,8 +751,7 @@ def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckRe
     def c_mean_recursion():
         t_star, reps = 30, 2000
         run_cfg = SgdConfig(gamma=gamma, w0=cfg.w0, t_avg_start=0, T=t_star + 1)
-        seeds = [replicate_seed(cfg.seed, 904, i) for i in range(reps)]
-        res = run_replicates(spec, run_cfg, seeds, moments=m,
+        res = run_replicates(spec, run_cfg, SeedRange(cfg.seed, 904, 0, reps), moments=m,
                              snapshot_steps=(t_star,))
         w_t = res.snapshots[0]
         theory = np.linalg.matrix_power(eye - gamma * h, t_star) @ (cfg.w0 - m.w_star)
@@ -765,9 +763,8 @@ def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckRe
         reps = 1000
         ts = [t for t in (10, 100) if t <= cfg.T] or [cfg.T]
         run_cfg = SgdConfig(gamma=gamma, w0=cfg.w0, t_avg_start=0, T=max(ts) + 1)
-        seeds = [replicate_seed(cfg.seed, 905, i) for i in range(reps)]
-        res = run_replicates(spec, run_cfg, seeds, process="bias", moments=m,
-                             snapshot_steps=ts)
+        res = run_replicates(spec, run_cfg, SeedRange(cfg.seed, 905, 0, reps),
+                             process="bias", moments=m, snapshot_steps=ts)
         d0 = bound["dist0_sq"]
         worst, details = math.inf, []
         for k, t in enumerate(res.snapshot_steps):

@@ -38,6 +38,7 @@ from .distributions import (
     DistributionSpec,
     Moments,
     SampleStream,
+    SeedRange,
     draw_block,
     exact_moments,
     sample_moments,
@@ -75,11 +76,10 @@ PROCESSES = ("standard", "bias", "variance")
 
 # Bytes a run holds beside its arrays, with about a sixth to spare over
 # what tracemalloc measured: 1,100 for each keyed stream of a group (a
-# Philox generator and its key) and 111 for each seed of the run's seed
-# lists; and a fixed allowance for its Python objects, its start points and
-# numpy's ufunc buffers, which a reduction over ||x|| takes 128 KiB of
+# Philox generator and its key); and a fixed allowance for its Python
+# objects, its start points and numpy's ufunc buffers, which a reduction
+# over ||x|| takes 128 KiB of.  No seed list: runs pass a SeedRange
 _STREAM_BYTES = 1280
-_SEED_BYTES = 128
 _FIXED_BYTES = 2 ** 18
 
 # Per-row arrays of the pairs transform beside x or the squares of ||x||:
@@ -217,15 +217,15 @@ def draw_plan(d: int, replicates: int, T: int, diagonal: bool, processes: int) -
 
 def run_bytes(d: int, replicates: int, T: int, diagonal: bool) -> int:
     """Bytes that a run of ``replicates`` seeds advancing every process
-    holds at most, snapshots aside: the tail averages, final states and
-    seeds of every replicate; one group as draw_plan sizes it; and the pairs
+    holds at most, snapshots aside: the tail averages and final states of
+    every replicate; one group as draw_plan sizes it; and the pairs
     transform's temporaries over one chunk of at most _ROW_BLOCK rows, with
     a fixed allowance.  It needs only d and the form of the factor, so a
     config is checked against it before its model is built."""
     processes = len(PROCESSES)
     rows, group = draw_plan(d, replicates, T, diagonal, processes)
     chunk = min(group * _fill_rows(rows, T), _ROW_BLOCK)
-    return (replicates * (16 * processes * d + _SEED_BYTES)
+    return (replicates * 16 * processes * d
             + group * _replicate_bytes(d, rows, T, processes)
             + 8 * chunk * (d + _ROW_ARRAYS) + _FIXED_BYTES)
 
@@ -235,6 +235,8 @@ def run_replicates(spec: DistributionSpec, config: SgdConfig, seeds, *,
                    moments: Moments | None = None, snapshot_steps=()) -> BatchResult:
     """Run SGD for each seed, vectorized across replicates.
 
+    ``seeds`` is a sequence of seeds, or a SeedRange, which the run keys
+    group by group without a seed list.
     ``process`` names one of PROCESSES, giving (replicates, d) outputs, or a
     tuple of them, giving (replicates, len(process), d) outputs whose rows
     advance together on each replicate's one sample stream.
@@ -249,7 +251,8 @@ def run_replicates(spec: DistributionSpec, config: SgdConfig, seeds, *,
     d = spec.d
     if config.w0.shape != (d,):
         raise DimensionError(f"w0 has shape {config.w0.shape}, expected ({d},)")
-    seeds = list(seeds)
+    if not isinstance(seeds, SeedRange):
+        seeds = list(seeds)
     n_rep = len(seeds)
     if n_rep < 1:
         raise ValueError("need at least one seed")

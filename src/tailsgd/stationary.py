@@ -53,8 +53,11 @@ all positive below gamma < 1/R^2 = 1/(2 lam_max + Tr H) (Sherman-Morrison;
 Defossez & Bach, 2015).  So ``solve_stationary_gaussian`` costs O(d^3).
 L0^{-1}, that closed form and verify's inverse of the damped drift
 H M + M H - gamma H M H all divide entrywise in H's eigenbasis
-(``_eigen_inverse``).  Two a-priori bounds on the fixed point (a
-spectral-norm cap and a sharper trace cap) are provided alongside.
+(``_eigen_inverse``).  The same eigenbasis diagonalizes the recursion
+itself where Sigma commutes with H, as for both Gaussian kinds: from C = 0
+every iterate is V diag(v) V^T, so ``covariance_walk`` steps a d-vector.
+Two a-priori bounds on the fixed point (a spectral-norm cap and a sharper
+trace cap) are provided alongside.
 """
 
 from __future__ import annotations
@@ -95,6 +98,10 @@ from .matcore import (
 _FP_TOL, _FP_RESID_RTOL, _FP_MAX_ITER = 1e-11, 1e-8, 1_000_000
 _COND_MAX = 1e14
 _PSD_TOL = 1e-10
+# covariance_walk's largest off-diagonal entry of V^T Sigma V, relative to
+# its largest diagonal one, at which Sigma counts as diagonal in H's
+# eigenbasis; rounding leaves about sqrt(d) ulps
+_COMMUTE_RTOL = 1e-12
 
 
 class FourthMomentOperator:
@@ -207,7 +214,8 @@ class _FourthMomentSums:
         # with u_k = (x_k^T M x_k) x_k, the first moment is sum_k u_k x_k^T
         # and the entrywise second moment is (u o u)^T (x o x)
         with np.errstate(over="ignore", invalid="ignore"):
-            xb = np.ldexp(xb, -self.k)
+            if self.k:
+                xb = np.ldexp(xb, -self.k)
             u = xb * _quad_forms(xb, self._m)[:, None]
             self._first += u.T @ xb
             u *= u
@@ -268,6 +276,65 @@ def covariance_step(c, h, s_op: FourthMomentOperator, sigma, gamma: float) -> np
                + _gamma_squared(gamma) * (s_op.apply(cc) + sym(sigma)))
 
 
+def covariance_walk(h, s_op: FourthMomentOperator, sigma, gamma: float, *,
+                    basis=None, steps: int = 300) -> tuple[float, float]:
+    """Two statistics of ``steps`` steps of the covariance recursion from
+    C = 0: the smallest eigenvalue of each step C_{s+1} - C_s relative to
+    max(1, ||C_{s+1}||_F), and the largest trace of an iterate.
+
+    For a Gaussian operator of this H and a Sigma that commutes with H (both
+    Gaussian kinds' Sigma), every iterate is V diag(v_s) V^T, with
+    H = V diag(lam) V^T given as ``basis`` = (lam, V) or taken here, and
+
+        v_{s+1} = a o v_s + gamma^2 lam (lam . v_s) + gamma^2 Sigma~,
+        a = (1 - gamma lam)^2 + gamma^2 lam^2,  Sigma~ = diag(V^T Sigma V),
+
+    so a step costs O(d): its eigenvalues are v_{s+1} - v_s, ||C||_F = ||v||_2
+    and Tr(C) = sum(v).  Any other operator, or a Sigma off H's eigenbasis,
+    walks the dense recursion (``covariance_step``)."""
+    hh, ss = sym(h), sym(sigma)
+    if s_op.kind == "gaussian" and np.array_equal(s_op._h, hh):
+        lam, v = np.linalg.eigh(hh) if basis is None else basis
+        st = v.T @ ss @ v
+        diag = np.diag(st)
+        if np.max(np.abs(st - np.diag(diag))) <= _COMMUTE_RTOL * np.max(np.abs(diag)):
+            return _eigen_walk(lam, diag, gamma, steps)
+    return _dense_walk(hh, s_op, ss, gamma, steps)
+
+
+def _eigen_walk(lam, sigma_t, gamma: float, steps: int) -> tuple[float, float]:
+    """``covariance_walk`` on the diagonals v_s in H's eigenbasis.  The drift
+    and quartic terms are formed from gamma lam; the forcing squares gamma as
+    ``covariance_step`` does, raising NonFiniteResultError where it overflows."""
+    gl = gamma * lam
+    a = (1.0 - gl) ** 2 + gl ** 2
+    force = _gamma_squared(gamma) * sigma_t
+    c = np.zeros((steps + 1, lam.size))
+    for s in range(steps):
+        c[s + 1] = a * c[s] + gl * (gl @ c[s]) + force
+    it = c[1:]
+    # each iterate's 2-norm as matcore.frobenius forms it, on v / 2^k
+    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(it), axis=1, keepdims=True))[1] - 1)
+    norms = np.linalg.norm(it / scale, axis=1) * scale[:, 0]
+    low = np.min(np.diff(c, axis=0), axis=1) / np.maximum(1.0, norms)
+    return float(low.min()), float(it.sum(axis=1).max())
+
+
+def _dense_walk(h, s_op: FourthMomentOperator, sigma, gamma: float,
+                steps: int) -> tuple[float, float]:
+    """``covariance_walk`` on d x d iterates, one ``covariance_step`` and one
+    eigendecomposition a step."""
+    c = np.zeros_like(h)
+    low, top = math.inf, -math.inf
+    for _ in range(steps):
+        nxt = covariance_step(c, h, s_op, sigma, gamma)
+        gap = float(np.linalg.eigvalsh(nxt - c)[0])
+        low = min(low, gap / max(1.0, frobenius(nxt)))
+        top = max(top, float(np.trace(nxt)))
+        c = nxt
+    return low, top
+
+
 def stationary_residual(c, h, s_op: FourthMomentOperator, sigma, gamma: float) -> float:
     """Frobenius norm of the fixed-point equation defect
     || (HC + CH) - gamma (S(C) + Sigma) ||_F."""
@@ -282,7 +349,9 @@ class StationarySolution:
 
     ``residual`` is the recomputed equation defect of the returned matrix;
     ``iterations`` is set by the fixed-point solver, ``condition`` by the
-    direct solver.  ``exact`` mirrors the operator backing.
+    direct solver.  ``exact`` mirrors the operator backing.  ``basis`` is
+    (lam, V) with H = V diag(lam) V^T where the solve took H's
+    eigendecomposition (the closed form), for ``covariance_walk`` to reuse.
     """
 
     cov: np.ndarray
@@ -291,6 +360,7 @@ class StationarySolution:
     exact: bool
     iterations: int | None = None
     condition: float | None = None
+    basis: tuple | None = None
 
     def __post_init__(self):
         NonFiniteResultError.check(self)
@@ -323,7 +393,10 @@ def ensure_psd_solution(c) -> np.ndarray:
 
 
 def _solution(c, hh, s_op: FourthMomentOperator, ss, gamma: float, **diagnostics):
-    """The record of a solve: its PSD-clipped C and that C's equation defect."""
+    """The record of a solve: its PSD-clipped C and that C's equation defect;
+    NonFiniteResultError where C itself leaves float range."""
+    if not np.isfinite(c).all():
+        raise NonFiniteResultError("cov")
     c = ensure_psd_solution(c)
     return StationarySolution(cov=c, residual=stationary_residual(c, hh, s_op, ss, gamma),
                               exact=s_op.exact, **diagnostics)
@@ -354,11 +427,12 @@ def solve_stationary_fixed_point(h, s_op: FourthMomentOperator, sigma,
     c = np.zeros_like(hh)
     iterations = 0
     for iterations in range(1, _FP_MAX_ITER + 1):
-        rhs = gamma * (s_op.apply(c) + ss)
-        nxt = _eigen_inverse(lam, v, v.T @ rhs @ v, 0.0)  # L0^{-1}(rhs)
-        nxt = 0.5 * (nxt + nxt.T)
-        # any non-finite entry of nxt makes step non-finite
-        step = float(np.sum(hh * (nxt - c)))
+        # any non-finite entry of nxt makes step non-finite, silently
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs = gamma * (s_op.apply(c) + ss)
+            nxt = _eigen_inverse(lam, v, v.T @ rhs @ v, 0.0)  # L0^{-1}(rhs)
+            nxt = 0.5 * (nxt + nxt.T)
+            step = float(np.sum(hh * (nxt - c)))
         if not np.isfinite(step):
             raise ConvergenceError(
                 f"iteration diverged after {iterations} steps (gamma too large "
@@ -394,7 +468,8 @@ def solve_stationary_gaussian(h, sigma, gamma: float) -> StationarySolution:
     tau = (g * float(np.sum(lam * np.diag(st) / delta))
            / (1.0 - g * float(np.sum(lam ** 2 / delta))))
     c = _eigen_inverse(lam, v, g * (st + tau * np.diag(lam)), 2.0 * g)
-    return _solution(c, hh, s_op, ss, gamma, method="closed-form")
+    return _solution(c, hh, s_op, ss, gamma, method="closed-form",
+                     basis=(np.ldexp(lam, 2 * k), v))
 
 
 def operator_matrix(apply_fn, d: int) -> np.ndarray:

@@ -4,7 +4,7 @@ in exit 0, 2 or 4 from the CLI, never in an uncaught exception or a
 non-finite number printed with exit 0; a sweep document must parse or raise
 ConfigError.  Only parsing and the cheap commands run here.  Finite inputs
 whose moments overflow are bases too: each exits 2 naming its field, as does
-an H_spec so small that E[||x||^2 x x^T] underflows to 0.  So are three
+an H_spec so small that E[||x||^2 x x^T] underflows to 0.  So are four
 models at the edges of float range, on which every model command ends in a
 documented exit code with no RuntimeWarning."""
 
@@ -57,6 +57,12 @@ EDGES = {
                                    "noise_sigma": 1.0, "H_spec": {"diag": [5e-156, 5e-156]}},
                   "T": 20, "replicates": 10},
                  {"bound": 0, "simulate": 0, "fixed-point": 4, "direct": 4, "verify": 3}),
+    # the stationary covariance itself, about sigma^2 / lambda = 1e310,
+    # overflows: the direct solve ended in a traceback
+    "cov-1e310": ({"distribution": {"kind": "gaussian_well_specified", "d": 2,
+                                    "noise_sigma": 1e80, "H_spec": {"diag": [1e-150, 1e-150]}},
+                   "T": 20, "replicates": 10},
+                  {"bound": 0, "simulate": 0, "fixed-point": 4, "direct": 4, "verify": 4}),
 }
 COMMANDS = {"bound": ["bound"], "simulate": ["simulate"],
             "fixed-point": ["solve-cov", "--method", "fixed-point"],
@@ -146,6 +152,8 @@ def test_models_at_the_edges_of_float_range_exit_cleanly(tmp_path, capsys, edge,
                                         for line in failed)
     if edge == "h-5e-156" and code == 4:
         assert err == "numerical failure: gamma^2: result is NaN or infinite\n"
+    if edge == "cov-1e310" and command == "direct":
+        assert err == "numerical failure: cov: result is NaN or infinite\n"
 
 
 @pytest.mark.parametrize("doc, field", OVERFLOWS.values(), ids=OVERFLOWS)

@@ -10,6 +10,7 @@ from tailsgd.distributions import (
     DistributionSpec,
     Moments,
     SampleStream,
+    SeedRange,
     SupportAtom,
     _philox_keys,
     draws_diagonally,
@@ -220,6 +221,28 @@ def test_batched_keys_mix_word_layouts_in_one_batch():
     assert keys.shape == (len(seeds), 2) and keys.dtype == np.uint64
     for seed, key in zip(seeds, keys):
         assert np.array_equal(key, seed_sequence_key(seed)), seed
+
+
+@pytest.mark.parametrize("master, cell, lo, hi", [
+    (0, 0, 0, 3), (7, 1, 0, 4), (2 ** 32, 0, 0, 5), (2 ** 32 - 1, 2 ** 32, 5, 9),
+    (2 ** 64 - 1, 905, 0, 3), (2 ** 40 + 3, 2 ** 64 - 1, 2 ** 32 - 3, 2 ** 32),
+])
+def test_batched_range_keys_equal_seed_sequence(master, cell, lo, hi):
+    # the seeds (master, cell, i) for lo <= i < hi as one uint32 matrix, with
+    # masters and cells of one and two words, and cell or index 0
+    seeds = [(master, cell, i) for i in range(lo, hi)]
+    keys = _philox_keys(SeedRange(master, cell, lo, hi))
+    assert keys.shape == (hi - lo, 2) and keys.dtype == np.uint64
+    assert np.array_equal(keys, [seed_sequence_key(s) for s in seeds])
+    assert np.array_equal(keys, _philox_keys(seeds))
+    assert np.array_equal(_philox_keys(SeedRange(master, cell, lo, hi)[1:-1]), keys[1:-1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEED_ENTRY, SEED_ENTRY, st.integers(0, 2 ** 32 - 8), st.integers(1, 8))
+def test_range_keys_equal_tuple_keys(master, cell, lo, n):
+    assert np.array_equal(_philox_keys(SeedRange(master, cell, lo, lo + n)),
+                          _philox_keys([(master, cell, i) for i in range(lo, lo + n)]))
 
 
 @pytest.mark.parametrize("seed, error", [

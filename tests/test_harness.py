@@ -157,8 +157,8 @@ def test_parse_config_counts_the_state_of_short_runs():
 
 
 def test_every_spelling_of_a_diagonal_h_spec_is_counted_alike():
-    # 200,000 replicates at d=100 over 1000 steps hold 1,009,797,120 bytes
-    # drawn diagonally and 1,102,258,176 through a dense factor, over the cap:
+    # 200,000 replicates at d=100 over 1000 steps hold 984,197,120 bytes
+    # drawn diagonally and 1,076,658,176 through a dense factor, over the cap:
     # the identity written out in full was once counted dense and refused
     d, dense = 100, np.eye(100) + 0.001
     assert run_bytes(d, 200_000, 1000, True) < 2 ** 30 < run_bytes(d, 200_000, 1000, False)
@@ -198,9 +198,9 @@ def test_a_gamma_at_the_operators_bound_is_refused_by_every_command(tmp_path, ca
 
 def test_parse_config_accepts_what_a_run_holds_within_the_cap():
     # 100,000 replicates of the misspecified family at d=10 over 1000 steps
-    # hold 65 MB: 48 MB of tail averages and final states, 12.8 MB of seeds,
-    # and one group at the floor of 256 replicates, 2.1 MB with its draws,
-    # state and streams.  Whole 512-row fills of every replicate at once
+    # hold 52 MB: 48 MB of tail averages and final states, and one group at
+    # the floor of 256 replicates, 2.1 MB with its draws, state and streams;
+    # the seeds are one range, not a list of 12.8 MB.  Whole 512-row fills of every replicate at once
     # came to 4.7 GB, refused
     for reps, low, high in ((100_000, 48e6, 70e6), (10 ** 6, 480e6, 700e6)):
         cfg = config_from_dict({"distribution": family_distribution("misspecified", 10, 1.0),

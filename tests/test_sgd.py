@@ -6,7 +6,13 @@ import pytest
 
 import tailsgd.sgd as sgd_mod
 from helpers import discrete_spec, gaussian_spec, random_spd
-from tailsgd.distributions import DistributionSpec, SampleStream, SupportAtom, exact_moments
+from tailsgd.distributions import (
+    DistributionSpec,
+    SampleStream,
+    SeedRange,
+    SupportAtom,
+    exact_moments,
+)
 from tailsgd.errors import DimensionError, EmptyWindowError, StepSizeError
 from tailsgd.distributions import sample_streams
 from tailsgd.matcore import _DRAW_BUDGET
@@ -362,6 +368,18 @@ GROUPED_RUNS = {
     "dense_d3": (lambda: gaussian_spec(3, h=random_spd(3, 5), sigma=0.7), 700, 500),
     "discrete_d2": (lambda: discrete_spec(2, 8), 700, 500),
 }
+
+
+def test_a_seed_range_runs_as_its_seed_tuples():
+    # a range is keyed group by group as one uint32 matrix, with no seed list
+    spec, reps, big_t = _misspecified_d10(), 700, 31
+    m = exact_moments(spec)
+    cfg = SgdConfig(gamma=0.5 / m.R2, w0=np.zeros(spec.d), t_avg_start=15, T=big_t)
+    assert draw_plan(spec.d, reps, big_t, True, 1)[1] < reps
+    ranged, listed = (run_replicates(spec, cfg, seeds, moments=m, snapshot_steps=(30,))
+                      for seeds in (SeedRange(3, 7, 0, reps), [(3, 7, i) for i in range(reps)]))
+    assert np.array_equal(ranged.tail_averages, listed.tail_averages)
+    assert np.array_equal(ranged.snapshots, listed.snapshots)
 
 
 @pytest.mark.parametrize("name", sorted(GROUPED_RUNS))

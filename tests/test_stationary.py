@@ -29,6 +29,7 @@ from tailsgd.stationary import (
     _damped_inverse,
     anticommutator,
     covariance_step,
+    covariance_walk,
     crude_bound,
     ensure_psd_solution,
     operator_matrix,
@@ -165,6 +166,46 @@ def test_covariance_step_base_cases():
                        0.01 * sigma)
     assert np.allclose(covariance_step(np.zeros((2, 2)), h, op, np.zeros((2, 2)), 0.1),
                        np.zeros((2, 2)))
+
+
+def _walk_model(source, d):
+    if source in ("well_specified", "misspecified"):
+        return config_from_dict({"distribution": family_distribution(source, d, 1.0)})
+    # a dense SPD H, seeded by d
+    return config_from_dict({"distribution": {"kind": source, "d": d, "noise_sigma": 1.0,
+                                              "H_spec": random_spd(d, 80 + d).tolist()}})
+
+
+@pytest.mark.parametrize("source,d", [
+    *[(family, d) for family in ("well_specified", "misspecified") for d in (3, 10, 40)],
+    ("gaussian_well_specified", 30), ("gaussian_misspecified", 30),
+])
+def test_eigenbasis_walk_matches_the_dense_walk(monkeypatch, source, d):
+    # both statistics of 300 steps of the O(d) diagonal recursion against 300
+    # dense steps: the step eigenvalue is already relative to max(1, |C|_F)
+    cfg = _walk_model(source, d)
+    m, op, gamma = cfg.moments, cfg.operator, cfg.gamma
+    dense = stationary_mod._dense_walk(m.H, op, m.Sigma, gamma, 300)
+    basis = solve_stationary_gaussian(m.H, m.Sigma, gamma).basis
+    monkeypatch.setattr(stationary_mod, "covariance_step", None)
+    for walk in (covariance_walk(m.H, op, m.Sigma, gamma),
+                 covariance_walk(m.H, op, m.Sigma, gamma, basis=basis)):
+        assert abs(walk[0] - dense[0]) <= 1e-12
+        assert abs(walk[1] - dense[1]) <= 1e-12 * dense[1]
+
+
+def test_walk_off_the_eigenbasis_is_dense():
+    # a Sigma that does not commute with H, or an operator of another H,
+    # takes the dense recursion
+    h = random_spd(4, 5)
+    op = FourthMomentOperator.gaussian(h)
+    gamma = 0.5 / op.r_squared_under(h)
+    sigma = random_spd(4, 6)
+    assert (covariance_walk(h, op, sigma, gamma)
+            == stationary_mod._dense_walk(h, op, sigma, gamma, 300))
+    wrong = FourthMomentOperator.gaussian(1.1 * h)
+    assert (covariance_walk(h, wrong, h, gamma)
+            == stationary_mod._dense_walk(h, wrong, h, gamma, 300))
 
 
 def test_one_dimensional_closed_form_both_solvers():

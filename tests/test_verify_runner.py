@@ -17,6 +17,7 @@ from types import SimpleNamespace
 import pytest
 
 import tailsgd.harness as harness_mod
+import tailsgd.stationary as stationary_mod
 from tailsgd.cli import main
 from tailsgd.errors import ConvergenceError, NonFiniteResultError
 from tailsgd.harness import _sampled_checks, config_from_dict
@@ -146,3 +147,28 @@ def test_sampled_sums_still_fail_a_wrong_closed_form(diag):
         right = _sampled_checks(cfg.distribution, cfg.moments, op, cfg.seed)[0]
         failed = _sampled_checks(cfg.distribution, cfg.moments, wrong, cfg.seed)[0]
     assert right.passed and not failed.passed and failed.margin < 0.0
+
+
+def test_gaussian_walk_never_takes_a_dense_step(tmp_path, capsys, monkeypatch):
+    # verify walks a Gaussian model's covariance recursion in H's
+    # eigenbasis; a dense covariance_step here would end the run
+    monkeypatch.setattr(stationary_mod, "covariance_step", _raise(AssertionError("dense step")))
+    code, checks = _verify_json(tmp_path, capsys, WELL2)
+    assert code == 0 and [c["name"] for c in checks] == list(CHECK_NAMES)
+    walk_rows = [c for c in checks if c["name"] in ("covariance-monotone", "covariance-trace-cap")]
+    assert len(walk_rows) == 2 and all(c["passed"] for c in walk_rows)
+
+
+# a wrong noise covariance fed to the walk alone: -Sigma makes every step
+# negative; on WELL2 (H = I, d = 2) the largest trace is 2/3 of the cap
+# gamma Tr(Sigma) / mu, so Sigma scaled by more than 1.5 exceeds it
+@pytest.mark.parametrize("row, scale", [("covariance-monotone", -1.0),
+                                        ("covariance-trace-cap", 1.6)])
+def test_walk_checks_fail_a_wrong_noise_covariance(tmp_path, capsys, monkeypatch, row, scale):
+    walk = harness_mod.covariance_walk
+    monkeypatch.setattr(stationary_mod, "covariance_step", _raise(AssertionError("dense step")))
+    monkeypatch.setattr(harness_mod, "covariance_walk",
+                        lambda h, op, sigma, gamma, **kw: walk(h, op, scale * sigma, gamma, **kw))
+    code, checks = _verify_json(tmp_path, capsys, WELL2)
+    assert code == 3
+    assert [c["name"] for c in checks if not c["passed"]] == [row]
