@@ -51,8 +51,9 @@ A run or worker chunk passes its replicates lo <= r < hi as one
 
 ``verify``'s ``covariance-monotone`` and ``covariance-trace-cap`` read one
 walk of 300 steps of the covariance recursion (``covariance_walk``).  On a
-Gaussian model it runs in H's eigenbasis from the closed-form solve's
-eigendecomposition, O(d) a step; on a discrete one it takes dense steps.
+Gaussian model with exact moments it runs in H's eigenbasis from the
+closed-form solve's eigendecomposition, O(d) a step; a discrete model, or one
+with estimated moments (a Monte-Carlo operator), takes dense O(d^3) steps.
 
 An experiment advances the standard process and, for its bias/variance
 split, the bias and variance processes on the same draws.  A sweep row and

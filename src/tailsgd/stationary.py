@@ -102,6 +102,8 @@ _PSD_TOL = 1e-10
 # its largest diagonal one, at which Sigma counts as diagonal in H's
 # eigenbasis; rounding leaves about sqrt(d) ulps
 _COMMUTE_RTOL = 1e-12
+# steps of covariance_walk from C = 0
+_WALK_STEPS = 300
 
 
 class FourthMomentOperator:
@@ -277,40 +279,41 @@ def covariance_step(c, h, s_op: FourthMomentOperator, sigma, gamma: float) -> np
 
 
 def covariance_walk(h, s_op: FourthMomentOperator, sigma, gamma: float, *,
-                    basis=None, steps: int = 300) -> tuple[float, float]:
-    """Two statistics of ``steps`` steps of the covariance recursion from
-    C = 0: the smallest eigenvalue of each step C_{s+1} - C_s relative to
-    max(1, ||C_{s+1}||_F), and the largest trace of an iterate.
+                    basis=None) -> tuple[float, float]:
+    """Two statistics of ``_WALK_STEPS`` steps of the covariance recursion
+    from C = 0: the smallest eigenvalue of each step C_{s+1} - C_s relative
+    to max(1, ||C_{s+1}||_F), and the largest trace of an iterate.
 
-    For a Gaussian operator of this H and a Sigma that commutes with H (both
-    Gaussian kinds' Sigma), every iterate is V diag(v_s) V^T, with
-    H = V diag(lam) V^T given as ``basis`` = (lam, V) or taken here, and
+    Given ``basis`` = (lam, V) with H = V diag(lam) V^T, a Gaussian operator
+    of this H and a Sigma that commutes with H (both Gaussian kinds' Sigma),
+    every iterate is V diag(v_s) V^T, with
 
         v_{s+1} = a o v_s + gamma^2 lam (lam . v_s) + gamma^2 Sigma~,
         a = (1 - gamma lam)^2 + gamma^2 lam^2,  Sigma~ = diag(V^T Sigma V),
 
     so a step costs O(d): its eigenvalues are v_{s+1} - v_s, ||C||_F = ||v||_2
-    and Tr(C) = sum(v).  Any other operator, or a Sigma off H's eigenbasis,
-    walks the dense recursion (``covariance_step``)."""
+    and Tr(C) = sum(v).  Without a basis, for any other operator (discrete,
+    or Monte-Carlo moments), or for a Sigma off H's eigenbasis, it walks the
+    dense recursion (``covariance_step``)."""
     hh, ss = sym(h), sym(sigma)
-    if s_op.kind == "gaussian" and np.array_equal(s_op._h, hh):
-        lam, v = np.linalg.eigh(hh) if basis is None else basis
+    if basis is not None and s_op.kind == "gaussian" and np.array_equal(s_op._h, hh):
+        lam, v = basis
         st = v.T @ ss @ v
         diag = np.diag(st)
         if np.max(np.abs(st - np.diag(diag))) <= _COMMUTE_RTOL * np.max(np.abs(diag)):
-            return _eigen_walk(lam, diag, gamma, steps)
-    return _dense_walk(hh, s_op, ss, gamma, steps)
+            return _eigen_walk(lam, diag, gamma)
+    return _dense_walk(hh, s_op, ss, gamma)
 
 
-def _eigen_walk(lam, sigma_t, gamma: float, steps: int) -> tuple[float, float]:
+def _eigen_walk(lam, sigma_t, gamma: float) -> tuple[float, float]:
     """``covariance_walk`` on the diagonals v_s in H's eigenbasis.  The drift
     and quartic terms are formed from gamma lam; the forcing squares gamma as
     ``covariance_step`` does, raising NonFiniteResultError where it overflows."""
     gl = gamma * lam
     a = (1.0 - gl) ** 2 + gl ** 2
     force = _gamma_squared(gamma) * sigma_t
-    c = np.zeros((steps + 1, lam.size))
-    for s in range(steps):
+    c = np.zeros((_WALK_STEPS + 1, lam.size))
+    for s in range(_WALK_STEPS):
         c[s + 1] = a * c[s] + gl * (gl @ c[s]) + force
     it = c[1:]
     # each iterate's 2-norm as matcore.frobenius forms it, on v / 2^k
@@ -320,13 +323,12 @@ def _eigen_walk(lam, sigma_t, gamma: float, steps: int) -> tuple[float, float]:
     return float(low.min()), float(it.sum(axis=1).max())
 
 
-def _dense_walk(h, s_op: FourthMomentOperator, sigma, gamma: float,
-                steps: int) -> tuple[float, float]:
+def _dense_walk(h, s_op: FourthMomentOperator, sigma, gamma: float) -> tuple[float, float]:
     """``covariance_walk`` on d x d iterates, one ``covariance_step`` and one
     eigendecomposition a step."""
     c = np.zeros_like(h)
     low, top = math.inf, -math.inf
-    for _ in range(steps):
+    for _ in range(_WALK_STEPS):
         nxt = covariance_step(c, h, s_op, sigma, gamma)
         gap = float(np.linalg.eigvalsh(nxt - c)[0])
         low = min(low, gap / max(1.0, frobenius(nxt)))

@@ -185,27 +185,29 @@ def test_eigenbasis_walk_matches_the_dense_walk(monkeypatch, source, d):
     # dense steps: the step eigenvalue is already relative to max(1, |C|_F)
     cfg = _walk_model(source, d)
     m, op, gamma = cfg.moments, cfg.operator, cfg.gamma
-    dense = stationary_mod._dense_walk(m.H, op, m.Sigma, gamma, 300)
+    dense = stationary_mod._dense_walk(m.H, op, m.Sigma, gamma)
     basis = solve_stationary_gaussian(m.H, m.Sigma, gamma).basis
     monkeypatch.setattr(stationary_mod, "covariance_step", None)
-    for walk in (covariance_walk(m.H, op, m.Sigma, gamma),
-                 covariance_walk(m.H, op, m.Sigma, gamma, basis=basis)):
-        assert abs(walk[0] - dense[0]) <= 1e-12
-        assert abs(walk[1] - dense[1]) <= 1e-12 * dense[1]
+    walk = covariance_walk(m.H, op, m.Sigma, gamma, basis=basis)
+    assert abs(walk[0] - dense[0]) <= 1e-12
+    assert abs(walk[1] - dense[1]) <= 1e-12 * dense[1]
 
 
 def test_walk_off_the_eigenbasis_is_dense():
-    # a Sigma that does not commute with H, or an operator of another H,
-    # takes the dense recursion
+    # no basis, a Sigma that does not commute with H, or an operator of
+    # another H takes the dense recursion
     h = random_spd(4, 5)
     op = FourthMomentOperator.gaussian(h)
     gamma = 0.5 / op.r_squared_under(h)
+    basis = solve_stationary_gaussian(h, h, gamma).basis
+    dense = stationary_mod._dense_walk(h, op, h, gamma)
+    assert covariance_walk(h, op, h, gamma) == dense
     sigma = random_spd(4, 6)
-    assert (covariance_walk(h, op, sigma, gamma)
-            == stationary_mod._dense_walk(h, op, sigma, gamma, 300))
+    assert (covariance_walk(h, op, sigma, gamma, basis=basis)
+            == stationary_mod._dense_walk(h, op, sigma, gamma))
     wrong = FourthMomentOperator.gaussian(1.1 * h)
-    assert (covariance_walk(h, wrong, h, gamma)
-            == stationary_mod._dense_walk(h, wrong, h, gamma, 300))
+    assert (covariance_walk(h, wrong, h, gamma, basis=basis)
+            == stationary_mod._dense_walk(h, wrong, h, gamma))
 
 
 def test_one_dimensional_closed_form_both_solvers():
