@@ -49,12 +49,6 @@ across worker processes: running with 1 or many workers is bit-identical.
 A run or worker chunk passes its replicates lo <= r < hi as one
 ``SeedRange(s, c, lo, hi)``, keyed as one uint32 matrix with no seed list.
 
-``verify``'s ``covariance-monotone`` and ``covariance-trace-cap`` read one
-walk of 300 steps of the covariance recursion (``covariance_walk``).  On a
-Gaussian model with exact moments it runs in H's eigenbasis from the
-closed-form solve's eigendecomposition, O(d) a step; a discrete model, or one
-with estimated moments (a Monte-Carlo operator), takes dense O(d^3) steps.
-
 An experiment advances the standard process and, for its bias/variance
 split, the bias and variance processes on the same draws.  A sweep row and
 ``simulate --format csv`` carry no split, so they advance the standard
@@ -114,6 +108,7 @@ from .matcore import (
 from .sgd import PROCESSES, SgdConfig, resolve_model, run_bytes, run_replicates
 from .stationary import (
     FourthMomentOperator,
+    StationarySolution,
     _damped_inverse,
     _FourthMomentSums,
     covariance_walk,
@@ -421,12 +416,6 @@ def bound_report(cfg: ExperimentConfig) -> dict:
 # Monte-Carlo experiments
 
 
-def replicate_seed(master: int, cell: int, index: int) -> tuple[int, int, int]:
-    """Seed tuple of one replicate; the flat layout keeps results independent
-    of worker batching.  A run keys a range of them as one SeedRange."""
-    return (int(master), int(cell), int(index))
-
-
 def _chunk_ranges(n: int, workers: int):
     # one chunk per worker, never more workers than replicates or usable CPUs
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -478,9 +467,8 @@ class RiskReport:
     the noise-free process and the noise-driven process started at w*,
     advanced alongside the standard process on the very same draws.  A run
     without the split advances the standard process alone, and its four
-    split fields are None.  ``eff_ratio``
-    is emp_risk * (T - t) / sigma2_mle, the distance from the large-sample
-    optimum 1; it is reported as 0 for noiseless models.
+    split fields are None.  ``eff_ratio`` is emp_risk * (T - t) / sigma2_mle,
+    the distance from the large-sample optimum 1; it is 0 for noiseless models.
     """
 
     emp_risk: float
@@ -542,22 +530,14 @@ def run_experiment(cfg: ExperimentConfig, *, workers: int = 1, cell: int = 0,
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One verification row: nonnegative margin means the check held."""
+    """One verification row: ``passed`` is its verdict, and ``margin`` the
+    distance from the row's threshold in the row's own unit, which a row with
+    a tolerance passes below 0 (``fourth-moment-dominated``: -5.0e204 at H = 1e110 I)."""
 
     name: str
     passed: bool
     margin: float
     detail: str
-
-
-def _check_row(name: str, check) -> CheckResult:
-    """The row of one verify check, a function returning (passed, margin,
-    detail); a package error it raises makes a FAIL row with margin -inf."""
-    try:
-        passed, margin, detail = check()
-    except TailSgdError as exc:
-        return CheckResult(name, False, float("-inf"), f"raised {exc!r}")
-    return CheckResult(name, passed, margin, detail)
 
 
 def _at_most(value: float, cap: float, detail: str, limit: float | None = None):
@@ -573,17 +553,12 @@ def _entrywise_margin(diff, se, atol: float) -> float:
     return float(1.0 - ratio.max())
 
 
-def _sampled_checks(spec: DistributionSpec, m: Moments, op: FourthMomentOperator,
-                    seed: int) -> list[CheckResult]:
-    """The three Monte-Carlo checks of the model's moments, all on one draw
-    of 200,000 pairs from the stream (seed, 903).
-
-    The pairs are drawn in consecutive blocks of ``_ROW_BLOCK`` rows, and
-    each block is folded into the three checks' sums before the next is
-    drawn, so the pass holds one block of pairs and the 200,000 quadratic
-    forms of the last check, not the whole draw.  Its margins' bits depend
-    on the BLAS thread count; a CLI call runs it at one thread, where they
-    do not."""
+def _sampled_pass(spec: DistributionSpec, m: Moments, seed: int):
+    """The three sampled rows' one draw of n = 200,000 pairs from the stream
+    (seed, 903), folded block by block of ``_ROW_BLOCK`` pairs and never held
+    whole: n, the fourth-moment sums, the summed x^T (y - x.w*), and the
+    quadratic forms' mean and standard error.  Its bits depend on the BLAS
+    thread count; a CLI call runs it at one thread, where they do not."""
     n = 200_000
     stream = SampleStream(spec, (seed, 903))
     fourth_sums = _FourthMomentSums(m.H)
@@ -596,30 +571,7 @@ def _sampled_checks(spec: DistributionSpec, m: Moments, op: FourthMomentOperator
         fourth_sums.add(x)
         grad += x.T @ resid
         q[i:i + _ROW_BLOCK] = 0.5 * resid ** 2 * _quad_forms(x, h_inv)
-
-    def fourth():
-        mean, se = fourth_sums.mean_and_stderr()
-        # the floor 1e-12 (1 + R^2) of a unit-scale H, scaled as S(H) is,
-        # and positive where S(H) and its estimate underflow to 0
-        k = fourth_sums.k
-        floor = max(math.ldexp(1e-12 * (1.0 + math.ldexp(m.R2, -2 * k)), 6 * k), math.ulp(0.0))
-        margin = _entrywise_margin(mean - op.apply(m.H), se, floor)
-        return margin >= 0.0, margin, f"closed form within 4 standard errors of {n} draws"
-
-    def noise():
-        # the gradient noise at w* is -(y - x.w*) x: its mean is the summed
-        # x^T (y - x.w*) over n
-        norm = frobenius(grad) / n
-        cap = 4.0 * math.sqrt(float(np.trace(m.Sigma)) / n) + 1e-12
-        return _at_most(norm, cap, f"|mean|={norm:.3e} cap={cap:.3e}")
-
-    def quadratic():
-        est, se = float(q.mean()), float(sample_std(q)) / math.sqrt(n)
-        target = sigma2_mle(m)
-        return _at_most(abs(est - target), 4.0 * se + 1e-12,
-                        f"quadratic-form mean {est:.6e} vs half-trace {target:.6e}")
-    return [_check_row("fourth-moment-sampled", fourth), _check_row("noise-mean-zero", noise),
-            _check_row("sigma2-mle-quadratic-form", quadratic)]
+    return n, fourth_sums, grad, float(q.mean()), float(sample_std(q)) / math.sqrt(n)
 
 
 def _doubling_series(p: np.ndarray, a: np.ndarray, k: int) -> np.ndarray:
@@ -633,108 +585,129 @@ def _doubling_series(p: np.ndarray, a: np.ndarray, k: int) -> np.ndarray:
     return series
 
 
-def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckResult]:
-    """Check the closed-form identities, order relations, solver residuals,
-    and Monte-Carlo agreements implied by one experiment's model.
+@dataclass(frozen=True)
+class _Verification:
+    """The work verify's rows share, formed by ``of`` in field order before
+    any row runs; an error in it ends verify.  The walk is formed by the first
+    row that reads it, so an error there FAILs its two rows alone."""
 
-    Each check is a function returning (passed, margin, detail) that
-    ``_check_row`` makes a row of: a package error it raises FAILs that row
-    alone, with margin -inf and detail ``raised ...``.  An error in what the
-    checks share (the bound, the two stationary solves, the risk run) ends it.
+    cfg: ExperimentConfig
+    m: Moments
+    bound: dict
+    n: int
+    fourth_sums: _FourthMomentSums
+    grad: np.ndarray
+    q_mean: float
+    q_stderr: float
+    sol_fp: StationarySolution
+    sol_dir: StationarySolution
+    report: RiskReport
 
-    Requires a model with closed-form moments.  Monte-Carlo checks use fixed
-    offsets of the config seed and four-standard-error slack, so a pass is
-    reproducible and a failure means a real discrepancy at that seed.  The
-    three sampled moment checks share one draw of 200,000 pairs at offset
-    903, taken and folded in blocks of ``_ROW_BLOCK`` pairs, so it is never
-    held whole; offsets 901 and 902, which the fourth-moment and noise-mean
-    checks once drew from, are retired.
-    """
-    spec = cfg.distribution
-    m = _closed_form(cfg)
-    # a non-finite bound fails here, before any check is paid for
-    bound = bound_report(cfg)
-    gamma = cfg.gamma
-    op = cfg.operator
-    h, sigma = m.H, m.Sigma
-    eye = np.eye(m.d)
+    @classmethod
+    def of(cls, cfg: ExperimentConfig, workers: int = 1) -> _Verification:
+        m, op, gamma = _closed_form(cfg), cfg.operator, cfg.gamma
+        # a non-finite bound fails here, before the rest is paid for
+        bound = bound_report(cfg)
+        sampled = _sampled_pass(cfg.distribution, m, cfg.seed)
+        sol_fp = solve_stationary_fixed_point(m.H, op, m.Sigma, gamma)
+        # the second solution: closed form on a Gaussian backing, in O(d^3);
+        # the dense O(d^6) solve on a discrete one
+        sol_dir = (solve_stationary_gaussian(m.H, m.Sigma, gamma) if op.kind == "gaussian"
+                   else solve_stationary_direct(m.H, op, m.Sigma, gamma))
+        return cls(cfg, m, bound, *sampled, sol_fp, sol_dir, run_experiment(cfg, workers=workers))
 
-    def c_spd_moments():
-        s_evals = np.linalg.eigvalsh(sigma)
-        ok = m.mu > 0.0 and s_evals[0] >= -1e-10 * max(s_evals[-1], 1.0)
-        return ok, m.mu, f"mu={m.mu:.6e} sigma_eig_min={s_evals[0]:.6e}"
+    @property
+    def via(self) -> str:
+        return f" ({self.sol_dir.method} solve)"
 
-    def c_fourth_dominated():
-        f4 = op.apply(eye)
-        gap = float(np.linalg.eigvalsh(m.R2 * h - f4)[0])
-        tight = not psd_order_leq(f4, 0.99 * m.R2 * h, tol=0.0)
-        ok = gap >= -1e-10 * m.R2 * float(np.linalg.eigvalsh(h)[-1]) and tight
+    @functools.cached_property
+    def walk(self):
+        return covariance_walk(self.m.H, self.cfg.operator, self.m.Sigma, self.cfg.gamma,
+                               basis=self.sol_dir.basis)
+
+    def spd_moments(self):
+        s_evals = np.linalg.eigvalsh(self.m.Sigma)
+        ok = self.m.mu > 0.0 and s_evals[0] >= -1e-10 * max(s_evals[-1], 1.0)
+        return ok, self.m.mu, f"mu={self.m.mu:.6e} sigma_eig_min={s_evals[0]:.6e}"
+
+    def fourth_moment_dominated(self):
+        m = self.m
+        f4 = self.cfg.operator.apply(np.eye(m.d))
+        gap = float(np.linalg.eigvalsh(m.R2 * m.H - f4)[0])
+        tight = not psd_order_leq(f4, 0.99 * m.R2 * m.H, tol=0.0)
+        ok = gap >= -1e-10 * m.R2 * float(np.linalg.eigvalsh(m.H)[-1]) and tight
         return ok, gap, f"R2={m.R2:.6e} slack_eig={gap:.3e} tight_at_0.99={tight}"
 
-    def c_trace_vs_r2():
-        margin = m.R2 - float(np.trace(h))
-        return margin >= -1e-12 * m.R2, margin, f"R2={m.R2:.6e} trace_H={float(np.trace(h)):.6e}"
+    def trace_vs_r2(self):
+        m, trace = self.m, float(np.trace(self.m.H))
+        margin = m.R2 - trace
+        return margin >= -1e-12 * m.R2, margin, f"R2={m.R2:.6e} trace_H={trace:.6e}"
 
-    results = [_check_row("spd-moments", c_spd_moments),
-               _check_row("fourth-moment-dominated", c_fourth_dominated),
-               _check_row("trace-vs-r2", c_trace_vs_r2),
-               *_sampled_checks(spec, m, op, cfg.seed)]
+    def fourth_moment_sampled(self):
+        m = self.m
+        mean, se = self.fourth_sums.mean_and_stderr()
+        # the floor 1e-12 (1 + R^2) of a unit-scale H, scaled as S(H) is,
+        # and positive where S(H) and its estimate underflow to 0
+        k = self.fourth_sums.k
+        floor = max(math.ldexp(1e-12 * (1.0 + math.ldexp(m.R2, -2 * k)), 6 * k), math.ulp(0.0))
+        margin = _entrywise_margin(mean - self.cfg.operator.apply(m.H), se, floor)
+        return margin >= 0.0, margin, f"closed form within 4 standard errors of {self.n} draws"
 
-    sol_fp = solve_stationary_fixed_point(h, op, sigma, gamma)
-    # the second solution: closed form on a Gaussian backing, in O(d^3); the
-    # dense O(d^6) solve on a discrete one
-    sol_dir = (solve_stationary_gaussian(h, sigma, gamma) if op.kind == "gaussian"
-               else solve_stationary_direct(h, op, sigma, gamma))
-    via = f" ({sol_dir.method} solve)"
+    def noise_mean_zero(self):
+        # the gradient noise at w* is -(y - x.w*) x: its mean is the summed
+        # x^T (y - x.w*) over n
+        norm = frobenius(self.grad) / self.n
+        cap = 4.0 * math.sqrt(float(np.trace(self.m.Sigma)) / self.n) + 1e-12
+        return _at_most(norm, cap, f"|mean|={norm:.3e} cap={cap:.3e}")
 
-    def c_resid(sol, note=""):
-        cap = 1e-8 * gamma * frobenius(sigma) + 1e-300
+    def quadratic_form(self):
+        target = sigma2_mle(self.m)
+        return _at_most(abs(self.q_mean - target), 4.0 * self.q_stderr + 1e-12,
+                        f"quadratic-form mean {self.q_mean:.6e} vs half-trace {target:.6e}")
+
+    def residual(self, sol, note=""):
+        cap = 1e-8 * self.cfg.gamma * frobenius(self.m.Sigma) + 1e-300
         return _at_most(sol.residual, cap, f"residual={sol.residual:.3e} cap={cap:.3e}{note}")
 
-    def c_agreement():
-        diff = frobenius(sol_fp.cov - sol_dir.cov)
-        cap = 1e-8 * max(frobenius(sol_dir.cov), 1e-300)
-        return _at_most(diff, cap, f"|C_fp - C|_F={diff:.3e}{via}")
+    def agreement(self):
+        diff = frobenius(self.sol_fp.cov - self.sol_dir.cov)
+        cap = 1e-8 * max(frobenius(self.sol_dir.cov), 1e-300)
+        return _at_most(diff, cap, f"|C_fp - C|_F={diff:.3e}{self.via}")
 
-    @functools.cache
-    def walk():
-        # 300 steps of the recursion from C = 0, shared by the next two checks;
-        # a Gaussian model walks in the closed-form solve's eigenbasis
-        return covariance_walk(h, op, sigma, gamma, basis=sol_dir.basis)
-
-    def c_monotone():
-        worst, _ = walk()
+    def monotone(self):
+        worst = self.walk[0]
         return worst >= -1e-12, worst, "iterates increase in the semidefinite order"
 
-    def c_trace_cap():
-        cap = gamma * float(np.trace(sigma)) / m.mu
-        worst = max(walk()[1], float(np.trace(sol_fp.cov)))
+    def trace_cap(self):
+        cap = self.cfg.gamma * float(np.trace(self.m.Sigma)) / self.m.mu
+        worst = max(self.walk[1], float(np.trace(self.sol_fp.cov)))
         return _at_most(worst, cap, f"max trace {worst:.6e} vs gamma Tr(Sigma)/mu = {cap:.6e}",
                         limit=cap * (1.0 + 1e-12) + 1e-300)
 
-    def c_spectral_cap():
-        cap = crude_bound(sigma, h, gamma, m.R2)
-        lam = float(np.linalg.eigvalsh(sol_dir.cov)[-1])
-        return _at_most(lam, cap, f"lambda_max={lam:.6e} cap={cap:.6e}{via}",
+    def spectral_cap(self):
+        cap = crude_bound(self.m.Sigma, self.m.H, self.cfg.gamma, self.m.R2)
+        lam = float(np.linalg.eigvalsh(self.sol_dir.cov)[-1])
+        return _at_most(lam, cap, f"lambda_max={lam:.6e} cap={cap:.6e}{self.via}",
                         limit=cap + 1e-10 * (1.0 + cap))
 
-    def c_trace_refined():
-        cap = refined_trace_bound(sigma, h, gamma, m.R2)
-        tr = float(np.trace(sol_dir.cov))
-        return _at_most(tr, cap, f"trace={tr:.6e} cap={cap:.6e}{via}",
+    def trace_refined(self):
+        cap = refined_trace_bound(self.m.Sigma, self.m.H, self.cfg.gamma, self.m.R2)
+        tr = float(np.trace(self.sol_dir.cov))
+        return _at_most(tr, cap, f"trace={tr:.6e} cap={cap:.6e}{self.via}",
                         limit=cap + 1e-10 * (1.0 + cap))
 
-    def c_variance_identity():
-        window = cfg.T - cfg.t
-        rc = bound["constants"]
-        via_trace = refined_trace_bound(sigma, h, gamma, m.R2) / (gamma * window)
+    def variance_identity(self):
+        m, gamma, window = self.m, self.cfg.gamma, self.cfg.T - self.cfg.t
+        rc = self.bound["constants"]
+        via_trace = refined_trace_bound(m.Sigma, m.H, gamma, m.R2) / (gamma * window)
         direct = variance_term(gamma, m.R2, rc.rho, rc.sigma2, window)
         return _at_most(abs(via_trace - direct), 1e-12 * max(direct, 1e-300),
                         f"trace route {via_trace!r} vs direct {direct!r}")
 
-    def c_damped_inverse():
-        probe = h if m.noiseless else sigma
-        direct = _damped_inverse(h, probe, gamma)
+    def damped_inverse(self):
+        m, gamma = self.m, self.cfg.gamma
+        probe = m.H if m.noiseless else m.Sigma
+        direct = _damped_inverse(m.H, probe, gamma)
         # terms shrink by rate = (1 - gamma mu)^2, taken through log1p, as
         # 1 - gamma mu rounds to 1 below gamma mu ~ 1e-16
         gm = gamma * m.mu
@@ -742,86 +715,117 @@ def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckRe
         need = math.log(1e-12) / log_rate if log_rate < 0.0 else math.inf
         # the first power of two above need, and at most 2^16
         k = 1 << math.ceil(min(need, 2.0 ** 16 - 1.0)).bit_length()
-        series = _doubling_series(gamma * probe, eye - gamma * h, k)
+        series = _doubling_series(gamma * probe, np.eye(m.d) - gamma * m.H, k)
         # the tail gamma |P|_F rate^k / (1 - rate), 1 - rate = gamma mu (2 - gamma mu)
         envelope = (frobenius(probe) * math.exp(k * log_rate)
                     / (m.mu * (2.0 - gm)) + 1e-10 * (1.0 + frobenius(direct)))
         diff = frobenius(series - direct)
         return _at_most(diff, envelope, f"{k}-term series vs eigenbasis inverse, diff={diff:.3e}")
 
-    def c_mean_recursion():
+    def mean_recursion(self):
+        cfg, m, gamma = self.cfg, self.m, self.cfg.gamma
         t_star, reps = 30, 2000
         run_cfg = SgdConfig(gamma=gamma, w0=cfg.w0, t_avg_start=0, T=t_star + 1)
-        res = run_replicates(spec, run_cfg, SeedRange(cfg.seed, 904, 0, reps), moments=m,
-                             snapshot_steps=(t_star,))
+        res = run_replicates(cfg.distribution, run_cfg, SeedRange(cfg.seed, 904, 0, reps),
+                             moments=m, snapshot_steps=(t_star,))
         w_t = res.snapshots[0]
-        theory = np.linalg.matrix_power(eye - gamma * h, t_star) @ (cfg.w0 - m.w_star)
+        theory = np.linalg.matrix_power(np.eye(m.d) - gamma * m.H, t_star) @ (cfg.w0 - m.w_star)
         se = sample_std(w_t, axis=0) / math.sqrt(reps)
         margin = _entrywise_margin(w_t.mean(axis=0) - m.w_star - theory, se, 1e-12)
         return margin >= 0.0, margin, f"E[w_t] - w* matches (I - gamma H)^{t_star} (w0 - w*)"
 
-    def c_bias_decay():
+    def bias_decay(self):
+        cfg, m, gamma = self.cfg, self.m, self.cfg.gamma
         reps = 1000
         ts = [t for t in (10, 100) if t <= cfg.T] or [cfg.T]
         run_cfg = SgdConfig(gamma=gamma, w0=cfg.w0, t_avg_start=0, T=max(ts) + 1)
-        res = run_replicates(spec, run_cfg, SeedRange(cfg.seed, 905, 0, reps),
+        res = run_replicates(cfg.distribution, run_cfg, SeedRange(cfg.seed, 905, 0, reps),
                              process="bias", moments=m, snapshot_steps=ts)
-        d0 = bound["dist0_sq"]
         worst, details = math.inf, []
         for k, t in enumerate(res.snapshot_steps):
             sq = np.sum((res.snapshots[k] - m.w_star) ** 2, axis=1)
             mean = float(sq.mean())
             se = float(sample_std(sq)) / math.sqrt(reps)
-            cap = math.exp(-gamma * m.mu * t) * d0 + 4.0 * se + 1e-12
+            cap = math.exp(-gamma * m.mu * t) * self.bound["dist0_sq"] + 4.0 * se + 1e-12
             worst = min(worst, cap - mean)
             details.append(f"t={t}: {mean:.3e} <= {cap:.3e}")
         return worst >= 0.0, worst, "; ".join(details)
 
-    results += [_check_row("stationary-residual-fixed-point", lambda: c_resid(sol_fp)),
-                _check_row("stationary-residual-direct", lambda: c_resid(sol_dir, via)),
-                _check_row("stationary-agreement", c_agreement),
-                _check_row("covariance-monotone", c_monotone),
-                _check_row("covariance-trace-cap", c_trace_cap),
-                _check_row("stationary-spectral-cap", c_spectral_cap),
-                _check_row("stationary-trace-refined", c_trace_refined),
-                _check_row("variance-term-identity", c_variance_identity),
-                _check_row("damped-drift-inverse", c_damped_inverse),
-                _check_row("mean-recursion", c_mean_recursion),
-                _check_row("bias-decay", c_bias_decay)]
+    def bound_holds(self):
+        r = self.report
+        return _at_most(r.ci_low, r.bound.total,
+                        f"emp={r.emp_risk:.6e} (se {r.stderr:.2e}) bound={r.bound.total:.6e}")
 
-    report = run_experiment(cfg, workers=workers)
+    def split(self):
+        r = self.report
+        combined = _combined(r.bias_risk, r.var_risk)
+        slack = 4.0 * (r.stderr + r.bias_stderr + r.var_stderr) + 1e-12
+        return _at_most(r.emp_risk, combined + slack,
+                        f"total {r.emp_risk:.6e} vs split {combined:.6e}")
 
-    def c_bound_holds():
-        return _at_most(report.ci_low, report.bound.total,
-                        f"emp={report.emp_risk:.6e} (se {report.stderr:.2e}) "
-                        f"bound={report.bound.total:.6e}")
-
-    def c_split():
-        combined = _combined(report.bias_risk, report.var_risk)
-        slack = 4.0 * (report.stderr + report.bias_stderr + report.var_stderr) + 1e-12
-        return _at_most(report.emp_risk, combined + slack,
-                        f"total {report.emp_risk:.6e} vs split {combined:.6e}")
-
-    def c_rho():
-        if m.noiseless:
+    def rho(self):
+        if self.m.noiseless:
             return True, 0.0, "skipped: noiseless model"
-        rho = report.constants.rho
+        rho = self.report.constants.rho
         return rho >= 1.0 - 1e-12, rho - 1.0, f"rho={rho!r}"
 
-    def c_efficiency():
-        if m.noiseless or report.bound.bias > 0.1 * report.bound.variance:
+    def efficiency(self):
+        r, m, cfg = self.report, self.m, self.cfg
+        if m.noiseless or r.bound.bias > 0.1 * r.bound.variance:
             return True, 0.0, "skipped: not variance-dominated"
-        relaxations = gamma * m.mu * (cfg.T - cfg.t)
+        relaxations = cfg.gamma * m.mu * (cfg.T - cfg.t)
         if relaxations < _EFFICIENCY_RELAXATIONS:
             return (True, 0.0, f"skipped: window of {relaxations:.3g} < "
                                f"{_EFFICIENCY_RELAXATIONS:g} relaxation times 1/(gamma mu)")
-        margin = min(report.eff_ratio - 0.5, 2.0 - report.eff_ratio)
-        return margin >= 0.0, margin, f"eff_ratio={report.eff_ratio:.4f} window [0.5, 2.0]"
+        margin = min(r.eff_ratio - 0.5, 2.0 - r.eff_ratio)
+        return margin >= 0.0, margin, f"eff_ratio={r.eff_ratio:.4f} window [0.5, 2.0]"
 
-    return results + [_check_row("risk-bound-holds", c_bound_holds),
-                      _check_row("bias-variance-split", c_split),
-                      _check_row("rho-at-least-one", c_rho),
-                      _check_row("efficiency-window", c_efficiency)]
+
+# verify's rows in the order they print: (name, check of the shared work)
+VERIFY_ROWS = (
+    ("spd-moments", _Verification.spd_moments),
+    ("fourth-moment-dominated", _Verification.fourth_moment_dominated),
+    ("trace-vs-r2", _Verification.trace_vs_r2),
+    ("fourth-moment-sampled", _Verification.fourth_moment_sampled),
+    ("noise-mean-zero", _Verification.noise_mean_zero),
+    ("sigma2-mle-quadratic-form", _Verification.quadratic_form),
+    ("stationary-residual-fixed-point", lambda v: v.residual(v.sol_fp)),
+    ("stationary-residual-direct", lambda v: v.residual(v.sol_dir, v.via)),
+    ("stationary-agreement", _Verification.agreement),
+    ("covariance-monotone", _Verification.monotone),
+    ("covariance-trace-cap", _Verification.trace_cap),
+    ("stationary-spectral-cap", _Verification.spectral_cap),
+    ("stationary-trace-refined", _Verification.trace_refined),
+    ("variance-term-identity", _Verification.variance_identity),
+    ("damped-drift-inverse", _Verification.damped_inverse),
+    ("mean-recursion", _Verification.mean_recursion),
+    ("bias-decay", _Verification.bias_decay),
+    ("risk-bound-holds", _Verification.bound_holds),
+    ("bias-variance-split", _Verification.split),
+    ("rho-at-least-one", _Verification.rho),
+    ("efficiency-window", _Verification.efficiency),
+)
+
+
+def _check_row(name: str, check, shared: _Verification) -> CheckResult:
+    """The row of one verify check on the shared work; a package error the
+    check raises makes a FAIL row with margin -inf."""
+    try:
+        passed, margin, detail = check(shared)
+    except TailSgdError as exc:
+        return CheckResult(name, False, float("-inf"), f"raised {exc!r}")
+    return CheckResult(name, passed, margin, detail)
+
+
+def run_verification(cfg: ExperimentConfig, *, workers: int = 1) -> list[CheckResult]:
+    """Check the closed-form identities, order relations, solver residuals,
+    and Monte-Carlo agreements implied by one experiment's model: one row per
+    entry of ``VERIFY_ROWS``, made by ``_check_row``.  Requires closed-form
+    moments.  Monte-Carlo checks use fixed offsets of the config seed and
+    four-standard-error slack, so a pass is reproducible and a failure means
+    a real discrepancy at that seed."""
+    shared = _Verification.of(cfg, workers)
+    return [_check_row(name, check, shared) for name, check in VERIFY_ROWS]
 
 
 # ---------------------------------------------------------------------------

@@ -415,8 +415,8 @@ def solve_stationary_fixed_point(h, s_op: FourthMomentOperator, sigma,
     is.  With D the last step, it stops when the distance bound
     q / (1 - q) * Tr(H D) / mu is at most ``_FP_TOL * ||C||_F`` and the defect
     bound gamma R^2 Tr(H D) is at most ``_FP_RESID_RTOL * gamma * ||Sigma||_F``.
-    Raises ConvergenceError after ``_FP_MAX_ITER`` iterations or if the
-    iteration leaves the space of finite matrices.
+    Raises ConvergenceError after ``_FP_MAX_ITER`` iterations, and
+    NonFiniteResultError where an iterate leaves float range.
     """
     hh, r2 = _gate(gamma, h, s_op)
     lam, v = np.linalg.eigh(hh)
@@ -427,7 +427,6 @@ def solve_stationary_fixed_point(h, s_op: FourthMomentOperator, sigma,
     # the defect test gamma R^2 step <= _FP_RESID_RTOL gamma ||Sigma||_F
     resid_cap = _FP_RESID_RTOL * frobenius(ss)
     c = np.zeros_like(hh)
-    iterations = 0
     for iterations in range(1, _FP_MAX_ITER + 1):
         # any non-finite entry of nxt makes step non-finite, silently
         with np.errstate(over="ignore", invalid="ignore"):
@@ -436,10 +435,7 @@ def solve_stationary_fixed_point(h, s_op: FourthMomentOperator, sigma,
             nxt = 0.5 * (nxt + nxt.T)
             step = float(np.sum(hh * (nxt - c)))
         if not np.isfinite(step):
-            raise ConvergenceError(
-                f"iteration diverged after {iterations} steps (gamma too large "
-                "for this backing?)"
-            )
+            raise NonFiniteResultError(f"cov at fixed-point iteration {iterations}")
         c = nxt
         if (q / (1.0 - q) * step / mu <= _FP_TOL * frobenius(c)
                 and r2 * step <= resid_cap):

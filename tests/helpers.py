@@ -11,10 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from tailsgd import harness
 from tailsgd.distributions import DistributionSpec, SupportAtom, exact_moments
 from tailsgd.stationary import FourthMomentOperator
 
 GAMMA_FRACS = (0.2, 0.5, 0.9)
+SAMPLED_ROWS = ("fourth-moment-sampled", "noise-mean-zero", "sigma2-mle-quadratic-form")
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -96,3 +98,12 @@ def exact_instance_grid() -> list[ExactInstance]:
     for d in (1, 3, 6):
         out.append(_from_spec(f"discrete-d{d}", discrete_spec(d, 500 + d)))
     return out
+
+
+def sampled_rows(cfg) -> list:
+    """verify's three sampled rows, run from ``harness.VERIFY_ROWS`` on a
+    record that holds the config, its moments and its sampled pass alone."""
+    sampled = harness._sampled_pass(cfg.distribution, cfg.moments, cfg.seed)
+    shared = harness._Verification(cfg, cfg.moments, None, *sampled, None, None, None)
+    return [harness._check_row(name, check, shared) for name, check in harness.VERIFY_ROWS
+            if name in SAMPLED_ROWS]

@@ -12,12 +12,11 @@ import numpy as np
 
 from helpers import GAMMA_FRACS, exact_instance_grid
 from tailsgd.bounds import excess_risk, mle_fit, rate_constants, sigma2_mle
-from tailsgd.distributions import DistributionSpec, SampleStream, exact_moments
+from tailsgd.distributions import DistributionSpec, SampleStream, SeedRange, exact_moments
 from tailsgd.harness import (
     config_from_dict,
     family_distribution,
     parse_sweep_config,
-    replicate_seed,
     run_experiment,
     sweep,
     sweep_csv,
@@ -168,8 +167,7 @@ def test_c07_noise_free_decay(capsys):
     m = exact_moments(spec)
     gamma = 0.5 / m.R2
     cfg = SgdConfig(gamma=gamma, w0=np.zeros(3), t_avg_start=0, T=1000)
-    seeds = [replicate_seed(7, 1, r) for r in range(2000)]
-    res = run_replicates(spec, cfg, seeds, process="bias",
+    res = run_replicates(spec, cfg, SeedRange(7, 1, 0, 2000), process="bias",
                          snapshot_steps=(10, 100, 1000))
     dist0_sq = 3.0
     worst = -np.inf

@@ -156,6 +156,19 @@ def test_models_at_the_edges_of_float_range_exit_cleanly(tmp_path, capsys, edge,
         assert err == "numerical failure: cov: result is NaN or infinite\n"
 
 
+@pytest.mark.parametrize("command", ["fixed-point", "verify"])
+def test_fixed_point_iterate_out_of_float_range_is_named(tmp_path, capsys, command):
+    # gamma = 1 / (2 R^2) is stable and the iteration contracts: what fails
+    # is C itself, about 1e310.  The message once blamed gamma ("iteration
+    # diverged after 1 steps (gamma too large for this backing?)")
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(EDGES["cov-1e310"][0]))
+    assert main(COMMANDS[command] + ["--config", str(path)]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and "gamma" not in err
+    assert err == "numerical failure: cov at fixed-point iteration 1: result is NaN or infinite\n"
+
+
 @pytest.mark.parametrize("doc, field", OVERFLOWS.values(), ids=OVERFLOWS)
 def test_overflowing_documents_name_their_field(tmp_path, capsys, doc, field):
     path = tmp_path / "exp.json"

@@ -16,7 +16,7 @@ import pytest
 
 import tailsgd
 import tailsgd.harness as harness_mod
-from helpers import discrete_spec, gaussian_spec, random_psd, random_spd
+from helpers import discrete_spec, gaussian_spec, random_psd, random_spd, sampled_rows
 from tailsgd import matcore
 from tailsgd.bounds import rate_constants, sigma2_mle
 from tailsgd.cli import main
@@ -27,7 +27,6 @@ from tailsgd.harness import (
     CheckResult,
     _chunk_ranges,
     _entrywise_margin,
-    _sampled_checks,
     _tail_averages,
     config_from_dict,
     family_distribution,
@@ -335,8 +334,9 @@ def test_each_command_advances_only_the_processes_it_reports(monkeypatch, tmp_pa
     assert calls == [PROCESSES]
     calls.clear()
     assert main(["verify", "--config", str(config)]) == 0
-    # mean-recursion and bias-decay, then the experiment
-    assert calls == ["standard", "bias", PROCESSES]
+    # the experiment, formed with the shared work before any row, then
+    # mean-recursion and bias-decay
+    assert calls == [PROCESSES, "standard", "bias"]
 
 
 @pytest.mark.parametrize("doc", [
@@ -537,7 +537,7 @@ def test_blocked_sampled_checks_match_one_whole_draw():
                                   "T": 1000, "replicates": 100, "seed": 4}))
     for cfg in cfgs:
         fourth, noise, quadratic = _unblocked_sampled_margins(cfg)
-        results = _sampled_checks(cfg.distribution, cfg.moments, cfg.operator, cfg.seed)
+        results = sampled_rows(cfg)
         assert results[0].margin == fourth
         assert results[1].margin == pytest.approx(noise, rel=1e-12, abs=0.0)
         assert results[2].margin == quadratic
@@ -548,7 +548,7 @@ def test_sampled_checks_pass_over_seeds():
     # this config; no other check reads the shared draw
     for seed in range(50):
         cfg = misspec_d10(seed)
-        results = _sampled_checks(cfg.distribution, cfg.moments, cfg.operator, seed)
+        results = sampled_rows(cfg)
         assert [r.name for r in results] == SAMPLED_CHECKS
         assert all(r.passed for r in results), (seed, results)
 
@@ -564,7 +564,7 @@ def test_sampled_checks_memory_is_the_shared_draw():
         SampleStream(cfg.distribution, 0).draw(1)  # numpy.random loaded untraced
         tracemalloc.start()
         try:
-            _sampled_checks(cfg.distribution, cfg.moments, cfg.operator, 0)
+            sampled_rows(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -686,22 +686,24 @@ def test_blas_thread_count_is_set_only_in_its_places():
 
 
 def test_every_export_has_a_caller_in_the_package():
-    # no public name that only tests call, apart from the two that the
-    # acceptance checks import (c09's least-squares baseline)
+    # no public module-level function or class that only tests call, apart
+    # from the two that the acceptance checks import (c09's least-squares
+    # baseline); a re-export in __init__ is no caller
     only_tests = {"excess_risk", "mle_fit"}
     package = Path(tailsgd.__file__).parent
-    exported = {alias.asname or alias.name
-                for node in ast.parse((package / "__init__.py").read_text()).body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
-    used = set()
+    public, used = set(), set()
     for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        public |= {node.name for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                   and not node.name.startswith("_")}
         if path.name != "__init__.py":
-            for node in ast.walk(ast.parse(path.read_text())):
+            for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
                     used.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     used.add(node.attr)
-    assert exported - used <= only_tests, exported - used - only_tests
+    assert public - used <= only_tests, public - used - only_tests
 
 
 def test_tail_averages_sets_no_blas_thread_count(monkeypatch):

@@ -1,9 +1,9 @@
 """verify's checks and the one runner that makes their rows.
 
-Every check is a function returning (passed, margin, detail), and
-``harness._check_row`` is the one place that builds a ``CheckResult``: a
-package error a check raises becomes a FAIL row with margin -inf, and the
-other rows are unchanged."""
+``harness.VERIFY_ROWS`` lists the rows in order, each a check of the shared
+work returning (passed, margin, detail), and ``harness._check_row`` is the
+one place that builds a ``CheckResult``: a package error a check raises
+becomes a FAIL row with margin -inf, and the other rows are unchanged."""
 
 import ast
 import json
@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,9 +19,10 @@ import pytest
 
 import tailsgd.harness as harness_mod
 import tailsgd.stationary as stationary_mod
+from helpers import sampled_rows
 from tailsgd.cli import main
 from tailsgd.errors import ConvergenceError, NonFiniteResultError
-from tailsgd.harness import _sampled_checks, config_from_dict
+from tailsgd.harness import config_from_dict
 from tailsgd.stationary import _FourthMomentSums
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,17 +46,39 @@ HUGE_H = {"distribution": {"kind": "gaussian_well_specified", "d": 2, "noise_sig
 
 def test_every_row_is_built_by_the_runner():
     tree = ast.parse(Path(harness_mod.__file__).read_text())
-    builders = {top.name for top in tree.body if isinstance(top, ast.FunctionDef)
-                for node in ast.walk(top)
+    builders = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                for node in ast.walk(fn)
                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CheckResult"}
     assert builders == {"_check_row"}, builders
+    # each row's name is written once in the module, in VERIFY_ROWS
+    names = [name for name, _ in harness_mod.VERIFY_ROWS]
     literals = [node.value for node in ast.walk(tree)
-                if isinstance(node, ast.Constant) and node.value in CHECK_NAMES]
-    assert sorted(literals) == sorted(CHECK_NAMES)
-    # and each name is the first argument of a _check_row call
-    named = [node.args[0].value for node in ast.walk(tree)
-             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_check_row"]
-    assert sorted(named) == sorted(CHECK_NAMES)
+                if isinstance(node, ast.Constant) and node.value in names]
+    assert sorted(literals) == sorted(names) == sorted(CHECK_NAMES)
+
+
+def test_one_row_runs_on_a_given_record(monkeypatch):
+    assert [name for name, _ in harness_mod.VERIFY_ROWS] == list(CHECK_NAMES)
+    shared = harness_mod._Verification.of(config_from_dict(WELL2))
+    # a row reads the record alone: none of the shared work runs again
+    for attr in ("bound_report", "_sampled_pass", "solve_stationary_fixed_point",
+                 "solve_stationary_gaussian", "run_experiment"):
+        monkeypatch.setattr(harness_mod, attr, _raise(AssertionError(f"{attr} ran again")))
+    checks = dict(harness_mod.VERIFY_ROWS)
+
+    def row(name, record):
+        return harness_mod._check_row(name, checks[name], record)
+
+    report = shared.report
+    tripled = replace(report, **{field: 3.0 * getattr(report, field) for field in
+                                 ("emp_risk", "stderr", "ci_low", "ci_high", "eff_ratio")})
+    sol = shared.sol_dir
+    perturbed = replace(sol, cov=sol.cov * (1.0 + 1e-6))
+    for name, wrong in (("efficiency-window", replace(shared, report=tripled)),
+                        ("stationary-agreement", replace(shared, sol_dir=perturbed))):
+        assert row(name, shared).passed, name
+        failed = row(name, wrong)
+        assert not failed.passed and failed.margin < 0.0, failed
 
 
 def _verify_json(tmp_path, capsys, doc):
@@ -144,8 +168,8 @@ def test_sampled_sums_still_fail_a_wrong_closed_form(diag):
     wrong = SimpleNamespace(apply=lambda m: 1.1 * op.apply(m))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        right = _sampled_checks(cfg.distribution, cfg.moments, op, cfg.seed)[0]
-        failed = _sampled_checks(cfg.distribution, cfg.moments, wrong, cfg.seed)[0]
+        right = sampled_rows(cfg)[0]
+        failed = sampled_rows(replace(cfg, operator=wrong))[0]
     assert right.passed and not failed.passed and failed.margin < 0.0
 
 
