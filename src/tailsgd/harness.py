@@ -557,21 +557,34 @@ def _sampled_pass(spec: DistributionSpec, m: Moments, seed: int):
     """The three sampled rows' one draw of n = 200,000 pairs from the stream
     (seed, 903), folded block by block of ``_ROW_BLOCK`` pairs and never held
     whole: n, the fourth-moment sums, the summed x^T (y - x.w*), and the
-    quadratic forms' mean and standard error.  Its bits depend on the BLAS
-    thread count; a CLI call runs it at one thread, where they do not."""
+    mean and standard error of the quadratic forms
+    q = (y - x.w*)^2 x^T H^-1 x / 2.  Those two come from a running mean and
+    sum of squared deviations of q / 2^k (Chan's pairwise update), with
+    2^k <= max q < 2^(k+1) over the first block, so the squares stay in range
+    wherever the mean does.  Its bits depend on the BLAS thread count; a CLI
+    call runs it at one thread, where they do not."""
     n = 200_000
     stream = SampleStream(spec, (seed, 903))
     fourth_sums = _FourthMomentSums(m.H)
     grad = np.zeros(m.d)
     h_inv = np.linalg.inv(m.H)
-    q = np.empty(n)
+    scale, q_mean, q_ss = None, 0.0, 0.0
     for i in range(0, n, _ROW_BLOCK):
         x, y = stream.draw(min(_ROW_BLOCK, n - i))
         resid = y - x @ m.w_star
         fourth_sums.add(x)
         grad += x.T @ resid
-        q[i:i + _ROW_BLOCK] = 0.5 * resid ** 2 * _quad_forms(x, h_inv)
-    return n, fourth_sums, grad, float(q.mean()), float(sample_std(q)) / math.sqrt(n)
+        q = 0.5 * resid ** 2 * _quad_forms(x, h_inv)
+        if scale is None:
+            scale = math.ldexp(1.0, math.frexp(float(q.max()))[1] - 1)
+        q /= scale
+        # fold the block's count b, mean and squared deviations into the
+        # running ones over the i pairs before it
+        b, b_mean = len(q), float(q.mean())
+        delta = b_mean - q_mean
+        q_mean += delta * b / (i + b)
+        q_ss += float(np.sum((q - b_mean) ** 2)) + delta * delta * i * b / (i + b)
+    return n, fourth_sums, grad, q_mean * scale, math.sqrt(q_ss / (n - 1)) * scale / math.sqrt(n)
 
 
 def _doubling_series(p: np.ndarray, a: np.ndarray, k: int) -> np.ndarray:
@@ -589,7 +602,9 @@ def _doubling_series(p: np.ndarray, a: np.ndarray, k: int) -> np.ndarray:
 class _Verification:
     """The work verify's rows share, formed by ``of`` in field order before
     any row runs; an error in it ends verify.  The walk is formed by the first
-    row that reads it, so an error there FAILs its two rows alone."""
+    row that reads it, so an error there FAILs its two rows alone.  Rows read
+    the rate constants and the risk bound from ``bound``, and only the run's
+    risks from ``report``."""
 
     cfg: ExperimentConfig
     m: Moments
@@ -752,9 +767,9 @@ class _Verification:
         return worst >= 0.0, worst, "; ".join(details)
 
     def bound_holds(self):
-        r = self.report
-        return _at_most(r.ci_low, r.bound.total,
-                        f"emp={r.emp_risk:.6e} (se {r.stderr:.2e}) bound={r.bound.total:.6e}")
+        r, total = self.report, self.bound["bound"].total
+        return _at_most(r.ci_low, total,
+                        f"emp={r.emp_risk:.6e} (se {r.stderr:.2e}) bound={total:.6e}")
 
     def split(self):
         r = self.report
@@ -766,12 +781,12 @@ class _Verification:
     def rho(self):
         if self.m.noiseless:
             return True, 0.0, "skipped: noiseless model"
-        rho = self.report.constants.rho
+        rho = self.bound["constants"].rho
         return rho >= 1.0 - 1e-12, rho - 1.0, f"rho={rho!r}"
 
     def efficiency(self):
-        r, m, cfg = self.report, self.m, self.cfg
-        if m.noiseless or r.bound.bias > 0.1 * r.bound.variance:
+        r, m, cfg, b = self.report, self.m, self.cfg, self.bound["bound"]
+        if m.noiseless or b.bias > 0.1 * b.variance:
             return True, 0.0, "skipped: not variance-dominated"
         relaxations = cfg.gamma * m.mu * (cfg.T - cfg.t)
         if relaxations < _EFFICIENCY_RELAXATIONS:

@@ -78,7 +78,6 @@ from .errors import (
 )
 from .matcore import (
     _BUFFER_CAP,
-    _ROW_BLOCK,
     _quad_forms,
     _weighted_gram,
     frobenius,
@@ -174,18 +173,6 @@ class FourthMomentOperator:
             return sym(2.0 * (hm @ self._h) + np.trace(hm) * self._h)
         return sym(_weighted_gram(self._xs, self._probs, mm))
 
-    def apply_with_stderr(self, m):
-        """Monte-Carlo mean and entrywise standard error of (x^T M x) x x^T.
-
-        Only meaningful for the monte_carlo backing.
-        """
-        if self.kind != "monte_carlo":
-            raise ValueError("standard errors only exist for the monte_carlo backing")
-        sums = _FourthMomentSums(m)
-        for i in range(0, self._xs.shape[0], _ROW_BLOCK):
-            sums.add(self._xs[i:i + _ROW_BLOCK])
-        return sums.mean_and_stderr()
-
     def r_squared_under(self, h) -> float:
         """Smallest c with E[||x||^2 x x^T] <= c * H for the given SPD H."""
         return matrix_norm_under(self.apply(np.eye(self.d)), h)
@@ -194,8 +181,8 @@ class FourthMomentOperator:
 class _FourthMomentSums:
     """Running sums over row blocks of samples for the Monte-Carlo mean and
     entrywise standard error of (x^T M x) x x^T.  Blocks are added in row
-    order, so the rows need never be held at once; ``apply_with_stderr`` and
-    ``verify``'s sampled check both estimate S(M) through it.
+    order, so the rows need never be held at once; ``verify``'s sampled check
+    estimates S(H) through it.
 
     The sums are of the terms of x / 2^k and M / 4^k, with 4^k within a
     factor of 4 of ||M||_2 (for M = H, of E[x x^T]), fixed before the first

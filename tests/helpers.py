@@ -13,7 +13,8 @@ import numpy as np
 
 from tailsgd import harness
 from tailsgd.distributions import DistributionSpec, SupportAtom, exact_moments
-from tailsgd.stationary import FourthMomentOperator
+from tailsgd.matcore import _ROW_BLOCK
+from tailsgd.stationary import FourthMomentOperator, _FourthMomentSums
 
 GAMMA_FRACS = (0.2, 0.5, 0.9)
 SAMPLED_ROWS = ("fourth-moment-sampled", "noise-mean-zero", "sigma2-mle-quadratic-form")
@@ -98,6 +99,16 @@ def exact_instance_grid() -> list[ExactInstance]:
     for d in (1, 3, 6):
         out.append(_from_spec(f"discrete-d{d}", discrete_spec(d, 500 + d)))
     return out
+
+
+def sampled_mean_and_stderr(op: FourthMomentOperator, m):
+    """The Monte-Carlo mean and entrywise standard error of (x^T M x) x x^T
+    over a sampled operator's rows, added to ``_FourthMomentSums`` in blocks
+    of ``_ROW_BLOCK`` rows as verify's sampled pass adds its draw."""
+    sums = _FourthMomentSums(m)
+    for i in range(0, op._xs.shape[0], _ROW_BLOCK):
+        sums.add(op._xs[i:i + _ROW_BLOCK])
+    return sums.mean_and_stderr()
 
 
 def sampled_rows(cfg) -> list:

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from helpers import GAMMA_FRACS, exact_instance_grid
+from helpers import GAMMA_FRACS, exact_instance_grid, sampled_mean_and_stderr
 from tailsgd.bounds import excess_risk, mle_fit, rate_constants, sigma2_mle
 from tailsgd.distributions import DistributionSpec, SampleStream, SeedRange, exact_moments
 from tailsgd.harness import (
@@ -94,7 +94,7 @@ def test_c03_gaussian_fourth_moment_vs_sampling(capsys):
               np.array([[1.0, 0.3, 0.0], [0.3, 2.0, -0.2], [0.0, -0.2, 0.5]])]
     worst_z = 0.0
     for m in probes:
-        mean, stderr = mc_op.apply_with_stderr(m)
+        mean, stderr = sampled_mean_and_stderr(mc_op, m)
         z = np.abs(mean - exact_op.apply(m)) / stderr
         worst_z = max(worst_z, float(z.max()))
     id_op = FourthMomentOperator.gaussian(np.eye(3))

@@ -16,7 +16,14 @@ import pytest
 
 import tailsgd
 import tailsgd.harness as harness_mod
-from helpers import discrete_spec, gaussian_spec, random_psd, random_spd, sampled_rows
+from helpers import (
+    discrete_spec,
+    gaussian_spec,
+    random_psd,
+    random_spd,
+    sampled_mean_and_stderr,
+    sampled_rows,
+)
 from tailsgd import matcore
 from tailsgd.bounds import rate_constants, sigma2_mle
 from tailsgd.cli import main
@@ -37,7 +44,7 @@ from tailsgd.harness import (
     sweep,
     sweep_csv,
 )
-from tailsgd.matcore import _ROW_BLOCK, _quad_forms, sym_to_vec, vec_to_sym
+from tailsgd.matcore import _ROW_BLOCK, _quad_forms, sample_std, sym_to_vec, vec_to_sym
 from tailsgd.sgd import (
     PROCESSES,
     SgdConfig,
@@ -516,7 +523,7 @@ def _unblocked_sampled_margins(cfg):
     try:
         x, y = SampleStream(cfg.distribution, (cfg.seed, 903)).draw(n)
         resid = y - x @ m.w_star
-        mean, se = FourthMomentOperator.sampled(x).apply_with_stderr(m.H)
+        mean, se = sampled_mean_and_stderr(FourthMomentOperator.sampled(x), m.H)
         fourth = _entrywise_margin(mean - cfg.operator.apply(m.H), se, 1e-12 * (1.0 + m.R2))
         norm = float(np.linalg.norm(x.T @ resid)) / n
         noise = 4.0 * math.sqrt(float(np.trace(m.Sigma)) / n) + 1e-12 - norm
@@ -529,9 +536,11 @@ def _unblocked_sampled_margins(cfg):
 
 
 def test_blocked_sampled_checks_match_one_whole_draw():
-    # The row blocks of the draw fall where those of _quad_forms and
-    # apply_with_stderr do, so two margins keep their bits; the noise mean's
-    # one 200,000-row product becomes a sum of 25 block products
+    # The row blocks of the draw fall where those of _quad_forms and the
+    # fourth-moment sums do, so that margin keeps its bits.  The noise mean's
+    # one 200,000-row product becomes a sum of 25 block products, and the
+    # quadratic forms' mean and standard error a fold of 25 blocks' means and
+    # squared deviations, so those two margins agree to rounding
     cfgs = [misspec_d10(seed) for seed in range(3)]
     cfgs.append(config_from_dict({"distribution": family_distribution("well_specified", 10, 1.0),
                                   "T": 1000, "replicates": 100, "seed": 4}))
@@ -540,7 +549,37 @@ def test_blocked_sampled_checks_match_one_whole_draw():
         results = sampled_rows(cfg)
         assert results[0].margin == fourth
         assert results[1].margin == pytest.approx(noise, rel=1e-12, abs=0.0)
-        assert results[2].margin == quadratic
+        assert results[2].margin == pytest.approx(quadratic, rel=1e-12, abs=0.0)
+
+
+def readme_distribution(kind, k):
+    """The README model, H = diag(1, 1/2, 1/4) and w* = 1, at H -> 4^k H with
+    the noise scaled to match (the well-specified noise by 2^k)."""
+    sigma = math.ldexp(1.0, k) if kind == "gaussian_well_specified" else 1.0
+    return {"kind": kind, "d": 3, "noise_sigma": sigma,
+            "H_spec": {"diag": [math.ldexp(v, 2 * k) for v in (1.0, 0.5, 0.25)]},
+            "w_star": [1.0, 1.0, 1.0]}
+
+
+@pytest.mark.parametrize("distribution", [
+    *(readme_distribution(kind, k) for kind in ("gaussian_well_specified", "gaussian_misspecified")
+      for k in (-130, 0, 160)),
+    family_distribution("misspecified", 10, 1.0),
+], ids=[*(f"{kind}-4^{k}" for kind in ("well", "misspec") for k in (-130, 0, 160)),
+        "misspecified_d10"])
+def test_quadratic_form_fold_matches_the_whole_array(distribution):
+    # the sampled pass folds its quadratic forms block by block; their mean
+    # and standard error are those of the 200,000 forms held at once
+    cfg = config_from_dict({"distribution": distribution, "seed": 2})
+    m = cfg.moments
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        n, _, _, mean, se = harness_mod._sampled_pass(cfg.distribution, m, cfg.seed)
+        x, y = SampleStream(cfg.distribution, (cfg.seed, 903)).draw(n)
+        q = 0.5 * (y - x @ m.w_star) ** 2 * _quad_forms(x, np.linalg.inv(m.H))
+        want_se = float(sample_std(q)) / math.sqrt(n)
+    assert mean == pytest.approx(float(q.mean()), rel=1e-12, abs=0.0)
+    assert se == pytest.approx(want_se, rel=1e-12, abs=0.0)
 
 
 def test_sampled_checks_pass_over_seeds():
@@ -554,11 +593,13 @@ def test_sampled_checks_pass_over_seeds():
 
 
 def test_sampled_checks_memory_is_the_shared_draw():
-    # The pass holds a block of pairs at a time and the 200,000 quadratic
-    # forms (1.6 MB): it peaked at 4.1 MB of traced bytes at d = 10 and
-    # 10.0 MB at d = 40 under numpy 2.4.  Holding the whole draw, 17.6 MB at
-    # d = 10 and 65.6 MB at d = 40, peaked at 23.1 and 74.3 MB.
-    for d, cap in ((10, 6e6), (40, 14e6)):
+    # The pass holds a block of pairs at a time and folds the block's
+    # quadratic forms into a running mean and sum of squares: it peaked at
+    # 2.44 MB of traced bytes at d = 10 and 8.31 MB at d = 40 under numpy 2.4.
+    # Keeping the 200,000 forms (1.6 MB) for one whole-array standard
+    # deviation peaked at 5.17 and 9.85 MB; holding the whole draw, 17.6 MB
+    # at d = 10 and 65.6 MB at d = 40, at 23.1 and 74.3 MB.
+    for d, cap in ((10, 3.0e6), (40, 9.5e6)):
         cfg = config_from_dict({"distribution": family_distribution("misspecified", d, 1.0),
                                 "T": 1000, "replicates": 100, "seed": 0})
         SampleStream(cfg.distribution, 0).draw(1)  # numpy.random loaded untraced

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import tailsgd.stationary as stationary_mod
-from helpers import discrete_spec, gaussian_spec, random_spd
+from helpers import discrete_spec, gaussian_spec, random_spd, sampled_mean_and_stderr
 from tailsgd.cli import main
 from tailsgd.distributions import SampleStream, estimate_moments, exact_moments
 from tailsgd.errors import (
@@ -107,12 +107,10 @@ def test_monte_carlo_operator_stderr():
     op = FourthMomentOperator.monte_carlo(spec, 100_000, 5)
     exact = FourthMomentOperator.gaussian(np.eye(3))
     probe = np.diag([1.0, 2.0, 3.0])
-    mean, se = op.apply_with_stderr(probe)
+    mean, se = sampled_mean_and_stderr(op, probe)
     assert np.all(se > 0.0)
     assert np.all(np.abs(mean - exact.apply(probe)) <= 4.0 * se)
     assert np.allclose(mean, op.apply(probe), rtol=1e-12)
-    with pytest.raises(ValueError):
-        exact.apply_with_stderr(probe)
 
 
 def test_monte_carlo_is_sampled_of_draw():
@@ -124,7 +122,8 @@ def test_monte_carlo_is_sampled_of_draw():
         op = FourthMomentOperator.monte_carlo(spec, 3000, 4)
         ref = FourthMomentOperator.sampled(SampleStream(spec, 4).draw(3000)[0])
         assert np.array_equal(op.apply(probe), ref.apply(probe))
-        for got, want in zip(op.apply_with_stderr(probe), ref.apply_with_stderr(probe)):
+        for got, want in zip(sampled_mean_and_stderr(op, probe),
+                             sampled_mean_and_stderr(ref, probe)):
             assert np.array_equal(got, want)
 
 
@@ -336,7 +335,7 @@ def test_blocked_contractions_match_einsum():
     se = np.sqrt(np.maximum(m2 - mean ** 2, 0.0) / n)
     mc = FourthMomentOperator.monte_carlo(spec, n, 24)
     assert _rel_gap(mc.apply(m), mean) <= 1e-12
-    mc_mean, mc_se = mc.apply_with_stderr(m)
+    mc_mean, mc_se = sampled_mean_and_stderr(mc, m)
     assert _rel_gap(mc_mean, mean) <= 1e-12
     assert _rel_gap(mc_se, se) <= 1e-12
 
@@ -354,14 +353,14 @@ def test_sampled_operator_memory_is_bounded_by_row_blocks():
     spec = cfg.distribution
     op = FourthMomentOperator.monte_carlo(spec, 200_000, 5)
     h = spec.H_spec
-    for fn in (op.apply, op.apply_with_stderr):
+    for name, fn in (("apply", op.apply), ("sums", lambda m: sampled_mean_and_stderr(op, m))):
         tracemalloc.start()
         try:
             fn(h)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2 ** 20, fn.__name__
+        assert peak < 4 * 2 ** 20, name
 
 
 def test_cli_verify_misspecified_d20(tmp_path, capsys):

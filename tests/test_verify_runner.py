@@ -81,6 +81,16 @@ def test_one_row_runs_on_a_given_record(monkeypatch):
         assert not failed.passed and failed.margin < 0.0, failed
 
 
+def test_rows_read_the_bound_from_the_record():
+    # the rate constants and the bound come from the record's bound alone;
+    # the risk run's report supplies only its risks
+    shared = harness_mod._Verification.of(config_from_dict({**WELL2, "T": 1000}))
+    blank = replace(shared, report=replace(shared.report, bound=None, constants=None))
+    for name, check in harness_mod.VERIFY_ROWS:
+        assert (harness_mod._check_row(name, check, blank)
+                == harness_mod._check_row(name, check, shared)), name
+
+
 def _verify_json(tmp_path, capsys, doc):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(doc))
