@@ -89,6 +89,12 @@ def draws_diagonally(h) -> bool:
     return not np.triu(sym(h), 1).any()
 
 
+def _diagonal(spec) -> bool:
+    """Whether ``spec`` draws through the diagonal factor ``draws_diagonally``
+    gave it, the one fill that splits into sub-blocks."""
+    return spec.kind != DISCRETE and spec._chol.ndim == 1
+
+
 @dataclass(frozen=True)
 class SupportAtom:
     """One atom of a discrete design: covariate x, conditional label mean and
@@ -485,7 +491,7 @@ def draw_block(streams, block: np.ndarray):
     for i in range(0, len(streams), step):
         chunk = block[i:i + step]
         x, y = _pairs(spec, chunk)
-        if spec.kind == DISCRETE or spec._chol.ndim == 2:
+        if not _diagonal(spec):
             chunk[..., :d] = x
         chunk[..., d] = y
         # released before the next chunk's pairs are formed
@@ -512,7 +518,7 @@ def _pairs(spec: DistributionSpec, raw: np.ndarray):
         idx = np.minimum(np.searchsorted(a.cum, flat[:, :n], side="right"), len(a.cum) - 1)
         y = a.y_mean[idx] + a.y_std[idx] * flat[:, n:2 * n]
         return np.take(a.x, idx, axis=0), y
-    if spec._chol.ndim == 1:
+    if _diagonal(spec):
         # in place over the contiguous rows; eta's factor is an exact 1.0
         raw *= spec._chol
         x = raw[..., :d]

@@ -27,17 +27,18 @@ rejected, and a malformed document raises ConfigError naming its field.  ::
     }
 
 A run may hold at most 1 GiB, counted before the model is built
-(sgd.run_bytes): the outputs of every replicate, the transform's
-temporaries, and one group as sgd.draw_plan sizes it, at most 2 MiB (draws,
-state and streams) unless a floor binds.  The plan needs only d and the
-draw form, which the model's own rule reads from H_spec: a full matrix whose
-off-diagonal entries are zero counts as diagonal, and the discrete kind
-fills whole blocks.  The count is per process: a pool's parent holds the
-parts and their concatenation, within the count, and each worker less.  A
-sweep reads gamma, replicates, seed, noise_sigma (default 1.0) and t_rule
-(half_T only) through the same entries, and checks its axes d (default [1,
-3, 10]), gamma_rules (default both derived rules), T (default [1000, 10000])
-and families (default both) against the entries they vary.
+(sgd.run_bytes): the tail averages of every replicate, twice; the
+transform's temporaries; and one group as sgd.draw_plan sizes it, at most
+2 MiB (draws, sums and streams) unless a floor binds, with its state.  The
+plan needs only d and the draw form, which the model's own rule reads from
+H_spec: a full matrix whose off-diagonal entries are zero counts as
+diagonal, and the discrete kind fills whole blocks.  The count is per
+process: a pool's parent holds the parts and their concatenation, within
+the count, and each worker less.  A sweep reads gamma, replicates, seed,
+noise_sigma (default 1.0) and t_rule (half_T only) through the same
+entries, and checks its axes d (default [1, 3, 10]), gamma_rules (default
+both derived rules), T (default [1000, 10000]) and families (default both)
+against the entries they vary.
 
 Stepsize rules resolve against the model's moments: ``half_inv_R2`` gives
 gamma = 1 / (2 R^2) and ``half_inv_rho_R2`` gives gamma = 1 / (2 rho R^2),
@@ -442,12 +443,11 @@ def _tail_averages(spec, cfg, moments, master, cell, n_rep, workers, processes):
     jobs = [(spec, cfg, master, cell, lo, hi, moments, processes)
             for lo, hi in _chunk_ranges(n_rep, workers)]
     if len(jobs) == 1:
-        parts = [_tail_chunk(jobs[0])]
-    else:
-        # forked workers inherit numpy.random instead of each importing it
-        import numpy.random  # noqa: F401
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            parts = list(pool.map(_tail_chunk, jobs))
+        return _tail_chunk(jobs[0])
+    # forked workers inherit numpy.random instead of each importing it
+    import numpy.random  # noqa: F401
+    with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+        parts = list(pool.map(_tail_chunk, jobs))
     return np.concatenate(parts, axis=0)
 
 
@@ -670,14 +670,20 @@ class _Verification:
 
     def noise_mean_zero(self):
         # the gradient noise at w* is -(y - x.w*) x: its mean is the summed
-        # x^T (y - x.w*) over n
+        # x^T (y - x.w*) over n.  The floor scales as x (y - x.w*) does: with
+        # the rounding of y - x.w*, of order |x| |x.w*|, and with the noise
+        m, trace_sigma = self.m, float(np.trace(self.m.Sigma))
         norm = frobenius(self.grad) / self.n
-        cap = 4.0 * math.sqrt(float(np.trace(self.m.Sigma)) / self.n) + 1e-12
+        signal = math.sqrt(float(np.trace(m.H))) * math.sqrt(float(m.w_star @ m.H @ m.w_star))
+        cap = 4.0 * math.sqrt(trace_sigma / self.n) + 1e-12 * (signal + math.sqrt(trace_sigma))
         return _at_most(norm, cap, f"|mean|={norm:.3e} cap={cap:.3e}")
 
     def quadratic_form(self):
-        target = sigma2_mle(self.m)
-        return _at_most(abs(self.q_mean - target), 4.0 * self.q_stderr + 1e-12,
+        # the floor scales as q does: with the target, and with the rounding
+        # of (y - x.w*)^2 x^T H^-1 x, of order (x.w*)^2 d
+        m, target = self.m, sigma2_mle(self.m)
+        floor = 1e-12 * (target + m.d * float(m.w_star @ m.H @ m.w_star))
+        return _at_most(abs(self.q_mean - target), 4.0 * self.q_stderr + floor,
                         f"quadratic-form mean {self.q_mean:.6e} vs half-trace {target:.6e}")
 
     def residual(self, sol, note=""):

@@ -34,11 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
-    DISCRETE,
     DistributionSpec,
     Moments,
     SampleStream,
     SeedRange,
+    _diagonal,
     draw_block,
     exact_moments,
     sample_moments,
@@ -125,10 +125,10 @@ class SgdConfig:
 class BatchResult:
     """Vectorized outputs of run_replicates.  Per-replicate arrays lead with
     the replicate axis, then the process axis when several were run;
-    ``snapshots`` leads with the snapshot axis."""
+    ``snapshots`` leads with the snapshot axis.  A final state w_T is the
+    snapshot at step T."""
 
     tail_averages: np.ndarray
-    finals: np.ndarray
     snapshot_steps: tuple[int, ...]
     snapshots: np.ndarray
     samples_per_replicate: int
@@ -178,16 +178,11 @@ def _fill_rows(rows: int, T: int) -> int:
     return min(rows + (rows < BLOCK), T)
 
 
-def _diagonal(spec: DistributionSpec) -> bool:
-    """Whether ``spec`` draws through a diagonal Cholesky factor, the one
-    fill that splits into sub-blocks."""
-    return spec.kind != DISCRETE and spec._chol.ndim == 1
-
-
 def _replicate_bytes(d: int, rows: int, T: int, processes: int) -> int:
     """Bytes one replicate holds in its group (draw_plan): its fill of the
     draw buffer, its rows of the group's Kahan sum (four arrays), update,
-    dot and residual arrays for each process, and its keyed stream."""
+    dot and residual arrays for each process, and its keyed stream.  Its
+    iterates, one state per process, run_bytes counts beside the plan."""
     values = _fill_rows(rows, T) * (d + 1) + processes * (5 * d + 2)
     return 8 * values + _STREAM_BYTES
 
@@ -198,8 +193,8 @@ def draw_plan(d: int, replicates: int, T: int, diagonal: bool, processes: int) -
     ``rows`` rows of draws per replicate at a time and advances its seeds in
     groups of ``group``, the last group taking the rest.  ``diagonal`` says
     whether the model draws through a diagonal Cholesky factor
-    (``_diagonal``).  A group holds at most 2 MiB (draws, state and
-    streams, ``_replicate_bytes`` a replicate) unless a floor binds.
+    (``distributions._diagonal``).  A group holds at most 2 MiB (draws,
+    sums and streams, ``_replicate_bytes`` a replicate) unless a floor binds.
 
     rows is BLOCK unless the factor is diagonal; then it is the largest
     power of two in [64, BLOCK] at which all replicates fit in one group, or
@@ -217,16 +212,17 @@ def draw_plan(d: int, replicates: int, T: int, diagonal: bool, processes: int) -
 
 def run_bytes(d: int, replicates: int, T: int, diagonal: bool) -> int:
     """Bytes that a run of ``replicates`` seeds advancing every process
-    holds at most, snapshots aside: the tail averages and final states of
-    every replicate; one group as draw_plan sizes it; and the pairs
-    transform's temporaries over one chunk of at most _ROW_BLOCK rows, with
-    a fixed allowance.  It needs only d and the form of the factor, so a
-    config is checked against it before its model is built."""
+    holds at most, snapshots aside: the tail averages of every replicate,
+    twice for a pool parent's parts and their concatenation; one group as
+    draw_plan sizes it, and its state; and the pairs transform's temporaries
+    over one chunk of at most _ROW_BLOCK rows, with a fixed allowance.  It
+    needs only d and the form of the factor, so a config is checked against
+    it before its model is built."""
     processes = len(PROCESSES)
     rows, group = draw_plan(d, replicates, T, diagonal, processes)
     chunk = min(group * _fill_rows(rows, T), _ROW_BLOCK)
     return (replicates * 16 * processes * d
-            + group * _replicate_bytes(d, rows, T, processes)
+            + group * (_replicate_bytes(d, rows, T, processes) + 8 * processes * d)
             + 8 * chunk * (d + _ROW_ARRAYS) + _FIXED_BYTES)
 
 
@@ -277,37 +273,32 @@ def run_replicates(spec: DistributionSpec, config: SgdConfig, seeds, *,
     mask = np.array([0.0 if p == "bias" else 1.0 for p in names])
 
     tails = np.empty((n_rep, len(names), d))
-    finals = np.empty_like(tails)
     rows, group = draw_plan(d, n_rep, big_t, _diagonal(spec), len(names))
     for lo in range(0, n_rep, group):
         part = slice(lo, lo + group)
         _advance(spec, config, seeds[part], rows, starts, mask, snap_idx,
-                 tails[part], finals[part], snaps[:, part])
+                 tails[part], snaps[:, part])
     tails += shift
-    finals += shift
     snaps += shift
     if isinstance(process, str):
-        tails, finals, snaps = tails[:, 0], finals[:, 0], snaps[:, :, 0]
+        tails, snaps = tails[:, 0], snaps[:, :, 0]
     return BatchResult(
         tail_averages=tails,
-        finals=finals,
         snapshot_steps=tuple(snap_steps),
         snapshots=snaps,
         samples_per_replicate=big_t,
     )
 
 
-def _advance(spec, config, seeds, rows, starts, mask, snap_idx, tails, finals, snaps):
+def _advance(spec, config, seeds, rows, starts, mask, snap_idx, tails, snaps):
     """Run one group of seeds from the (processes, d) ``starts``, writing its
-    unshifted tail averages, final states and snapshots into ``tails``,
-    ``finals`` and ``snaps``, the group's slices of the run's outputs;
-    ``finals`` holds the state as it advances.  The group keys its own
-    streams and holds its own draw buffer and the rest of its state."""
+    unshifted tail averages and snapshots into ``tails`` and ``snaps``, the
+    group's slices of the run's outputs.  The group keys its own streams and
+    holds its own draw buffer, state and the rest of its work arrays."""
     gamma, big_t, t0 = config.gamma, config.T, config.t_avg_start
     n_rep, d = len(seeds), spec.d
     streams = sample_streams(spec, seeds)
-    w = finals
-    w[:] = starts
+    w = np.broadcast_to(starts, tails.shape).copy()
     tail = _KahanSum(w.shape)
     buf = np.empty(n_rep * _fill_rows(rows, big_t) * (d + 1))
     dot, r, upd = np.empty(w.shape[:2]), np.empty(w.shape[:2]), np.empty(w.shape)

@@ -67,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DISCRETE, DistributionSpec, SampleStream
+from .distributions import DISCRETE, DistributionSpec
 from .errors import (
     ConvergenceError,
     DimensionError,
@@ -110,8 +110,10 @@ class FourthMomentOperator:
 
     Backings: ``gaussian`` (x ~ N(0, H), closed form 2 H M H + Tr(M H) H),
     ``discrete`` (finite support, exact weighted sum), and ``monte_carlo``
-    (sample average over n stored draws).  The map is self-adjoint in the
-    trace inner product and preserves the semidefinite order.
+    (``sampled``: the sample average over n stored draws, such as the
+    covariates of ``SampleStream(spec, seed).draw(n)``).  The map is
+    self-adjoint in the trace inner product and preserves the semidefinite
+    order.
     """
 
     def __init__(self, kind: str, *, h=None, xs=None, probs=None):
@@ -137,13 +139,6 @@ class FourthMomentOperator:
         if np.any(pa < 0.0) or abs(pa.sum() - 1.0) > 1e-12:
             raise ValueError("probs must be nonnegative and sum to 1")
         return cls("discrete", xs=xa, probs=pa)
-
-    @classmethod
-    def monte_carlo(cls, spec: DistributionSpec, n: int, seed) -> "FourthMomentOperator":
-        """Backing from the covariates of n draws of a model."""
-        if n < 1:
-            raise ValueError(f"need at least one sample, got {n}")
-        return cls.sampled(SampleStream(spec, seed).draw(n)[0])
 
     @classmethod
     def sampled(cls, x) -> "FourthMomentOperator":

@@ -89,7 +89,7 @@ def test_c03_gaussian_fourth_moment_vs_sampling(capsys):
     spec = DistributionSpec(kind="gaussian_well_specified", d=3, H_spec=h,
                             w_star=np.zeros(3), noise_sigma=1.0)
     exact_op = FourthMomentOperator.gaussian(h)
-    mc_op = FourthMomentOperator.monte_carlo(spec, 1_000_000, (77, 3))
+    mc_op = FourthMomentOperator.sampled(SampleStream(spec, (77, 3)).draw(1_000_000)[0])
     probes = [np.eye(3),
               np.array([[1.0, 0.3, 0.0], [0.3, 2.0, -0.2], [0.0, -0.2, 0.5]])]
     worst_z = 0.0

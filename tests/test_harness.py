@@ -27,7 +27,7 @@ from helpers import (
 from tailsgd import matcore
 from tailsgd.bounds import rate_constants, sigma2_mle
 from tailsgd.cli import main
-from tailsgd.distributions import SampleStream, exact_moments
+from tailsgd.distributions import SampleStream, _diagonal, exact_moments
 from tailsgd.errors import ConfigError, ConvergenceError, IntractableMomentsError
 from tailsgd.harness import (
     SWEEP_COLUMNS,
@@ -48,7 +48,6 @@ from tailsgd.matcore import _ROW_BLOCK, _quad_forms, sample_std, sym_to_vec, vec
 from tailsgd.sgd import (
     PROCESSES,
     SgdConfig,
-    _diagonal,
     draw_plan,
     resolve_moments,
     run_bytes,
@@ -149,8 +148,9 @@ def test_parse_config_sizes_the_draw_buffer_by_horizon():
 
 def test_parse_config_counts_the_state_of_short_runs():
     # one row of 101 floats per replicate, in groups of 2,595, is a 2.1 MB
-    # buffer, but the tail averages and final states of 10^6 replicates
-    # take 4.8 GB; refused from the count, before any array is made
+    # buffer, but the tail averages of 10^6 replicates, counted twice for a
+    # pool's parts and their concatenation, take 4.8 GB; refused from the
+    # count, before any array is made
     tracemalloc.start()
     try:
         with pytest.raises(ConfigError) as err:
@@ -204,8 +204,8 @@ def test_a_gamma_at_the_operators_bound_is_refused_by_every_command(tmp_path, ca
 
 def test_parse_config_accepts_what_a_run_holds_within_the_cap():
     # 100,000 replicates of the misspecified family at d=10 over 1000 steps
-    # hold 52 MB: 48 MB of tail averages and final states, and one group at
-    # the floor of 256 replicates, 2.1 MB with its draws, state and streams;
+    # hold 52 MB: 48 MB of tail averages counted twice, and one group at the
+    # floor of 256 replicates, 2.2 MB with its draws, state and streams;
     # the seeds are one range, not a list of 12.8 MB.  Whole 512-row fills of every replicate at once
     # came to 4.7 GB, refused
     for reps, low, high in ((100_000, 48e6, 70e6), (10 ** 6, 480e6, 700e6)):
@@ -241,9 +241,9 @@ MEMORY_RUNS = {
     for d in MEMORY_RUNS if not (kind == "discrete" and d == 1000)
 ])
 def test_run_bytes_bounds_what_a_run_holds(kind, d):
-    # a run's traced peak, seed list and final concatenation included, is at
-    # most run_bytes, and run_bytes at most twice the peak plus 512 KiB: the
-    # count made before the draw budget read up to 59 times the peak
+    # a run's traced peak, its group's state included, is at most
+    # run_bytes, and run_bytes at most twice the peak plus 512 KiB: the count
+    # made before the draw budget read up to 59 times the peak
     spec = _memory_spec(kind, d)
     m = resolve_moments(spec)
     for reps, big_t in MEMORY_RUNS[d]:
@@ -274,6 +274,23 @@ def test_many_small_replicates_hold_one_group_of_streams():
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
     assert peak <= run_bytes(1, 20_000, 1, True)
+
+
+def test_an_experiment_holds_its_tail_averages_once():
+    # 4,000 replicates of three processes at d=100 hold 9.6 MB of tail
+    # averages; each group advances its state in a buffer of its own, and a
+    # lone job's part is returned as it is.  A run-wide array of final
+    # states beside them peaked at 25.9 MB, this run at 16.9 MB
+    cfg = config_from_dict({"distribution": {"kind": "gaussian_well_specified", "d": 100,
+                                             "noise_sigma": 1.0},
+                            "T": 16, "replicates": 4000})
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, peak
 
 
 def test_parse_config_rejects_invalid_json():
@@ -514,8 +531,10 @@ def test_verification_samples_one_shared_draw(monkeypatch):
 
 def _unblocked_sampled_margins(cfg):
     """The three sampled checks' margins from one whole draw of 200,000
-    pairs: the reference the blocked pass is compared against."""
+    pairs: the reference the blocked pass is compared against, with the
+    checks' floors, each relative to what it guards."""
     m, n = cfg.moments, 200_000
+    signal = float(m.w_star @ m.H @ m.w_star)
     # at one BLAS thread, as the blocked pass runs in a CLI call
     get_threads, set_threads = matcore._openblas() or (lambda: 1, lambda count: None)
     before = get_threads()
@@ -526,10 +545,13 @@ def _unblocked_sampled_margins(cfg):
         mean, se = sampled_mean_and_stderr(FourthMomentOperator.sampled(x), m.H)
         fourth = _entrywise_margin(mean - cfg.operator.apply(m.H), se, 1e-12 * (1.0 + m.R2))
         norm = float(np.linalg.norm(x.T @ resid)) / n
-        noise = 4.0 * math.sqrt(float(np.trace(m.Sigma)) / n) + 1e-12 - norm
+        trace_sigma = float(np.trace(m.Sigma))
+        floor = 1e-12 * (math.sqrt(float(np.trace(m.H)) * signal) + math.sqrt(trace_sigma))
+        noise = 4.0 * math.sqrt(trace_sigma / n) + floor - norm
         q = 0.5 * resid ** 2 * _quad_forms(x, np.linalg.inv(m.H))
         est, se = float(q.mean()), float(q.std(ddof=1) / math.sqrt(n))
-        quadratic = 4.0 * se + 1e-12 - abs(est - sigma2_mle(m))
+        target = sigma2_mle(m)
+        quadratic = 4.0 * se + 1e-12 * (target + m.d * signal) - abs(est - target)
     finally:
         set_threads(before)
     return fourth, noise, quadratic
@@ -726,25 +748,52 @@ def test_blas_thread_count_is_set_only_in_its_places():
     assert found == allowed, found ^ allowed
 
 
+def _member_names(cls: ast.ClassDef):
+    """The methods of a class and, of a dataclass, its fields."""
+    dataclass = any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name
+        elif dataclass and isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id
+
+
 def test_every_export_has_a_caller_in_the_package():
-    # no public module-level function or class that only tests call, apart
-    # from the two that the acceptance checks import (c09's least-squares
-    # baseline); a re-export in __init__ is no caller
+    # no public module-level function or class that only tests call, and no
+    # public method or dataclass field of a public class that only tests
+    # read; a re-export in __init__ is no caller.  A member counts as read
+    # only where an attribute of its name is loaded, so a local variable of
+    # its name does not hide it.  Kept, each with its reader outside the
+    # package: the two functions that the acceptance checks import (c09's
+    # least-squares baseline), and two members
     only_tests = {"excess_risk", "mle_fit"}
+    read_outside = {
+        "RiskReport.ci_high": "simulate's JSON, written by cli through dataclasses.asdict",
+        "BatchResult.samples_per_replicate": "perfbench/tracing.py's replicate-step count",
+    }
     package = Path(tailsgd.__file__).parent
-    public, used = set(), set()
+    public, members, used, read = set(), set(), set(), set()
     for path in package.glob("*.py"):
         tree = ast.parse(path.read_text())
-        public |= {node.name for node in tree.body
-                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                   and not node.name.startswith("_")}
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                public.add(node.name)
+                if isinstance(node, ast.ClassDef):
+                    members |= {f"{node.name}.{name}" for name in _member_names(node)
+                                if not name.startswith("_")}
         if path.name != "__init__.py":
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
                     used.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     used.add(node.attr)
+                    if isinstance(node.ctx, ast.Load):
+                        read.add(node.attr)
     assert public - used <= only_tests, public - used - only_tests
+    assert read_outside.keys() <= members
+    unread = {member for member in members if member.split(".")[1] not in read}
+    assert unread <= read_outside.keys(), sorted(unread - read_outside.keys())
 
 
 def test_tail_averages_sets_no_blas_thread_count(monkeypatch):

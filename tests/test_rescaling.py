@@ -5,7 +5,8 @@ specified) or sigma (``norm_x``), or a discrete support by x, y_mean, y_std
 -> 2^k times themselves, and an explicit gamma -> gamma / 4^k, with w0 and w*
 fixed.  Then x and y scale by 2^k, gamma R^2 is unchanged, and every
 trajectory is the same: risks and bounds scale by 4^k, and every ``verify``
-verdict is the same, on the correct model and on a wrong one.  All factors
+verdict is the same, on the correct model, on a wrong one, and on a sampler
+with too much noise checked against the correct moments.  All factors
 are powers of two, so floating point keeps this bit for bit until something
 leaves float range; the sampled sums, norms and standard errors are formed
 on scaled operands so that nothing does, from H near 1e-78 to 1e96."""
@@ -35,16 +36,17 @@ REPORT_SCALES = {"emp_risk": 2, "stderr": 2, "ci_low": 2, "ci_high": 2, "bias_ri
                  "constants.sigma2": 2, "constants.rho": 0, "dist0_sq": 0}
 
 
-def _document(kind, k):
+def _document(kind, k, noise=1.0):
+    # noise scales the label noise: noise_sigma, or each atom's y_std
     if kind == "discrete":
         return {"distribution": {"kind": kind, "d": 2, "support": [
                     {"x": [math.ldexp(v, k) for v in x], "y_mean": math.ldexp(mean, k),
-                     "y_std": math.ldexp(std, k), "prob": prob}
+                     "y_std": math.ldexp(noise * std, k), "prob": prob}
                     for x, mean, std, prob in SUPPORT]},
                 "gamma_rule": "explicit", "gamma": math.ldexp(0.1, -2 * k),
                 "t_rule": "explicit", "t": 25, "T": 50, "w0": [0.5, 0.0],
                 "replicates": 8, "seed": 3}
-    sigma = math.ldexp(0.5, k) if kind == "gaussian_well_specified" else 0.5
+    sigma = math.ldexp(0.5 * noise, k) if kind == "gaussian_well_specified" else 0.5 * noise
     return {"distribution": {"kind": kind, "d": 3, "noise_sigma": sigma,
                              "H_spec": {"diag": [math.ldexp(v, 2 * k) for v in (1.0, 0.5, 0.25)]},
                              "w_star": [1.0, -0.5, 0.25]},
@@ -60,14 +62,15 @@ def _values(cfg):
             for name in REPORT_SCALES}
 
 
-def _verdicts(cfg):
-    # the wrong model: an operator built for 1.1 H, or for the support 1.1 x
+def _verdicts(cfg, noisy):
+    # the wrong model: an operator built for 1.1 H, or for the support 1.1 x;
+    # and the right model's moments checked against draws of ``noisy``
     support = cfg.distribution.support
     op = (FourthMomentOperator.discrete([1.1 * a.x for a in support], [a.prob for a in support])
           if support else FourthMomentOperator.gaussian(1.1 * cfg.moments.H))
-    wrong = dataclasses.replace(cfg, operator=op)
-    return ([r.passed for r in run_verification(cfg)],
-            [r.passed for r in run_verification(wrong)])
+    return tuple({r.name: r.passed for r in run_verification(c)}
+                 for c in (cfg, dataclasses.replace(cfg, operator=op),
+                           dataclasses.replace(cfg, distribution=noisy)))
 
 
 @pytest.mark.parametrize("kind", ["gaussian_well_specified", "gaussian_misspecified", "discrete"])
@@ -77,12 +80,16 @@ def test_power_of_two_rescaling_keeps_every_result(kind):
         runs = {}
         for k in KS:
             cfg = config_from_dict(_document(kind, k))
-            runs[k] = _values(cfg), _verdicts(cfg)
-    base, (right, wrong) = runs[0]
-    # the wrong operator fails the checks that read it
-    assert all(right) and not all(wrong)
+            noisy = config_from_dict(_document(kind, k, noise=1.1)).distribution
+            runs[k] = _values(cfg), _verdicts(cfg, noisy)
+    base, verdicts = runs[0]
+    right, wrong, noisy = verdicts
+    # the wrong operator fails the checks that read it, and the noisy
+    # sampler the check of sigma^2_MLE, at every scale
+    assert all(right.values()) and not all(wrong.values())
+    assert not noisy["sigma2-mle-quadratic-form"]
     for k in KS:
-        values, verdicts = runs[k]
+        values, at_k = runs[k]
         for name, scale in REPORT_SCALES.items():
             assert values[name] == math.ldexp(base[name], scale * k), (k, name)
-        assert verdicts == (right, wrong), k
+        assert at_k == verdicts, k

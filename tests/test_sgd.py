@@ -11,6 +11,7 @@ from tailsgd.distributions import (
     SampleStream,
     SeedRange,
     SupportAtom,
+    _diagonal,
     exact_moments,
 )
 from tailsgd.errors import DimensionError, EmptyWindowError, StepSizeError
@@ -21,7 +22,6 @@ from tailsgd.sgd import (
     BLOCK,
     PROCESSES,
     SgdConfig,
-    _diagonal,
     _replicate_bytes,
     draw_plan,
     resolve_moments,
@@ -52,7 +52,6 @@ def test_deterministic_one_dimensional_run():
     run = run_replicates(spec, cfg, [0], snapshot_steps=range(4))
     assert np.allclose(run.snapshots[:, 0, 0], [0.0, 0.5, 0.75, 0.875])
     assert run.tail_averages[0] == pytest.approx([5.0 / 12.0], rel=1e-15)
-    assert run.finals[0] == pytest.approx([0.875])
     assert run.samples_per_replicate == 3
     # window of length one picks exactly w_{T-1}
     last = run_replicates(spec, SgdConfig(gamma=0.5, w0=[0.0], t_avg_start=2, T=3), [0])
@@ -62,9 +61,9 @@ def test_deterministic_one_dimensional_run():
 def test_start_at_minimizer_is_stationary_when_noiseless():
     spec = unit_design_1d(y_mean=2.0)  # w* = 2
     cfg = SgdConfig(gamma=0.3, w0=[2.0], t_avg_start=0, T=10)
-    run = run_replicates(spec, cfg, [1])
+    run = run_replicates(spec, cfg, [1], snapshot_steps=[10])
     assert run.tail_averages[0] == pytest.approx([2.0], abs=0.0)
-    assert run.finals[0] == pytest.approx([2.0], abs=0.0)
+    assert run.snapshots[0, 0] == pytest.approx([2.0], abs=0.0)
 
 
 def test_tail_average_matches_recorded_iterates():
@@ -74,7 +73,6 @@ def test_tail_average_matches_recorded_iterates():
     iterates = run.snapshots[:, 0]
     recomputed = iterates[137:500].mean(axis=0)
     assert np.allclose(run.tail_averages[0], recomputed, rtol=1e-12, atol=1e-14)
-    assert np.array_equal(iterates[-1], run.finals[0])  # the last snapshot is T = 500
 
 
 def test_kahan_tail_average_long_run():
@@ -88,8 +86,8 @@ def test_kahan_tail_average_long_run():
 def test_bias_process_fixed_point_and_exact_decay():
     spec = unit_design_1d(y_mean=5.0)  # w* = 5
     at_min = run_replicates(spec, SgdConfig(gamma=0.1, w0=[5.0], t_avg_start=0, T=20), [0],
-                            process="bias")
-    assert at_min.finals[0] == pytest.approx([5.0], abs=0.0)
+                            process="bias", snapshot_steps=[20])
+    assert at_min.snapshots[0, 0] == pytest.approx([5.0], abs=0.0)
 
     cfg = SgdConfig(gamma=0.1, w0=[0.0], t_avg_start=0, T=50)
     ts = (1, 10, 49)
@@ -106,8 +104,7 @@ def test_variance_process_noiseless_stays_put():
     spec = gaussian_spec(3, sigma=0.0)
     cfg = SgdConfig(gamma=0.05, w0=np.zeros(3), t_avg_start=0, T=30)
     res = run_replicates(spec, cfg, [2], process="variance", snapshot_steps=(0, 15, 30))
-    assert np.array_equal(res.finals[0], np.ones(3))  # w* exactly, never moves
-    assert np.array_equal(res.snapshots[:, 0], np.ones((3, 3)))
+    assert np.array_equal(res.snapshots[:, 0], np.ones((3, 3)))  # w* exactly, never moves
 
 
 def test_variance_process_first_step_covariance():
@@ -129,11 +126,11 @@ def test_batch_rows_equal_single_runs():
     spec = gaussian_spec(3, sigma=1.0)
     cfg = SgdConfig(gamma=0.1, w0=np.zeros(3), t_avg_start=10, T=200)
     seeds = [101, 102, 103]
-    batch = run_replicates(spec, cfg, seeds)
+    batch = run_replicates(spec, cfg, seeds, snapshot_steps=[200])
     for i, seed in enumerate(seeds):
-        solo = run_replicates(spec, cfg, [seed])
+        solo = run_replicates(spec, cfg, [seed], snapshot_steps=[200])
         assert np.array_equal(batch.tail_averages[i], solo.tail_averages[0])
-        assert np.array_equal(batch.finals[i], solo.finals[0])
+        assert np.array_equal(batch.snapshots[:, i], solo.snapshots[:, 0])
 
 
 @pytest.mark.parametrize("d", [1, 3, 12])
@@ -155,7 +152,6 @@ def test_process_rows_equal_single_process_runs(d):
         solo = run_replicates(spec, cfg, seeds, process=process, moments=m,
                               snapshot_steps=snaps)
         assert np.array_equal(joint.tail_averages[:, k], solo.tail_averages)
-        assert np.array_equal(joint.finals[:, k], solo.finals)
         assert np.array_equal(joint.snapshots[:, :, k], solo.snapshots)
         split_tails = np.concatenate([h.tail_averages[:, k] for h in halves])
         split_snaps = np.concatenate([h.snapshots[:, :, k] for h in halves], axis=1)
@@ -384,9 +380,10 @@ def test_a_seed_range_runs_as_its_seed_tuples():
 
 @pytest.mark.parametrize("name", sorted(GROUPED_RUNS))
 def test_grouped_run_equals_single_group_halves(monkeypatch, name):
-    # the groups of one run give the tail averages, finals and snapshots of
-    # every process that the same seeds give run in other groupings, bit for
-    # bit; the run is one run_replicates call that keys each seed's stream once
+    # the groups of one run give the tail averages and snapshots, the last at
+    # T, of every process that the same seeds give run in other groupings,
+    # bit for bit; the run is one run_replicates call that keys each seed's
+    # stream once
     make, big_t, r = GROUPED_RUNS[name]
     spec = make()
     m = resolve_moments(spec)
@@ -416,7 +413,6 @@ def test_grouped_run_equals_single_group_halves(monkeypatch, name):
     alone = [run(h) for h in halves]
     assert np.array_equal(grouped.tail_averages,
                           np.concatenate([a.tail_averages for a in alone]))
-    assert np.array_equal(grouped.finals, np.concatenate([a.finals for a in alone]))
     assert np.array_equal(grouped.snapshots,
                           np.concatenate([a.snapshots for a in alone], axis=1))
 

@@ -70,7 +70,7 @@ def test_operator_self_adjoint_and_monotone():
     backings = [
         FourthMomentOperator.gaussian(random_spd(3, 1)),
         FourthMomentOperator.from_spec(discrete_spec(3, 2)),
-        FourthMomentOperator.monte_carlo(gaussian_spec(3, sigma=0.0), 2000, 3),
+        FourthMomentOperator.sampled(SampleStream(gaussian_spec(3, sigma=0.0), 3).draw(2000)[0]),
     ]
     for op in backings:
         a = g.standard_normal((3, 3))
@@ -104,27 +104,13 @@ def test_operator_trace_identity_and_r2_cap():
 
 def test_monte_carlo_operator_stderr():
     spec = gaussian_spec(3, sigma=0.0)
-    op = FourthMomentOperator.monte_carlo(spec, 100_000, 5)
+    op = FourthMomentOperator.sampled(SampleStream(spec, 5).draw(100_000)[0])
     exact = FourthMomentOperator.gaussian(np.eye(3))
     probe = np.diag([1.0, 2.0, 3.0])
     mean, se = sampled_mean_and_stderr(op, probe)
     assert np.all(se > 0.0)
     assert np.all(np.abs(mean - exact.apply(probe)) <= 4.0 * se)
     assert np.allclose(mean, op.apply(probe), rtol=1e-12)
-
-
-def test_monte_carlo_is_sampled_of_draw():
-    # the covariates of draw(n), in its layout, which the sums' bits depend on
-    probe = np.diag([1.0, 2.0, 3.0])
-    for spec in (gaussian_spec(3, h=np.diag([2.0, 1.0, 0.5])),
-                 gaussian_spec(3, h=random_spd(3, 1), kind="gaussian_misspecified"),
-                 discrete_spec(3, 2)):
-        op = FourthMomentOperator.monte_carlo(spec, 3000, 4)
-        ref = FourthMomentOperator.sampled(SampleStream(spec, 4).draw(3000)[0])
-        assert np.array_equal(op.apply(probe), ref.apply(probe))
-        for got, want in zip(sampled_mean_and_stderr(op, probe),
-                             sampled_mean_and_stderr(ref, probe)):
-            assert np.array_equal(got, want)
 
 
 def test_operator_validation():
@@ -333,7 +319,7 @@ def test_blocked_contractions_match_einsum():
     mean = np.einsum("k,ki,kj->ij", q, x, x) / n
     m2 = np.einsum("k,ki,kj->ij", q * q, x ** 2, x ** 2) / n
     se = np.sqrt(np.maximum(m2 - mean ** 2, 0.0) / n)
-    mc = FourthMomentOperator.monte_carlo(spec, n, 24)
+    mc = FourthMomentOperator.sampled(x)
     assert _rel_gap(mc.apply(m), mean) <= 1e-12
     mc_mean, mc_se = sampled_mean_and_stderr(mc, m)
     assert _rel_gap(mc_mean, mean) <= 1e-12
@@ -351,7 +337,7 @@ def test_sampled_operator_memory_is_bounded_by_row_blocks():
     # temporaries of that size
     cfg = config_from_dict({"distribution": family_distribution("misspecified", 10, 1.0)})
     spec = cfg.distribution
-    op = FourthMomentOperator.monte_carlo(spec, 200_000, 5)
+    op = FourthMomentOperator.sampled(SampleStream(spec, 5).draw(200_000)[0])
     h = spec.H_spec
     for name, fn in (("apply", op.apply), ("sums", lambda m: sampled_mean_and_stderr(op, m))):
         tracemalloc.start()
