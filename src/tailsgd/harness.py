@@ -47,6 +47,8 @@ the conservative choice for badly misspecified noise.
 Replicate r of cell c under master seed s draws from the stream seeded by
 the tuple (s, c, r), so results do not depend on how replicates are batched
 across worker processes: running with 1 or many workers is bit-identical.
+The process-pool stack (concurrent.futures.process, multiprocessing) loads
+with the first pool, so a call that starts none never imports it.
 A run or worker chunk passes its replicates lo <= r < hi as one
 ``SeedRange(s, c, lo, hi)``, keyed as one uint32 matrix with no seed list.
 
@@ -67,7 +69,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -438,6 +439,13 @@ def _tail_chunk(args):
     return res.tail_averages
 
 
+# concurrent.futures.ProcessPoolExecutor, bound by the first pool: its import
+# loads multiprocessing and about 30 more modules that a pool-free call never uses.
+# A module name, not a local import, so a class set here (perfbench's traced pool,
+# a test's counting pool) is the one every pool starts from.
+ProcessPoolExecutor = None
+
+
 def _tail_averages(spec, cfg, moments, master, cell, n_rep, workers, processes):
     """(replicates, len(processes), d) tail averages of the named processes."""
     jobs = [(spec, cfg, master, cell, lo, hi, moments, processes)
@@ -446,6 +454,9 @@ def _tail_averages(spec, cfg, moments, master, cell, n_rep, workers, processes):
         return _tail_chunk(jobs[0])
     # forked workers inherit numpy.random instead of each importing it
     import numpy.random  # noqa: F401
+    global ProcessPoolExecutor
+    if ProcessPoolExecutor is None:
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
         parts = list(pool.map(_tail_chunk, jobs))
     return np.concatenate(parts, axis=0)

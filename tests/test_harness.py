@@ -634,21 +634,76 @@ def test_sampled_checks_memory_is_the_shared_draw():
         assert peak <= cap, d
 
 
-def test_setup_does_not_import_numpy_random():
-    # numpy.random takes ~11 ms to import; a CLI call that never samples
-    # never pays for it
-    code = (
+# what importing concurrent.futures.ProcessPoolExecutor loads
+POOL_MODULES = ("concurrent.futures.process", "multiprocessing")
+
+
+def run_fresh(code):
+    env = dict(os.environ, PYTHONPATH=str(Path(tailsgd.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("module", ["numpy.random", *POOL_MODULES])
+def test_setup_does_not_import_numpy_random(module):
+    # numpy.random takes ~11 ms to import and the process-pool stack ~14 ms;
+    # a CLI call that never samples pays for neither
+    run_fresh(
         "import json, sys\n"
         "import tailsgd.cli\n"
         "from tailsgd.harness import config_from_dict, parse_sweep_config\n"
         f"config_from_dict(json.loads({json.dumps(json.dumps(WELL3))}))\n"
         "parse_sweep_config('{}')\n"
-        "assert 'numpy.random' not in sys.modules, 'numpy.random imported'\n"
+        f"assert {module!r} not in sys.modules, '{module} imported'\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(tailsgd.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+
+
+def test_only_a_run_with_a_pool_loads_the_pool_stack(tmp_path):
+    # pool-free simulate, verify and sweep calls leave the pool stack unloaded;
+    # the first pool loads it, binds harness's name to the class, and writes
+    # the bytes of one worker
+    exp, grid = tmp_path / "exp.json", tmp_path / "sweep.json"
+    exp.write_text(json.dumps({**WELL2, "T": 200, "replicates": 20}))
+    grid.write_text(json.dumps({"d": [2], "families": ["well_specified"], "T": [100],
+                                "gamma_rules": ["half_inv_R2"], "replicates": 10}))
+    runs = [[command, "--config", str(cfg), "--out", str(tmp_path / f"{command}.out"),
+             "--workers", "1"]
+            for command, cfg in (("simulate", exp), ("verify", exp), ("sweep", grid))]
+    pooled = [*runs[0][:4], str(tmp_path / "pooled.out"), "--workers", "2"]
+    run_fresh(
+        "import os, sys\n"
+        "from tailsgd import harness\n"
+        "from tailsgd.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        f"assert not [m for m in {POOL_MODULES!r} if m in sys.modules], sys.modules.keys()\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}  # two usable CPUs: two workers\n"
+        f"assert main({pooled!r}) == 0\n"
+        "import concurrent.futures\n"
+        "assert harness.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor\n"
+    )
+    assert (tmp_path / "pooled.out").read_bytes() == (tmp_path / "simulate.out").read_bytes()
+
+
+def test_tail_averages_starts_its_pool_through_the_module_name(monkeypatch):
+    # perfbench/tracing.py counts pools by swapping the class that a tailsgd
+    # module namespace holds, so the pool branch must look it up there
+    import concurrent.futures
+
+    starts = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    cfg = config_from_dict({**WELL3, "T": 200, "replicates": 20})
+    one = run_experiment(cfg, workers=1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", CountingPool)
+    assert run_experiment(cfg, workers=2) == one
+    assert starts == [{"max_workers": 2}]
 
 
 def dense_h_experiment(d=100):
