@@ -51,11 +51,13 @@ Summing lam_i C~_ii gives tau = gamma sum_i lam_i Sigma~_ii / delta_i
 / (1 - gamma sum_i lam_i^2 / delta_i), with delta_i = 2 lam_i (1 - gamma lam_i),
 all positive below gamma < 1/R^2 = 1/(2 lam_max + Tr H) (Sherman-Morrison;
 Defossez & Bach, 2015).  So ``solve_stationary_gaussian`` costs O(d^3).
-L0^{-1}, that closed form and verify's inverse of the damped drift
-H M + M H - gamma H M H all divide entrywise in H's eigenbasis
-(``_eigen_inverse``).  The same eigenbasis diagonalizes the recursion
-itself where Sigma commutes with H, as for both Gaussian kinds: from C = 0
-every iterate is V diag(v) V^T, so ``covariance_walk`` steps a d-vector.
+L0^{-1} and that closed form both invert a damped drift
+H M + M H - g H M H (g = 0 and 2 gamma) by dividing entrywise in H's
+eigenbasis (``_eigen_inverse``); verify checks that inverse, at g = gamma,
+against the equation it solves.  The same eigenbasis diagonalizes the
+recursion itself where Sigma commutes with H, as for both Gaussian kinds:
+from C = 0 every iterate is V diag(v) V^T, so ``covariance_walk``, given
+that basis, steps a d-vector.
 Two a-priori bounds on the fixed point (a spectral-norm cap and a sharper
 trace cap) are provided alongside.
 """
@@ -238,10 +240,12 @@ def _eigen_inverse(lam, v, pt, g: float) -> np.ndarray:
     return v @ (pt / (lam[:, None] + lam[None, :] - g * np.outer(lam, lam))) @ v.T
 
 
-def _damped_inverse(h, p, gamma: float) -> np.ndarray:
-    """The M with H M + M H - gamma H M H = P, for symmetric H and P."""
-    lam, v = np.linalg.eigh(h)
-    return _eigen_inverse(lam, v, v.T @ p @ v, gamma)
+def _scaled_eigh(h) -> tuple[int, np.ndarray, np.ndarray]:
+    """(k, lam, V) with H / 4^k = V diag(lam) V^T and 4^k within a factor
+    of 4 of lambda_max(H): the scaling of ``solve_stationary_gaussian``."""
+    k = math.frexp(spectral_norm(h))[1] // 2
+    lam, v = np.linalg.eigh(np.ldexp(h, -2 * k))
+    return k, lam, v
 
 
 def _gamma_squared(gamma: float) -> float:
@@ -333,9 +337,7 @@ class StationarySolution:
 
     ``residual`` is the recomputed equation defect of the returned matrix;
     ``iterations`` is set by the fixed-point solver, ``condition`` by the
-    direct solver.  ``exact`` mirrors the operator backing.  ``basis`` is
-    (lam, V) with H = V diag(lam) V^T where the solve took H's
-    eigendecomposition (the closed form), for ``covariance_walk`` to reuse.
+    direct solver.  ``exact`` mirrors the operator backing.
     """
 
     cov: np.ndarray
@@ -344,7 +346,6 @@ class StationarySolution:
     exact: bool
     iterations: int | None = None
     condition: float | None = None
-    basis: tuple | None = None
 
     def __post_init__(self):
         NonFiniteResultError.check(self)
@@ -440,16 +441,14 @@ def solve_stationary_gaussian(h, sigma, gamma: float) -> StationarySolution:
     s_op = FourthMomentOperator.gaussian(h)
     hh, _ = _gate(gamma, h, s_op)
     ss = sym(sigma)
-    k = math.frexp(spectral_norm(hh))[1] // 2
-    lam, v = np.linalg.eigh(np.ldexp(hh, -2 * k))
+    k, lam, v = _scaled_eigh(hh)
     g = math.ldexp(gamma, 2 * k)
     st = v.T @ np.ldexp(ss, -4 * k) @ v
     delta = 2.0 * lam * (1.0 - g * lam)
     tau = (g * float(np.sum(lam * np.diag(st) / delta))
            / (1.0 - g * float(np.sum(lam ** 2 / delta))))
     c = _eigen_inverse(lam, v, g * (st + tau * np.diag(lam)), 2.0 * g)
-    return _solution(c, hh, s_op, ss, gamma, method="closed-form",
-                     basis=(np.ldexp(lam, 2 * k), v))
+    return _solution(c, hh, s_op, ss, gamma, method="closed-form")
 
 
 def operator_matrix(apply_fn, d: int) -> np.ndarray:

@@ -9,6 +9,7 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.random  # noqa: F401  imported before any trace, not by the first stream
@@ -54,10 +55,12 @@ from tailsgd.sgd import (
 )
 from tailsgd.stationary import (
     FourthMomentOperator,
-    _damped_inverse,
+    _eigen_inverse,
+    _scaled_eigh,
     operator_matrix,
     stationary_residual,
 )
+from test_golden import DISCRETE_D2, EXPERIMENT
 
 WELL3 = {
     "distribution": {"kind": "gaussian_well_specified", "d": 3, "noise_sigma": 1.0,
@@ -457,8 +460,8 @@ def test_efficiency_window_waits_for_four_relaxation_times(monkeypatch):
 
 @pytest.mark.parametrize("name", ["misspecified_d10", "dense_d30", "discrete_d5"])
 def test_damped_inverse_matches_the_dense_solve(name):
-    # the eigenbasis inverse of verify's damped-drift-inverse check equals
-    # the dense linear solve it replaced, on diagonal, dense and discrete H
+    # the eigenbasis inverse of the damped drift H M + M H - gamma H M H
+    # equals the dense linear solve, on diagonal, dense and discrete H
     spec = {"misspecified_d10": lambda: gaussian_spec(10, h=np.diag(2.0 ** -np.arange(10)),
                                                       kind="gaussian_misspecified"),
             "dense_d30": lambda: gaussian_spec(30, h=random_spd(30, 4)),
@@ -467,31 +470,48 @@ def test_damped_inverse_matches_the_dense_solve(name):
     h, gamma, p = m.H, 0.5 / m.R2, random_psd(d, 9)
     a = operator_matrix(lambda mm: h @ mm + mm @ h - gamma * h @ mm @ h, d)
     dense = vec_to_sym(np.linalg.solve(a, sym_to_vec(p)))
-    diff = np.linalg.norm(_damped_inverse(h, p, gamma) - dense)
+    lam, v = np.linalg.eigh(h)
+    diff = np.linalg.norm(_eigen_inverse(lam, v, v.T @ p @ v, gamma) - dense)
     assert diff <= 1e-13 * np.linalg.norm(dense)
 
 
-def test_damped_drift_inverse_fails_one_doubling_short(monkeypatch):
-    cfg = config_from_dict({**WELL2, "T": 64})
-    check = _check_named(run_verification(cfg), "damped-drift-inverse")
-    assert check.passed and "-term series vs eigenbasis inverse" in check.detail
-    real = harness_mod._doubling_series
-    monkeypatch.setattr(harness_mod, "_doubling_series", lambda p, a, k: real(p, a, k // 2))
-    check = _check_named(run_verification(cfg), "damped-drift-inverse")
+# the README model (the golden d = 3 document), the golden discrete d = 2
+# model, and the misspecified family at d = 10 (the benchmark's verify model)
+# and d = 40, whose cond(H) of about 5e11 a truncated-series check missed
+DAMPED_MODELS = {
+    "readme": EXPERIMENT,
+    "discrete_d2": DISCRETE_D2,
+    "misspecified_d10": {"distribution": family_distribution("misspecified", 10, 1.0)},
+    "misspecified_d40": {"distribution": family_distribution("misspecified", 40, 1.0)},
+}
+
+
+@pytest.mark.parametrize("name", list(DAMPED_MODELS))
+def test_damped_drift_inverse_fails_a_perturbed_inverse(monkeypatch, name):
+    # the row reads only the model and gamma, so a record of those suffices;
+    # an inverse taken at gamma (1 + 1e-8) leaves a residual near 6e-10 |P|_F
+    cfg = config_from_dict(DAMPED_MODELS[name])
+    record = SimpleNamespace(cfg=cfg, m=cfg.moments, eigen=_scaled_eigh(cfg.moments.H))
+    row = harness_mod._Verification.damped_inverse
+    check = harness_mod._check_row("damped-drift-inverse", row, record)
+    assert check.passed and check.margin > 0.0
+    real = harness_mod._eigen_inverse
+    monkeypatch.setattr(harness_mod, "_eigen_inverse",
+                        lambda lam, v, pt, g: real(lam, v, pt, g * (1.0 + 1e-8)))
+    check = harness_mod._check_row("damped-drift-inverse", row, record)
     assert not check.passed and check.margin < 0.0
 
 
 @pytest.mark.parametrize("gamma", [1e-17, 1e-320])
 def test_damped_drift_inverse_takes_a_tiny_stepsize(tmp_path, capsys, gamma):
-    # 1 - gamma mu rounds to 1: the series length and envelope divided by
-    # log(rate) and 1 - rate, both 0, and verify ended in a traceback
+    # 1 - gamma mu rounds to 1, and gamma H M H vanishes beside H M + M H
     path = tmp_path / "exp.json"
     path.write_text(json.dumps({
         "distribution": {"kind": "gaussian_well_specified", "d": 3, "noise_sigma": 1.0},
         "gamma_rule": "explicit", "gamma": gamma, "T": 200, "replicates": 10}))
     assert main(["verify", "--config", str(path)]) in (0, 3)
     line = next(x for x in capsys.readouterr().out.splitlines() if "damped-drift-inverse" in x)
-    assert "65536-term series" in line
+    assert line.startswith("PASS") and "|HM + MH - gamma HMH - P|_F / |P|_F = " in line
 
 
 def misspec_d10_doc(seed):

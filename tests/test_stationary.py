@@ -26,7 +26,7 @@ from tailsgd.matcore import (
 )
 from tailsgd.stationary import (
     FourthMomentOperator,
-    _damped_inverse,
+    _eigen_inverse,
     anticommutator,
     covariance_step,
     covariance_walk,
@@ -127,7 +127,8 @@ def test_anticommutator_examples():
     m = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert np.allclose(anticommutator(m, h), [[0.0, 3.0], [3.0, 0.0]])
     # H M + M H - 0.1 H M H at M = I is diag(1.9, 3.6)
-    assert np.allclose(_damped_inverse(h, np.diag([1.9, 3.6]), 0.1), np.eye(2))
+    inv = _eigen_inverse(np.diag(h), np.eye(2), np.diag([1.9, 3.6]), 0.1)
+    assert np.allclose(inv, np.eye(2))
     with pytest.raises(DimensionError):
         anticommutator(np.eye(2), np.eye(3))
 
@@ -171,7 +172,7 @@ def test_eigenbasis_walk_matches_the_dense_walk(monkeypatch, source, d):
     cfg = _walk_model(source, d)
     m, op, gamma = cfg.moments, cfg.operator, cfg.gamma
     dense = stationary_mod._dense_walk(m.H, op, m.Sigma, gamma)
-    basis = solve_stationary_gaussian(m.H, m.Sigma, gamma).basis
+    basis = np.linalg.eigh(m.H)
     monkeypatch.setattr(stationary_mod, "covariance_step", None)
     walk = covariance_walk(m.H, op, m.Sigma, gamma, basis=basis)
     assert abs(walk[0] - dense[0]) <= 1e-12
@@ -184,7 +185,7 @@ def test_walk_off_the_eigenbasis_is_dense():
     h = random_spd(4, 5)
     op = FourthMomentOperator.gaussian(h)
     gamma = 0.5 / op.r_squared_under(h)
-    basis = solve_stationary_gaussian(h, h, gamma).basis
+    basis = np.linalg.eigh(h)
     dense = stationary_mod._dense_walk(h, op, h, gamma)
     assert covariance_walk(h, op, h, gamma) == dense
     sigma = random_spd(4, 6)

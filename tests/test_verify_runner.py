@@ -81,6 +81,35 @@ def test_one_row_runs_on_a_given_record(monkeypatch):
         assert not failed.passed and failed.margin < 0.0, failed
 
 
+def test_row_names_match_the_benchmark_reference():
+    # the benchmark holds verify_misspec_d10's seed-0 PASS set; a removed or
+    # renamed row makes it refuse the run, so the reference moves with it
+    reference = json.loads((ROOT / "perfbench" / "reference" / "verify_misspec_d10.json")
+                           .read_text())
+    assert sorted(name for name, _ in harness_mod.VERIFY_ROWS) == reference["passed"]
+
+
+@pytest.mark.parametrize("diag", [1.0, 1e110])
+def test_fourth_moment_dominated_margin_is_relative(diag):
+    # the margin is the slack of R^2 H - S(I) relative to R^2 lambda_max(H),
+    # less the tolerance: at H = 1e110 I a PASS once printed margin -5.0e204.
+    # S scaled by 1.1 breaks the dominance; by 0.9 it leaves R^2 not tight,
+    # a FAIL at a margin of at most 0
+    cfg = config_from_dict(_diag_doc(diag))
+    op = cfg.operator
+    row = harness_mod._Verification.fourth_moment_dominated
+
+    def check(scale):
+        wrong = SimpleNamespace(apply=lambda m: scale * op.apply(m))
+        record = SimpleNamespace(cfg=replace(cfg, operator=wrong), m=cfg.moments)
+        return harness_mod._check_row("fourth-moment-dominated", row, record)
+
+    right, over, under = check(1.0), check(1.1), check(0.9)
+    assert right.passed and right.margin > 0.0
+    assert not over.passed and over.margin < 0.0
+    assert not under.passed and under.margin <= 0.0 and "tight_at_0.99=False" in under.detail
+
+
 def test_rows_read_the_bound_from_the_record():
     # the rate constants and the bound come from the record's bound alone;
     # the risk run's report supplies only its risks
